@@ -9,9 +9,38 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import CellIndexError, LengthMismatchError, StructuralZeroError
 
 MultiIndex = tuple[int, ...]
+
+
+def pack_bits(X) -> np.ndarray:
+    """Rows of a 0/1 matrix as little-endian uint64 words, shape (m, ceil(n/64)).
+
+    Cell k of a row is bit ``k % 64`` of word ``k // 64``; an n-cell row
+    takes at least one word.
+    """
+    X = np.asarray(X, dtype=np.uint8)
+    m, n = X.shape
+    words = max(1, -(-n // 64))
+    buf = np.zeros((m, 64 * words), dtype=np.uint8)
+    buf[:, :n] = X
+    return np.packbits(buf, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def find_rows(X, Y) -> np.ndarray:
+    """Position of each row of ``Y`` among the distinct rows of ``X``, or -1."""
+    X = np.ascontiguousarray(X)
+    Y = np.ascontiguousarray(Y, dtype=X.dtype)
+    if len(X) == 0:
+        return np.full(len(Y), -1, dtype=np.int64)
+    row = np.dtype((np.void, X.dtype.itemsize * X.shape[1]))
+    kx, ky = X.view(row)[:, 0], Y.view(row)[:, 0]
+    order = np.argsort(kx)
+    pos = order[np.minimum(np.searchsorted(kx[order], ky), len(X) - 1)]
+    return np.where((X[pos] == Y).all(axis=1), pos, -1)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .fiber import (
     check_weak_crossing,
     check_strong_crossing,
     enumerate_zero_one_fiber,
-    sweep_connectivity,
+    iter_fibers,
 )
 from .graver import (
     MoveSet,
@@ -213,38 +213,23 @@ def cmd_check(args) -> int:
         print(f"uncovered move: {' '.join(str(v) for v in cex.vec)}")
         return EXIT_FAIL
 
+    checker = check_strong_crossing if args.condition == "strong" else check_weak_crossing
     if args.sweep:
-        if args.condition == "distance-reducing":
-            report = None
-            from itertools import product
-
-            tables = {}
-            for bits in product((0, 1), repeat=cfg.n_cells):
-                tables.setdefault(cfg.sufficient_stat(Table(bits)), []).append(Table(bits))
-            for key, fiber in sorted(tables.items()):
-                ok, cex = check_distance_reducing(b, fiber, strong=args.strong)
+        # every table of the model: 2^n of them, within the --cap budget
+        for key, members in iter_fibers(cfg, max_cells=args.cap.bit_length() - 1):
+            if args.condition == "distance-reducing":
+                ok, _ = check_distance_reducing(b, members, strong=args.strong)
                 if not ok:
                     print(f"fails on key {key}")
                     return EXIT_FAIL
+            elif _uncrossed_pair([Table(x) for x in members.tolist()], cfg, checker):
+                print(f"no {args.condition} crossing for a pair in key {key}")
+                return EXIT_FAIL
+        if args.condition == "distance-reducing":
             print("distance reducing on every fiber")
-            return EXIT_PASS
-        if args.condition in ("strong", "weak"):
-            checker = check_strong_crossing if args.condition == "strong" else check_weak_crossing
-            from itertools import product
-
-            tables = {}
-            for bits in product((0, 1), repeat=cfg.n_cells):
-                tables.setdefault(cfg.sufficient_stat(Table(bits)), []).append(Table(bits))
-            for key, fiber in sorted(tables.items()):
-                for a in range(len(fiber)):
-                    for bb in range(a + 1, len(fiber)):
-                        rep = checker(fiber[a], fiber[bb], cfg)
-                        if not rep.found:
-                            print(f"no {args.condition} crossing for a pair in key {key}")
-                            return EXIT_FAIL
+        else:
             print(f"{args.condition} crossing pattern exists for every pair")
-            return EXIT_PASS
-        raise ZeroOneError(f"--sweep does not apply to {args.condition}")
+        return EXIT_PASS
 
     t = _get_key(args, cfg)
     fiber = enumerate_zero_one_fiber(cfg, t, cap=args.cap)
@@ -258,17 +243,23 @@ def cmd_check(args) -> int:
         print(" ".join(str(v) for v in x.values))
         print(" ".join(str(v) for v in y.values))
         return EXIT_FAIL
-    checker = check_strong_crossing if args.condition == "strong" else check_weak_crossing
-    for a in range(len(fiber)):
-        for bb in range(a + 1, len(fiber)):
-            rep = checker(fiber[a], fiber[bb], cfg)
-            if not rep.found:
-                print("pair without crossing pattern:")
-                print(" ".join(str(v) for v in fiber[a].values))
-                print(" ".join(str(v) for v in fiber[bb].values))
-                return EXIT_FAIL
+    pair = _uncrossed_pair(fiber, cfg, checker)
+    if pair:
+        print("pair without crossing pattern:")
+        for x in pair:
+            print(" ".join(str(v) for v in x.values))
+        return EXIT_FAIL
     print(f"{args.condition} crossing pattern exists for every pair")
     return EXIT_PASS
+
+
+def _uncrossed_pair(fiber, cfg, checker):
+    """The first pair of ``fiber`` without a crossing pattern, or None."""
+    for a in range(len(fiber)):
+        for bb in range(a + 1, len(fiber)):
+            if not checker(fiber[a], fiber[bb], cfg).found:
+                return fiber[a], fiber[bb]
+    return None
 
 
 def _parse_stat(spec: str):
@@ -380,7 +371,8 @@ def make_parser() -> argparse.ArgumentParser:
     k.add_argument("--sweep", action="store_true")
     k.add_argument("--strong", action="store_true",
                    help="strong variant of distance reduction")
-    k.add_argument("--cap", type=int, default=5_000_000)
+    k.add_argument("--cap", type=int, default=5_000_000,
+                   help="most tables to enumerate; with --sweep, the 2^n tables of the model")
     k.add_argument("--max-degree", type=int)
     k.set_defaults(fn=cmd_check)
 

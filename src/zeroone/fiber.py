@@ -1,16 +1,22 @@
-"""Zero-one fiber enumeration, connectivity and distance-reduction checks."""
+"""Zero-one fiber enumeration, connectivity and distance-reduction checks.
+
+Fiber graphs, distance reduction and whole-model sweeps share one bitmask
+kernel (:func:`_apply_moves`): zero-one tables are rows of uint64 words
+(:func:`~zeroone.cells.pack_bits`) and square-free moves are the packed
+masks of their +1 and -1 cells (:attr:`~zeroone.graver.MoveSet.masks`).
+"""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .cells import Move, Table
+from .cells import Move, Table, find_rows, pack_bits
 from .errors import (
     CapExceededError,
+    LengthMismatchError,
     MixedFiberError,
     NoDecompositionError,
     ZeroOneError,
@@ -19,6 +25,8 @@ from .graver import MoveSet, _conformal_leq
 from .models import Configuration, FiberKey
 
 DEFAULT_CAP = 5_000_000
+_CHUNK = 1 << 20  # words in one temporary of the bitmask kernel
+_SMALL_GRAPH = 512  # nodes + edges below which a Python union-find beats scipy
 
 
 def enumerate_zero_one_fiber(
@@ -26,64 +34,144 @@ def enumerate_zero_one_fiber(
 ) -> list[Table]:
     """All zero-one solutions of ``A x = t`` in canonical cell order.
 
-    Depth-first assignment, branching 0 before 1, pruning on negative
-    residuals and on residuals exceeding the remaining column mass.
-    Infeasible keys yield an empty list; exceeding ``cap`` raises.
+    Depth-first assignment, branching 0 before 1, pruning a branch when
+    some row's residual leaves the range the remaining cells can still
+    reach (the sums of the row's negative and of its positive entries
+    over those cells), so signed matrices are handled.  Infeasible keys
+    yield an empty list; exceeding ``cap`` raises.
     """
-    A = cfg.matrix
     nr, n = cfg.n_rows, cfg.n_cells
     t = tuple(int(v) for v in t)
     if len(t) != nr:
         raise MixedFiberError(f"key length {len(t)} != {nr} rows")
-    # suffix[p][r]: total mass of row r over cells p..n-1
-    suffix = [[0] * nr for _ in range(n + 1)]
-    for p in range(n - 1, -1, -1):
-        for r in range(nr):
-            suffix[p][r] = suffix[p + 1][r] + A[r][p]
+    # low[p][r], high[p][r]: least and greatest sum of row r over cells p..n-1
+    low = np.zeros((n + 1, nr), dtype=np.int64)
+    high = np.zeros((n + 1, nr), dtype=np.int64)
+    low[:n] = np.cumsum(np.minimum(cfg.array, 0)[:, ::-1], axis=1)[:, ::-1].T
+    high[:n] = np.cumsum(np.maximum(cfg.array, 0)[:, ::-1], axis=1)[:, ::-1].T
+    low, high, columns = low.tolist(), high.tolist(), cfg.array.T.tolist()
 
     out: list[Table] = []
     x = [0] * n
-    resid = list(t)
 
-    def rec(p: int):
+    def rec(p: int, resid: list[int]):
         if p == n:
-            if all(v == 0 for v in resid):
+            if not any(resid):
                 if len(out) >= cap:
                     raise CapExceededError(cap)
                 out.append(Table(tuple(x)))
             return
-        nxt = suffix[p + 1]
+        lo, hi = low[p + 1], high[p + 1]
         # branch 0
-        if all(0 <= resid[r] <= nxt[r] for r in range(nr)):
-            rec(p + 1)
+        if all(a <= v <= b for a, v, b in zip(lo, resid, hi)):
+            rec(p + 1, resid)
         # branch 1
-        ok = True
-        for r in range(nr):
-            resid[r] -= A[r][p]
-            if not 0 <= resid[r] <= nxt[r]:
-                ok = False
-        if ok:
+        col = columns[p]
+        if all(a <= v - c <= b for a, v, c, b in zip(lo, resid, col, hi)):
             x[p] = 1
-            rec(p + 1)
+            rec(p + 1, [v - c for v, c in zip(resid, col)])
             x[p] = 0
-        for r in range(nr):
-            resid[r] += A[r][p]
 
-    rec(0)
+    rec(0, list(t))
     return out
 
 
-def _fiber_matrix(fiber) -> np.ndarray:
-    return np.array([x.values for x in fiber], dtype=np.int8)
+def _fiber_bits(fiber) -> np.ndarray:
+    """Fiber members, Tables or the rows of an array, as an (m, n) 0/1 matrix.
+
+    Any entry other than 0 or 1 raises :class:`ZeroOneError`.
+    """
+    if isinstance(fiber, np.ndarray):
+        X = fiber
+    else:
+        lengths = {len(x) for x in fiber}
+        if len(lengths) > 1:
+            raise LengthMismatchError("fiber members differ in length")
+        n = lengths.pop() if lengths else 0
+        X = np.array([x.values for x in fiber], dtype=np.int64).reshape(len(fiber), n)
+    if ((X != 0) & (X != 1)).any():
+        raise ZeroOneError("fiber members must be zero-one tables")
+    return X.astype(np.uint8)
 
 
-def _check_single_key(cfg: Configuration | None, fiber) -> None:
-    if cfg is None or not fiber:
+def _member(fiber, X: np.ndarray, r: int) -> Table:
+    return Table(X[r]) if isinstance(fiber, np.ndarray) else fiber[r]
+
+
+def _check_single_key(cfg: Configuration | None, X: np.ndarray) -> None:
+    if cfg is None or not len(X):
         return
-    key = cfg.sufficient_stat(fiber[0])
-    for x in fiber[1:]:
-        if cfg.sufficient_stat(x) != key:
-            raise MixedFiberError("fiber members have differing sufficient statistics")
+    if X.shape[1] != cfg.n_cells:
+        raise LengthMismatchError(
+            f"tables have {X.shape[1]} entries, the model has {cfg.n_cells} cells"
+        )
+    T = X.astype(np.int64) @ cfg.array.T
+    if (T != T[0]).any():
+        raise MixedFiberError("fiber members have differing sufficient statistics")
+
+
+def _move_masks(b: MoveSet, n: int):
+    """``b.masks``, once the moves are known to have ``n`` cells."""
+    if b.moves and len(b.moves[0]) != n:
+        raise LengthMismatchError("move and table lengths differ")
+    return b.masks
+
+
+def _apply_moves(X: np.ndarray, P: np.ndarray, M: np.ndarray):
+    """Every (table, move) pair where the move applies, and where it leads.
+
+    ``X`` holds packed zero-one tables and ``P``, ``M`` the packed +1 and
+    -1 cells of K square-free moves.  Move k applies to row x iff
+    ``x & P[k] == 0`` and ``x & M[k] == M[k]``, that is (P and M being
+    disjoint) iff ``x & S[k] == M[k]`` with ``S = P | M``; it leads to
+    ``x ^ S[k]``.  Returns the flat indices ``row * K + k`` of the
+    applicable pairs, increasing, and their target rows.  Rows go in
+    chunks that keep each temporary near ``_CHUNK`` words.
+    """
+    K, W = P.shape
+    S = P | M
+    step = max(1, _CHUNK // max(1, K * W))
+    flat, targets = [np.zeros(0, dtype=np.int64)], [np.zeros((0, W), dtype=np.uint64)]
+    for a in range(0, len(X), step):
+        x = X[a:a + step, None, :]
+        f = np.flatnonzero(((x & S) == M).all(axis=2))
+        flat.append(f + a * K)
+        targets.append(X[a + f // K] ^ S[f % K])
+    return np.concatenate(flat), np.concatenate(targets)
+
+
+def _fiber_moves(X: np.ndarray, P: np.ndarray, M: np.ndarray):
+    """Applicable pairs of :func:`_apply_moves` that stay in the fiber ``X``.
+
+    Returns ``(i, k, j)``: table, move and target table; targets outside
+    the fiber are dropped.
+    """
+    flat, targets = _apply_moves(X, P, M)
+    i, k = np.divmod(flat, max(1, len(P)))
+    j = find_rows(X, targets)
+    keep = (j >= 0) & (j != i)
+    return i[keep], k[keep], j[keep]
+
+
+def _components(m: int, src: np.ndarray, dst: np.ndarray):
+    """``(count, labels)``: connected components of an undirected graph."""
+    if m + len(src) > _SMALL_GRAPH:
+        g = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(m, m))
+        return connected_components(g, directed=False)
+    parent = list(range(m))
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for a, b in zip(src.tolist(), dst.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    labels = np.array([find(u) for u in range(m)], dtype=np.int64)
+    return len(set(labels.tolist())), labels
 
 
 @dataclass(frozen=True)
@@ -104,95 +192,67 @@ class FiberGraph:
 
 
 def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
-    """Graph with an edge (x, y) iff y - x is (plus or minus) a move of ``b``."""
-    _check_single_key(b.source_config, fiber)
-    nodes = tuple(fiber)
-    index = {x.values: i for i, x in enumerate(nodes)}
-    edges = []
-    seen = set()
-    for i, x in enumerate(nodes):
-        for z in b.moves:
-            y = tuple(a + v for a, v in zip(x.values, z.vec))
-            j = index.get(y)
-            if j is None or j == i:
-                continue
-            key = (min(i, j), max(i, j))
-            if key not in seen:
-                seen.add(key)
-                edges.append((key[0], key[1], z))
-    # breadth-first components
-    adj: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    unvisited = set(range(len(nodes)))
-    comps = []
-    while unvisited:
-        root = min(unvisited)
-        queue = [root]
-        unvisited.discard(root)
-        comp = []
-        while queue:
-            u = queue.pop(0)
-            comp.append(u)
-            for v in adj[u]:
-                if v in unvisited:
-                    unvisited.discard(v)
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
-    return FiberGraph(nodes, tuple(edges), tuple(comps))
+    """Graph with an edge (x, y) iff y - x is (plus or minus) a move of ``b``.
 
-
-def _neighbor_lists(M: np.ndarray, b: MoveSet) -> list[list[int]]:
-    """For each node, indices of in-fiber states reachable by one signed move."""
-    m, n = M.shape
-    index = {tuple(int(v) for v in row): i for i, row in enumerate(M)}
-    nbrs: list[set[int]] = [set() for _ in range(m)]
-    for z in b.moves:
-        for sgn in (1, -1):
-            vec = np.array(z.vec, dtype=np.int8) * sgn
-            plus = np.flatnonzero(vec > 0)
-            minus = np.flatnonzero(vec < 0)
-            ok = np.ones(m, dtype=bool)
-            if len(plus):
-                ok &= (M[:, plus] == 0).all(axis=1)
-            if len(minus):
-                ok &= (M[:, minus] == 1).all(axis=1)
-            for i in np.flatnonzero(ok):
-                y = tuple(int(v) for v in (M[i] + vec))
-                j = index.get(y)
-                if j is not None and j != i:
-                    nbrs[i].add(j)
-    return [sorted(s) for s in nbrs]
+    ``fiber`` is a sequence of zero-one Tables or an (m, n) 0/1 array.
+    Each edge ``(i, j, z)`` has ``i < j`` and the move ``z`` of the first
+    (node, move) pair, in node then move order, with ``node + z`` in the
+    fiber.  Components are sorted tuples, ordered by smallest member.
+    """
+    X = _fiber_bits(fiber)
+    _check_single_key(b.source_config, X)
+    m = len(X)
+    nodes = tuple(_member(fiber, X, r) for r in range(m))
+    if m == 0:
+        return FiberGraph((), (), ())
+    P, M, index = _move_masks(b, X.shape[1])
+    i, k, j = _fiber_moves(pack_bits(X), P, M)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    first = np.sort(np.unique(lo * m + hi, return_index=True)[1])
+    moves = [b.moves[t] for t in index[k[first]].tolist()]
+    edges = tuple(zip(lo[first].tolist(), hi[first].tolist(), moves))
+    labels = _components(m, lo, hi)[1]
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    comps = sorted((tuple(g.tolist()) for g in groups), key=lambda c: c[0])
+    return FiberGraph(nodes, edges, tuple(comps))
 
 
 def check_distance_reducing(b: MoveSet, fiber, strong: bool = False):
     """Verify the (strong) distance-reduction property over a complete fiber.
 
+    Some applicable move must take x strictly closer to y (weak: or y
+    closer to x; strong: and y closer to x) for every pair.  A move with
+    support s does so iff ``2 * popcount(s & (x ^ y)) > popcount(s)``.
+    ``fiber`` is a sequence of zero-one Tables or an (m, n) 0/1 array.
     Returns ``(True, None)`` or ``(False, (x, y))`` with the first failing
     pair in node order.
     """
-    _check_single_key(b.source_config, fiber)
-    m = len(fiber)
+    X = _fiber_bits(fiber)
+    _check_single_key(b.source_config, X)
+    m = len(X)
     if m <= 1:
         return True, None
-    M = _fiber_matrix(fiber)
-    nbrs = _neighbor_lists(M, b)
-    D = (M[:, None, :] != M[None, :, :]).sum(axis=2)
-    # reduce[i, j]: some applicable move takes node i strictly closer to node j
-    reduce_ok = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        if nbrs[i]:
-            reduce_ok[i] = (D[nbrs[i], :].min(axis=0) < D[i, :])
-    for i in range(m):
-        for j in range(i + 1, m):
-            if strong:
-                ok = reduce_ok[i, j] and reduce_ok[j, i]
-            else:
-                ok = reduce_ok[i, j] or reduce_ok[j, i]
-            if not ok:
-                return False, (fiber[i], fiber[j])
-    return True, None
+    P, M, _ = _move_masks(b, X.shape[1])
+    B = pack_bits(X)
+    # both signs of every move
+    i, _, j = _fiber_moves(B, np.vstack([P, M]), np.vstack([M, P]))
+    supp = B[i] ^ B[j]
+    size = np.bitwise_count(supp).sum(axis=1)
+    # closer[i, j]: some applicable move takes node i strictly closer to node j
+    closer = np.zeros((m, m), dtype=bool)
+    step = max(1, _CHUNK // (m * B.shape[1]))
+    for a in range(0, len(i), step):
+        r, s = i[a:a + step], supp[a:a + step, None, :]
+        shared = np.bitwise_count((B[r][:, None, :] ^ B) & s).sum(axis=2)
+        rows, start = np.unique(r, return_index=True)
+        closer[rows] |= np.logical_or.reduceat(2 * shared > size[a:a + step, None], start)
+    ok = closer & closer.T if strong else closer | closer.T
+    bad = np.triu(~ok, 1)
+    if not bad.any():
+        return True, None
+    x, y = divmod(int(bad.argmax()), m)
+    return False, (_member(fiber, X, x), _member(fiber, X, y))
 
 
 @dataclass(frozen=True)
@@ -335,45 +395,64 @@ class SweepReport:
         return self.n_components == self.n_fibers
 
 
-def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> SweepReport:
-    """Partition all 2^n zero-one tables by key and count move components.
+def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
+    """Fiber-key codes (:meth:`Configuration.key_codes`) of all 2^n zero-one
+    tables, table i having cell k equal to bit k of i.
 
-    Vectorised union over the whole sweep: moves preserve the key, so
-    every fiber is connected iff the global component count equals the
-    number of distinct keys.
+    The mixed-radix code is affine in the table, so the codes are built
+    by doubling, one cell at a time.  Where no mixed-radix code fits, the
+    statistics are built that way instead and ranked by ``np.unique``.
     """
     n = cfg.n_cells
     if n > max_cells:
         raise CapExceededError(1 << max_cells, f"sweep over 2^{n} tables refused")
-    A = cfg.array
-    N = 1 << n
-    arr = np.arange(N, dtype=np.int64)
-    row_sums = A.sum(axis=1)
-    base = int(row_sums.max(initial=0)) + 1
-    pw = base ** np.arange(cfg.n_rows, dtype=np.int64)
-    if cfg.n_rows * np.log(max(base, 2)) > 62 * np.log(2):
-        raise CapExceededError(N, "key encoding overflows; reduce the model")
-    wcol = A.T @ pw  # code is linear in the table bits
-    codes = np.zeros(N, dtype=np.int64)
-    for k in range(n):
-        codes += ((arr >> k) & 1) * int(wcol[k])
-    n_fibers = len(np.unique(codes))
-    srcs, dsts = [], []
-    for z in b.moves:
-        if not z.square_free:
-            continue  # cannot apply to a zero-one table without leaving {0,1}
-        p, mmask = z.masks
-        app = ((arr & p) == 0) & ((arr & mmask) == mmask)
-        src = arr[app]
-        srcs.append(src)
-        dsts.append(src ^ (p | mmask))
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        g = coo_matrix(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(N, N)
-        )
-        n_comp = connected_components(g, directed=False)[0]
-    else:
-        n_comp = N
+
+    def doubled(first, steps):
+        out = np.empty((1 << len(steps),) + first.shape, dtype=first.dtype)
+        out[0] = first
+        for k, step in enumerate(steps):
+            out[1 << k:2 << k] = out[:1 << k] + step
+        return out
+
+    # statistics of the empty table and of each one-cell table
+    unit = np.vstack([np.zeros((1, cfg.n_rows), dtype=np.int64), cfg.array.T])
+    if cfg.key_radix is None:
+        return cfg.key_codes(doubled(unit[0], unit[1:]))
+    c = cfg.key_codes(unit)
+    return doubled(c[0], c[1:] - c[0])
+
+
+def iter_fibers(cfg: Configuration, max_cells: int = 24):
+    """Every zero-one fiber of ``cfg``, by an exhaustive sweep of the 2^n tables.
+
+    Yields ``(key, members)`` in increasing key order.  ``members`` is an
+    (m, n) 0/1 uint8 array of the fiber's tables, table i of the sweep
+    having cell k equal to bit k of i, in increasing order of i.  More
+    than ``max_cells`` cells raise :class:`CapExceededError`.
+    """
+    codes = _cube_codes(cfg, max_cells)
+    order = np.argsort(codes, kind="stable")
+    cuts = np.flatnonzero(np.diff(codes[order])) + 1
+    cells = np.arange(cfg.n_cells)
+    for group in np.split(order, cuts):
+        X = ((group[:, None] >> cells) & 1).astype(np.uint8)
+        yield tuple((cfg.array @ X[0]).tolist()), X
+
+
+def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> SweepReport:
+    """Partition all 2^n zero-one tables by key and count move components.
+
+    Moves preserve the key, so every fiber is connected iff the global
+    component count equals the number of distinct keys.  Table i has cell
+    k equal to bit k of i, so a move's target is its own index.
+    """
+    N = 1 << cfg.n_cells
+    codes = np.sort(_cube_codes(cfg, max_cells))
+    n_fibers = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
+    del codes
+    P, M, _ = _move_masks(b, cfg.n_cells)
+    flat, targets = _apply_moves(np.arange(N, dtype=np.uint64)[:, None], P, M)
+    src = flat // max(1, len(P))
+    del flat
+    n_comp = _components(N, src, targets[:, 0].view(np.int64))[0]
     return SweepReport(N, n_fibers, int(n_comp))

@@ -10,10 +10,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .cells import Move
+from .cells import Move, find_rows, pack_bits
 from .errors import BudgetExhaustedError, NotAMoveError
 from .models import Configuration
 
@@ -62,6 +63,25 @@ class MoveSet:
     @property
     def _vecs(self) -> frozenset:
         return frozenset(z.vec for z in self.moves)
+
+    @cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(P, M, index)``: the +1 and the -1 cells of the square-free moves
+        as :func:`~zeroone.cells.pack_bits` rows, and their positions in ``moves``.
+
+        A square-free move applies to a zero-one table ``x`` iff
+        ``x & P == 0`` and ``x & M == M``, and it leads to ``x ^ (P | M)``;
+        the other moves never apply to a zero-one table.
+        """
+        V = self.matrix
+        index = np.flatnonzero((np.abs(V) <= 1).all(axis=1))
+        return pack_bits(V[index] == 1), pack_bits(V[index] == -1), index
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The moves as the rows of an int64 matrix."""
+        n = len(self.moves[0]) if self.moves else 0
+        return np.array([z.vec for z in self.moves], dtype=np.int64).reshape(len(self.moves), n)
 
     def union(self, other: "MoveSet") -> "MoveSet":
         return MoveSet.build(
@@ -319,26 +339,30 @@ def square_free_graver(
 
 
 def prune_by_one_cancellation(b0: MoveSet) -> MoveSet:
-    """Drop members that are one-sign-cancellation sums of two other members.
+    """Drop members that are one-sign-cancellation sums of two members.
 
-    Greedy pass in canonical order, iterated to a fixed point; the result
-    is deterministic but not claimed minimal.
+    ``a + b`` cancels in the cells where one has +1 and the other -1.  A
+    sum with exactly one such cell has a larger support than either part,
+    so testing every sum against the original set ``b0`` (not against
+    what is left) is well-founded, and one pass over all pairs suffices.
+    The pairs are screened on bitmasks of the +1 cells (P) and the -1
+    cells (M): ``a + b`` cancels in ``popcount(P_a & M_b) +
+    popcount(M_a & P_b)`` cells, ``a - b`` in ``popcount(P_a & P_b) +
+    popcount(M_a & M_b)``.
     """
-    current = {z.vec for z in b0.moves}
-    changed = True
-    while changed:
-        changed = False
-        ordered = sorted(current, key=lambda v: (sum(abs(x) for x in v), v))
-        for va, vb in itertools.combinations(ordered, 2):
-            if va not in current or vb not in current:
-                continue
-            for sb in (vb, tuple(-x for x in vb)):
-                cancels = sum(1 for x, y in zip(va, sb) if x * y == -1)
-                if cancels != 1:
-                    continue
-                s = Move.canonical(tuple(x + y for x, y in zip(va, sb))).vec
-                if s in current and s != va and s != vb and s != tuple(-x for x in vb):
-                    current.remove(s)
-                    changed = True
-    keep = [z for z in b0.moves if z.vec in current]
+    V = b0.matrix
+    P, M = pack_bits(V == 1), pack_bits(V == -1)
+    drop = np.zeros(len(V), dtype=bool)
+    step = max(1, (1 << 20) // max(1, P.size))
+    for a0 in range(0, len(V), step):
+        Pa, Ma = P[a0:a0 + step, None, :], M[a0:a0 + step, None, :]
+        plus = (np.bitwise_count(Pa & M) + np.bitwise_count(Ma & P)).sum(axis=2)
+        minus = (np.bitwise_count(Pa & P) + np.bitwise_count(Ma & M)).sum(axis=2)
+        for sign, cancels in ((1, plus), (-1, minus)):
+            a, b = np.nonzero(np.triu(cancels == 1, a0 + 1))
+            S = V[a0 + a] + sign * V[b]
+            S[S[np.arange(len(S)), (S != 0).argmax(axis=1)] < 0] *= -1  # canonical sign
+            hit = find_rows(V, S)
+            drop[hit[hit >= 0]] = True
+    keep = [z for z, d in zip(b0.moves, drop) if not d]
     return MoveSet.build(keep, "pruned-survivor", b0.source_config)

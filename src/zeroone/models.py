@@ -15,7 +15,7 @@ import numpy as np
 import sympy
 
 from .cells import CellSpace, Move, MultiIndex, Table
-from .errors import DimensionError, LengthMismatchError
+from .errors import DimensionError, LengthMismatchError, ZeroOneError
 
 FiberKey = tuple[int, ...]
 
@@ -73,6 +73,45 @@ class Configuration:
         if not check:
             return None
         return tuple(Fraction(int(v.p), int(v.q)) for v in map(sympy.Rational, w))
+
+    @cached_property
+    def key_radix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(low, span, place)`` of the mixed-radix fiber-key code, or None.
+
+        Row r of the statistic of a zero-one table lies in ``[low_r,
+        low_r + span_r)``, ``low_r`` being the sum of the row's negative
+        entries and ``span_r - 1`` the sum of its absolute values.  Offset
+        by ``low``, each row is one digit with its own radix ``span_r``, the
+        first row most significant, so codes sort as the keys do.  None when
+        codes would not fit in a uint64.
+        """
+        A = self.array
+        low = np.minimum(A, 0).sum(axis=1)
+        span = np.abs(A).sum(axis=1) + 1
+        place, total = [], 1
+        for s in reversed(span.tolist()):
+            place.append(total)
+            total *= s
+        if total > 1 << 64:
+            return None
+        return low, span, np.array(place[::-1], dtype=np.uint64)
+
+    def key_codes(self, T) -> np.ndarray:
+        """One exact uint64 code per row of zero-one statistics ``T`` (N x rows).
+
+        Codes are equal iff the rows are, and sort as the rows do
+        (lexicographically): mixed-radix codes by :attr:`key_radix` when
+        they fit, else the ranks of the rows within ``T`` from ``np.unique``.
+        """
+        T = np.atleast_2d(np.asarray(T, dtype=np.int64))
+        radix = self.key_radix
+        if radix is None:
+            return np.unique(T, axis=0, return_inverse=True)[1].reshape(-1).astype(np.uint64)
+        low, span, place = radix
+        D = T - low
+        if ((D < 0) | (D >= span)).any():
+            raise ZeroOneError("statistic outside the range of zero-one tables")
+        return (D.astype(np.uint64) * place).sum(axis=1, dtype=np.uint64)
 
     def sufficient_stat(self, x: Table) -> FiberKey:
         x.check_length(self.cell_space)

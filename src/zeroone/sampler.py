@@ -27,12 +27,15 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _masks(b: MoveSet):
-    out = []
-    for z in b.moves:
-        if not z.square_free:
-            continue  # never applicable to a zero-one table
-        out.append(z.masks)
-    return out
+    """``(p, m)`` Python-int masks of the square-free moves, from ``b.masks``.
+
+    Moves that are not square-free never apply to a zero-one table.
+    """
+    def as_int(words):
+        return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+    P, M, _ = b.masks
+    return [(as_int(p), as_int(m)) for p, m in zip(P, M)]
 
 
 def _to_mask(x: Table) -> int:

@@ -1,7 +1,5 @@
-import numpy as np
 import pytest
 
-from zeroone.cells import Table
 from zeroone.graver import square_free_graver
 from zeroone.models import build_complete_independence
 
@@ -37,21 +35,3 @@ def b0_333():
     """
     return square_free_graver(build_complete_independence((3, 3, 3)), 6)
 
-
-def iter_fibers(cfg):
-    """All zero-one fibers of a configuration, by exhaustive 2^n sweep."""
-    n = cfg.n_cells
-    A = cfg.array
-    N = 1 << n
-    bits = ((np.arange(N, dtype=np.int64)[:, None] >> np.arange(n)) & 1).astype(np.int64)
-    T = bits @ A.T
-    base = int(T.max()) + 2
-    pw = base ** np.arange(cfg.n_rows, dtype=np.int64)
-    if cfg.n_rows * np.log(base) > 62 * np.log(2):
-        pw = pw.astype(object)
-    codes = T @ pw
-    order = np.argsort(codes, kind="stable")
-    cs = codes[order]
-    bounds = np.flatnonzero(cs[1:] != cs[:-1]) + 1
-    for g in np.split(order, bounds):
-        yield [Table(tuple(int(v) for v in bits[i])) for i in g]

@@ -13,6 +13,7 @@ from zeroone.fiber import (
     check_distance_reducing,
     conformal_decompose,
     enumerate_zero_one_fiber,
+    iter_fibers,
     sweep_connectivity,
 )
 from zeroone.graver import MoveSet, degree_histogram, prune_by_one_cancellation, square_free_graver
@@ -39,8 +40,6 @@ from zeroone.sampler import (
     random_walk,
     resolve_statistic,
 )
-
-from conftest import iter_fibers
 
 
 def with_config(ms, cfg):
@@ -203,7 +202,7 @@ class TestStrongDistanceReduction:
     )
     def test_strong_reduction_on_all_fibers(self, name, cfg, max_degree):
         b0 = square_free_graver(cfg, max_degree)
-        for fiber in iter_fibers(cfg):
+        for _, fiber in iter_fibers(cfg):
             if len(fiber) < 2:
                 continue
             ok, cex = check_distance_reducing(b0, fiber, strong=True)
@@ -278,7 +277,7 @@ class TestSamplerCorrectness:
 
 
 class TestPruningSoundness:
-    @pytest.mark.parametrize("I,J", [(3, 3), (3, 4)])
+    @pytest.mark.parametrize("I,J", [(3, 3), (3, 4), (4, 4)])
     def test_pruned_set_is_basic_and_still_connects(self, I, J):
         cfg = build_two_way_independence(I, J)
         b0 = square_free_graver(cfg, min(I, J))

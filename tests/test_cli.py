@@ -87,6 +87,17 @@ class TestCheck:
         assert code == 0
         assert "distance reducing" in out
 
+    @pytest.mark.parametrize("condition", ["distance-reducing", "strong"])
+    def test_sweep_cap_exit_three(self, capsys, condition):
+        # 2^8 tables exceed a budget of 100; 2^36 exceed the default
+        for dims, cap in (("2,4", ("--cap", "100")), ("6,6", ())):
+            code, _, err = run(
+                capsys,
+                "check", "--model", "two-way-indep", "--dims", dims,
+                "--condition", condition, "--moves", "basic", "--sweep", *cap,
+            )
+            assert code == 3 and "2^" in err
+
     def test_generalized(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeroone.cells import CellSpace, Move, Table
-from zeroone.errors import DimensionError, LengthMismatchError
+from zeroone.errors import DimensionError, LengthMismatchError, ZeroOneError
 from zeroone.models import (
     Configuration,
     build_complete_independence,
@@ -175,3 +177,24 @@ class TestConfiguration:
         cfg = build_two_way_independence(2, 2)
         with pytest.raises(LengthMismatchError):
             cfg.is_move(Move((1, -1)))
+
+
+class TestKeyCodes:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_codes_equal_iff_keys_equal_and_sort_as_keys(self, rows, cells, data):
+        A = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells),
+                               min_size=rows, max_size=rows))
+        cfg = Configuration(CellSpace((cells,)), A)
+        X = (np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1
+        T = X @ cfg.array.T
+        codes = cfg.key_codes(T)
+        keys = [tuple(t) for t in T.tolist()]
+        for i in range(len(keys)):
+            assert ((codes[i] == codes) == [k == keys[i] for k in keys]).all()
+            assert ((codes[i] < codes) == [keys[i] < k for k in keys]).all()
+
+    def test_statistic_outside_zero_one_range_refused(self):
+        cfg = build_two_way_independence(2, 2)
+        with pytest.raises(ZeroOneError):
+            cfg.key_codes([[3, 0, 0, 0]])
