@@ -30,6 +30,12 @@ def pack_bits(X) -> np.ndarray:
     return np.packbits(buf, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
+def unpack_bits(words, n: int) -> np.ndarray:
+    """The inverse of :func:`pack_bits`: (m, n) uint8 0/1 rows."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
 def find_rows(X, Y) -> np.ndarray:
     """Position of each row of ``Y`` among the distinct rows of ``X``, or -1."""
     X = np.ascontiguousarray(X)

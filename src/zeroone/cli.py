@@ -47,7 +47,9 @@ from .movegen import (
     ntfi_333_moves,
 )
 from .sampler import (
+    at_least_as_extreme,
     exact_test,
+    latin_move_set,
     latin_symbols,
     ntfi_basic_moves,
     random_walk,
@@ -301,7 +303,7 @@ def cmd_sample(args) -> int:
         fiber = enumerate_zero_one_fiber(cfg, t, cap=args.cap)
         sf = resolve_statistic(cfg, stat, t)
         obs = sf(x0.values)
-        exact_p = sum(1 for x in fiber if sf(x.values) >= obs) / len(fiber)
+        exact_p = sum(1 for x in fiber if at_least_as_extreme(sf(x.values), obs)) / len(fiber)
         n = len(run.trajectory_stats)
         se = (exact_p * (1 - exact_p) / n) ** 0.5
         diff = abs(run.p_value_estimate - exact_p)
@@ -314,8 +316,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_latin(args) -> int:
+    b = latin_move_set(args.n)
     for k in range(args.count):
-        table, symbols = sample_latin_square(args.n, args.steps, args.seed + k)
+        table, symbols = sample_latin_square(args.n, args.steps, args.seed + k, b)
         for row in symbols:
             print(" ".join(str(v) for v in row))
         if args.zero_one:

@@ -399,27 +399,18 @@ def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
     """Fiber-key codes (:meth:`Configuration.key_codes`) of all 2^n zero-one
     tables, table i having cell k equal to bit k of i.
 
-    The mixed-radix code is affine in the table, so the codes are built
-    by doubling, one cell at a time.  Where no mixed-radix code fits, the
-    statistics are built that way instead and ranked by ``np.unique``.
+    The sums of :attr:`Configuration.key_terms` are built by doubling, one
+    cell at a time.
     """
     n = cfg.n_cells
     if n > max_cells:
         raise CapExceededError(1 << max_cells, f"sweep over 2^{n} tables refused")
-
-    def doubled(first, steps):
-        out = np.empty((1 << len(steps),) + first.shape, dtype=first.dtype)
-        out[0] = first
-        for k, step in enumerate(steps):
-            out[1 << k:2 << k] = out[:1 << k] + step
-        return out
-
-    # statistics of the empty table and of each one-cell table
-    unit = np.vstack([np.zeros((1, cfg.n_rows), dtype=np.int64), cfg.array.T])
-    if cfg.key_radix is None:
-        return cfg.key_codes(doubled(unit[0], unit[1:]))
-    c = cfg.key_codes(unit)
-    return doubled(c[0], c[1:] - c[0])
+    origin, steps = cfg.key_terms
+    out = np.empty((1 << n,) + origin.shape, dtype=origin.dtype)
+    out[0] = origin
+    for k in range(n):
+        out[1 << k:2 << k] = out[:1 << k] + steps[k]
+    return cfg.key_codes_of_sums(out)
 
 
 def iter_fibers(cfg: Configuration, max_cells: int = 24):

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cells import Move, find_rows, pack_bits
+from .cells import Move, find_rows, pack_bits, unpack_bits
 from .errors import BudgetExhaustedError, NotAMoveError
 from .models import Configuration
+
+_LOG = logging.getLogger("zeroone.graver")
+_BUDGET = 1 << 18  # elements in one working array of the square-free pair screen
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class MoveSet:
     def __contains__(self, z: Move) -> bool:
         return Move.canonical(z.vec).vec in self._vecs
 
-    @property
+    @cached_property
     def _vecs(self) -> frozenset:
         return frozenset(z.vec for z in self.moves)
 
@@ -276,66 +280,147 @@ def square_free_graver(
     members (differences of cells with identical statistic columns) exist
     only when the configuration has duplicate columns.
 
+    Every weight-d table (d-set of cells) gets its exact fiber-key code
+    as a sum of per-cell terms (:attr:`Configuration.key_terms`); the
+    d-sets are grouped by a sort of the codes, disjointness is an AND of
+    :func:`~zeroone.cells.pack_bits` masks, and primitivity of a pair
+    (u, v) is tested on the subsets of size k <= d // 2 only: if u' of u
+    and v' of v share a statistic, so do u - u' and v - v', of size d - k.
+    The test is an AND of per-fiber bitsets of the subsets' codes.
+
     Requires a homogeneous configuration (positive and negative parts of
     every move then have equal weight, so the pairing is exhaustive).
     """
     if cfg.homogeneity_witness is None:
         raise NotAMoveError("square_free_graver requires a homogeneous configuration")
-    A = cfg.array
-    nr, n = A.shape
-    found: list[Move] = []
-    for d in range(min_degree, max_degree + 1):
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), d)),
-            dtype=np.int64,
-        ).reshape(-1, d)
-        if len(combos) == 0:
-            continue
-        T = A[:, combos].sum(axis=2)  # (nr, N)
-        base = int(T.max(initial=0)) + 2
-        pw = base ** np.arange(nr, dtype=np.int64)
-        if nr * np.log(base) > 62 * np.log(2):
-            pw = pw.astype(object)
-        codes = pw @ T
-        order = np.argsort(codes, kind="stable")
-        codes_s = codes[order]
-        bounds = np.flatnonzero(codes_s[1:] != codes_s[:-1]) + 1
-        groups = [g for g in np.split(order, bounds) if len(g) >= 2]
-        if not groups:
-            continue
-        subset_pats = [
-            list(pat)
-            for k in range(1, d)
-            for pat in itertools.combinations(range(d), k)
-        ]
-        idx_multi = np.concatenate(groups)
-        pos = {int(i): k for k, i in enumerate(idx_multi)}
-        cm = combos[idx_multi]
-        # codes of the sufficient statistics of all proper support subsets,
-        # vectorised per subset pattern; only fiber-mates need them
-        K = np.empty((len(idx_multi), len(subset_pats)), dtype=codes.dtype)
-        for col, pat in enumerate(subset_pats):
-            K[:, col] = pw @ A[:, cm[:, pat]].sum(axis=2)
-        for g in groups:
-            rows = [pos[int(i)] for i in g]
-            gc = [combos[i] for i in g]
-            gm = []
-            for row in gc:
-                m = 0
-                for c in row:
-                    m |= 1 << int(c)
-                gm.append(m)
-            keys = [set(map(int, K[r])) for r in rows]
-            m = len(g)
-            for a in range(m):
-                ma, ka = gm[a], keys[a]
-                rowa = gc[a]
-                for b in range(a + 1, m):
-                    if ma & gm[b]:
-                        continue
-                    if ka.isdisjoint(keys[b]):
-                        found.append(Move.from_cells(n, rowa, gc[b]))
-    return MoveSet.build(found, "square-free", cfg)
+    n = cfg.n_cells
+    origin, steps = cfg.key_terms
+    bits = pack_bits(np.eye(n, dtype=np.uint8))
+    # level k: the k-sets of cells in lexicographic order, as masks, key
+    # sums and first cells; level 0 is the empty set
+    masks, sums, first = np.zeros_like(bits[:1]), origin[None], np.array([n])
+    found = []
+    for d in range(1, max_degree + 1):
+        masks, sums, first = _next_level(masks, sums, first, bits, steps)
+        if not len(masks):
+            break
+        if d >= min_degree:
+            found.append(_pair_screen(cfg, masks, cfg.key_codes_of_sums(sums), d))
+    V = np.concatenate(found) if found else np.zeros((0, n), dtype=np.int8)
+    return MoveSet(tuple(Move(v) for v in V.tolist()), ("square-free",) * len(V), cfg)
+
+
+def _next_level(masks, sums, first, bits, steps):
+    """The (k+1)-sets of cells from the k-sets, all in lexicographic order.
+
+    The (k+1)-sets whose first cell is i are cell i joined to the k-sets
+    whose first cell is above i, which form a suffix of the k-sets.
+    """
+    n = len(bits)
+    start = np.searchsorted(first, np.arange(n), side="right")
+    count = len(masks) - start
+    head = np.repeat(np.arange(n), count)
+    tail = _ranges(start, count)
+    return masks[tail] | bits[head], sums[tail] + steps[head], head
+
+
+def _ranges(start, count) -> np.ndarray:
+    """``start[i], ..., start[i] + count[i] - 1`` for each i, concatenated."""
+    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
+def _pair_screen(cfg: Configuration, masks: np.ndarray, codes: np.ndarray, d: int) -> np.ndarray:
+    """The square-free primitive moves between the d-sets ``masks`` whose key
+    ``codes`` agree, as +1/-1 rows in increasing lexicographic order.
+
+    The fibers are screened in chunks of whole fibers of one size, and
+    their pairs in slices, each holding about :data:`_BUDGET` elements; a
+    chunk takes at least one fiber.
+    """
+    n = cfg.n_cells
+    order = np.argsort(codes, kind="stable")
+    start = np.flatnonzero(np.r_[True, codes[order][1:] != codes[order][:-1]])
+    size = np.diff(np.r_[start, len(codes)])
+    multi = np.flatnonzero(size >= 2)
+    multi = multi[np.argsort(size[multi], kind="stable")]  # a chunk holds fibers of one size
+    start, size = start[multi], size[multi]
+    patterns = [
+        np.array(list(itertools.combinations(range(d), k)), dtype=np.int64)
+        for k in range(1, d // 2 + 1)
+    ]
+    per_member = d * max(1, sum(map(len, patterns))) * cfg.key_terms[1].shape[1]
+    plus, minus = [], []
+    pairs = disjoint = 0
+    g0 = 0
+    while g0 < len(size):
+        s = int(size[g0])
+        g1 = min(int(np.searchsorted(size, s, "right")), g0 + max(1, _BUDGET // (s * per_member)))
+        sz = size[g0:g1]
+        mem = order[_ranges(start[g0:g1], sz)]  # members, fiber by fiber
+        M = masks[mem]
+        cells = np.nonzero(unpack_bits(M, n))[1].reshape(len(mem), d)
+        B = _shared_subset_bits(cfg, cells, s, patterns)
+        # the later members of its fiber are the partners of a member
+        partners = np.repeat(np.cumsum(sz), sz) - np.arange(len(mem)) - 1
+        cum = np.cumsum(partners)
+        step = max(1, _BUDGET // max(M.shape[1], B.shape[1]))
+        j0 = 0
+        while j0 < len(mem):
+            j1 = max(j0 + 1, int(np.searchsorted(cum, (cum[j0 - 1] if j0 else 0) + step, "right")))
+            a = np.repeat(np.arange(j0, j1), partners[j0:j1])
+            b = _ranges(np.arange(j0 + 1, j1 + 1), partners[j0:j1])
+            pairs += len(a)
+            apart = ~(M[a] & M[b]).any(axis=1)
+            a, b = a[apart], b[apart]
+            disjoint += len(a)
+            primitive = ~(B[a] & B[b]).any(axis=1)
+            # a precedes b in lexicographic order, so it holds the first cell
+            plus.append(mem[a[primitive]])
+            minus.append(mem[b[primitive]])
+            j0 = j1
+        g0 = g1
+    plus = np.concatenate(plus) if plus else np.zeros(0, dtype=np.int64)
+    minus = np.concatenate(minus) if minus else np.zeros(0, dtype=np.int64)
+    _LOG.debug(
+        "degree %d: %d d-sets, %d multi-member groups, %d pairs screened, "
+        "%d disjoint pairs, %d moves found",
+        d, len(codes), len(size), pairs, disjoint, len(plus),
+    )
+    V = unpack_bits(masks[plus], n).astype(np.int8) - unpack_bits(masks[minus], n).astype(np.int8)
+    return V[np.lexsort(V.T[::-1])]
+
+
+def _shared_subset_bits(cfg: Configuration, cells: np.ndarray, s: int, patterns) -> np.ndarray:
+    """For members ``cells`` of fibers of ``s`` members each, one fiber after
+    another, a bitset of the statistics of their subsets on ``patterns``
+    (positions in the member) that another member of the same fiber has.
+
+    Bits are numbered within each fiber, so two members of one fiber share
+    such a statistic iff their bitsets intersect.  The statistics of all
+    the fibers are coded in one :meth:`Configuration.key_codes_of_sums` call.
+    """
+    m = len(cells)
+    if not patterns:
+        return np.zeros((m, 1), dtype=np.uint64)
+    origin, steps = cfg.key_terms
+    S = np.concatenate([steps[cells[:, p]].sum(axis=2) for p in patterns], axis=1)
+    per = S.shape[1]
+    code = cfg.key_codes_of_sums(S + origin).reshape(-1, s * per)  # a row per fiber
+    o = np.argsort(code, axis=1)
+    code = np.take_along_axis(code, o, axis=1)
+    head = np.ones(code.shape, dtype=bool)
+    head[:, 1:] = code[:, 1:] != code[:, :-1]
+    head = np.flatnonzero(head)  # the first entry of each run of one code in one fiber
+    member = (o // per + np.arange(0, m, s)[:, None]).ravel()
+    shared = np.minimum.reduceat(member, head) != np.maximum.reduceat(member, head)
+    # number the shared runs from 0 within each fiber
+    rank = np.cumsum(shared) - shared
+    local = rank - rank[np.searchsorted(head, head - head % (s * per))]
+    run = np.repeat(np.arange(len(head)), np.diff(np.r_[head, len(member)]))
+    hit = shared[run]
+    X = np.zeros((m, int(local[shared].max(initial=0)) + 1), dtype=np.uint8)
+    X[member[hit], local[run[hit]]] = 1
+    return pack_bits(X)
 
 
 def prune_by_one_cancellation(b0: MoveSet) -> MoveSet:

@@ -113,6 +113,35 @@ class Configuration:
             raise ZeroOneError("statistic outside the range of zero-one tables")
         return (D.astype(np.uint64) * place).sum(axis=1, dtype=np.uint64)
 
+    @cached_property
+    def key_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(origin, steps)``: a zero-one table x sums to ``origin`` plus
+        ``steps[c]`` for each cell c with x_c = 1, and
+        :meth:`key_codes_of_sums` turns that sum into its key code.
+
+        With :attr:`key_radix` the mixed-radix code is affine in the table,
+        so the terms are one-element uint64 vectors (``steps[c]`` being
+        ``A[:, c] · place`` modulo 2^64) and the sum, wrapping modulo 2^64,
+        is the code itself: exact, as every code is below 2^64.  Otherwise
+        the terms are the statistic rows, zero and the columns of A.
+        """
+        unit = np.vstack([np.zeros((1, self.n_rows), dtype=np.int64), self.array.T])
+        if self.key_radix is None:
+            return unit[0], unit[1:]
+        c = self.key_codes(unit)[:, None]
+        return c[0], c[1:] - c[0]
+
+    def key_codes_of_sums(self, S) -> np.ndarray:
+        """Key codes of sums of :attr:`key_terms`, the terms along the last axis.
+
+        Without :attr:`key_radix` the sums are statistics, ranked by
+        :meth:`key_codes` in this one call: codes from different calls do
+        not compare.
+        """
+        if self.key_radix is not None:
+            return S[..., 0]
+        return self.key_codes(S.reshape(-1, S.shape[-1])).reshape(S.shape[:-1])
+
     def sufficient_stat(self, x: Table) -> FiberKey:
         x.check_length(self.cell_space)
         return tuple(sum(r * v for r, v in zip(row, x.values)) for row in self.matrix)

@@ -8,6 +8,8 @@ portable generator with identical streams across platforms.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +63,7 @@ def random_walk(
 
     Returns ``(states, acceptance_rate)`` where states are Tables.
     """
-    masks, traj, accepted = _walk_masks(cfg, x0, b, steps, seed)
+    traj, accepted = _walk_masks(cfg, x0, b, steps, seed)
     n = cfg.n_cells
     states = [_from_mask(m, n) for m in traj]
     rate = accepted / steps if steps else 0.0
@@ -69,6 +71,7 @@ def random_walk(
 
 
 def _walk_masks(cfg, x0, b, steps, seed):
+    """``(trajectory, accepted)``: the visited states as Python-int masks."""
     x0.check_length(cfg.cell_space)
     if not x0.zero_one:
         raise ZeroOneError("start table must be zero-one")
@@ -93,7 +96,20 @@ def _walk_masks(cfg, x0, b, steps, seed):
                 accepted += 1
             traj.append(x)
         done += k
-    return moves, traj, accepted
+    return traj, accepted
+
+
+def at_least_as_extreme(s, obs: float):
+    """``s >= obs`` with a margin for floating-point ties: ``s >= obs - 64·eps·|obs|``.
+
+    Statistics that are equal in exact arithmetic can differ in their last
+    bits (summation order), so a plain ``>=`` would miss ties; R's
+    ``chisq.test`` allows the same margin (``almost.1``).  ``s`` may be an
+    array; an infinite ``obs`` is compared as it is.
+    """
+    if math.isfinite(obs):
+        obs -= 64 * sys.float_info.epsilon * abs(obs)
+    return s >= obs
 
 
 @dataclass(frozen=True)
@@ -198,13 +214,13 @@ def exact_test(
         stat = statistic
     else:
         stat = resolve_statistic(cfg, statistic, t)
-    _, traj, accepted = _walk_masks(cfg, x_obs, b, burn_in + steps, seed)
+    traj, accepted = _walk_masks(cfg, x_obs, b, burn_in + steps, seed)
     n = cfg.n_cells
     obs = stat(x_obs.values)
     samples = []
     for pos in range(burn_in + 1, len(traj), thinning):
         samples.append(stat(_from_mask(traj[pos], n).values))
-    exceed = sum(1 for s in samples if s >= obs)
+    exceed = int(np.count_nonzero(at_least_as_extreme(np.array(samples, dtype=float), obs)))
     p = (1 + exceed) / (1 + len(samples))
     total = burn_in + steps
     return SampleRun(
@@ -267,18 +283,21 @@ def ntfi_basic_moves(n: int) -> MoveSet:
     return MoveSet.build(moves, "basic")
 
 
-def sample_latin_square(n: int, steps: int, seed: int):
+def sample_latin_square(n: int, steps: int, seed: int, b: MoveSet | None = None):
     """Random walk over the all-line-sums-one fiber; returns the final state.
 
     The result is ``(table, symbols)`` where ``symbols`` is the n x n
-    symbol matrix (entries 1..n).
+    symbol matrix (entries 1..n).  ``b`` defaults to ``latin_move_set(n)``;
+    callers drawing several squares build it once and pass it.  The walk
+    is :func:`random_walk`'s, but only its final state is decoded.
     """
     if n not in (3, 4):
         raise ZeroOneError(f"unsupported Latin-square size {n}")
     cfg = build_ntfi(n)
-    b = latin_move_set(n)
-    states, _rate = random_walk(cfg, latin_start_table(n), b, steps, seed)
-    final = states[-1]
+    if b is None:
+        b = latin_move_set(n)
+    traj, _accepted = _walk_masks(cfg, latin_start_table(n), b, steps, seed)
+    final = _from_mask(traj[-1], cfg.n_cells)
     return final, latin_symbols(final, n)
 
 

@@ -33,6 +33,7 @@ from zeroone.movegen import (
     ntfi_333_moves,
 )
 from zeroone.sampler import (
+    at_least_as_extreme,
     exact_test,
     latin_fiber_key,
     latin_start_table,
@@ -268,7 +269,7 @@ class TestSamplerCorrectness:
         fiber = enumerate_zero_one_fiber(cfg, t)
         sf = resolve_statistic(cfg, stat, t)
         obs = sf(x0.values)
-        p_exact = sum(1 for x in fiber if sf(x.values) >= obs) / len(fiber)
+        p_exact = sum(1 for x in fiber if at_least_as_extreme(sf(x.values), obs)) / len(fiber)
         run = exact_test(cfg, x0, b, stat, steps=steps, thinning=5, seed=seed)
         n = len(run.trajectory_stats)
         se = max(np.sqrt(p_exact * (1 - p_exact) / n), 1e-9)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroone.cells import CellSpace, Move, Table
+from zeroone.cells import CellSpace, Move, Table, pack_bits, unpack_bits
 from zeroone.errors import (
     CellIndexError,
     LengthMismatchError,
@@ -108,3 +108,17 @@ class TestMove:
         nz = [v for v in z.vec if v]
         if nz:
             assert nz[0] > 0
+
+
+class TestBitPacking:
+    @settings(max_examples=30)
+    @given(st.integers(0, 5), st.integers(1, 130), st.data())
+    def test_unpack_inverts_pack(self, m, n, data):
+        import numpy as np
+
+        rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        X = np.array(rows, dtype=np.uint8).reshape(m, n)
+        words = pack_bits(X)
+        assert words.shape == (m, max(1, -(-n // 64)))
+        assert (unpack_bits(words, n) == X).all()

@@ -26,6 +26,15 @@ class TestGraver:
         assert code == 0
         assert "degree 2: 33" in out and "degree 3: 48" in out
 
+    def test_ntfi_444_square_free_degree_two(self, capsys):
+        # 5^48 keys overflow any radix code; no two 2-sets share all line sums
+        code, out, _ = run(
+            capsys,
+            "graver", "--model", "ntfi", "--dims", "4", "--square-free", "--max-degree", "2",
+        )
+        assert code == 0
+        assert out.splitlines() == ["moves: 0"]
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "graver", "--model", "ntfi", "--dims", "3", "--budget", "50")
         assert code == 3
@@ -156,7 +165,40 @@ class TestSample:
         assert "verify-exact: ok" in out
 
 
+    def test_verify_exact_counts_ties(self, capsys, tmp_path):
+        # the chi-square values of this fiber are 8.75 and 10.5 in exact
+        # arithmetic; the floating-point 8.75s differ in their last bits
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0)))
+        code, out, _ = run(
+            capsys,
+            "sample", "--model", "two-way-indep", "--dims", "4,4",
+            "--moves", "basic", "--start", str(x),
+            "--steps", "2000", "--seed", "202", "--verify-exact",
+        )
+        assert code == 0
+        assert "p_value: 1.000000" in out and "exact_p: 1.000000" in out
+
+
 class TestLatin:
+    def test_count_builds_move_set_once(self, capsys, monkeypatch):
+        import zeroone.cli
+        import zeroone.sampler
+
+        built, real = [], zeroone.sampler.latin_move_set
+
+        def counting(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(zeroone.sampler, "latin_move_set", counting)
+        monkeypatch.setattr(zeroone.cli, "latin_move_set", counting)
+        code, out, _ = run(capsys, "latin", "3", "--steps", "300", "--seed", "4", "--count", "2")
+        assert code == 0 and built == [3]
+        _, second = out.strip().split("\n\n")
+        _, single, _ = run(capsys, "latin", "3", "--steps", "300", "--seed", "5")
+        assert second.strip() == single.strip()
+
     def test_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "latin", "3", "--steps", "300", "--seed", "4")
         code2, out2, _ = run(capsys, "latin", "3", "--steps", "300", "--seed", "4")

@@ -1,7 +1,12 @@
+import itertools
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zeroone.cells import Move
+from zeroone.cells import CellSpace, Move
 from zeroone.errors import BudgetExhaustedError, NotAMoveError
 from zeroone.graver import (
     MoveSet,
@@ -14,6 +19,7 @@ from zeroone.graver import (
     square_free_subset,
 )
 from zeroone.models import (
+    Configuration,
     build_complete_independence,
     build_many_facet_rasch,
     build_ntfi,
@@ -22,6 +28,34 @@ from zeroone.models import (
     lawrence_lift,
 )
 from zeroone.movegen import basic_moves_two_way, loops_degree_r
+
+
+def brute_square_free(cfg, max_degree):
+    """Reference pair screen: every disjoint pair of same-statistic d-sets
+    whose proper subsets share no statistic, by explicit search."""
+    cols = cfg.array.T.tolist()
+
+    def stat(cells):
+        return tuple(sum(col[r] for col in (cols[c] for c in cells)) for r in range(cfg.n_rows))
+
+    found = []
+    for d in range(1, max_degree + 1):
+        fibers = {}
+        for u in itertools.combinations(range(cfg.n_cells), d):
+            fibers.setdefault(stat(u), []).append(u)
+        for members in fibers.values():
+            for u, v in itertools.combinations(members, 2):
+                if set(u) & set(v):
+                    continue
+                if any(
+                    stat(a) == stat(b)
+                    for k in range(1, d)
+                    for a in itertools.combinations(u, k)
+                    for b in itertools.combinations(v, k)
+                ):
+                    continue
+                found.append(Move.from_cells(cfg.n_cells, u, v))
+    return MoveSet.build(found, "square-free", cfg)
 
 
 class TestMoveSet:
@@ -143,10 +177,65 @@ class TestSquareFreeGraver:
         via_completion = square_free_subset(graver_basis(cfg))
         assert {z.vec for z in direct.moves} == {z.vec for z in via_completion.moves}
 
-    def test_requires_homogeneous(self):
-        from zeroone.cells import CellSpace
-        from zeroone.models import Configuration
+    @pytest.mark.parametrize(
+        "cfg,max_degree",
+        [
+            # signed rows: the codes' per-cell terms wrap modulo 2^64
+            (Configuration(CellSpace((4,)), ((1, 1, 1, 1), (1, -1, 1, -1))), 3),
+            (Configuration(CellSpace((6,)), ((1, 1, 1, 1, 1, 1), (2, -1, 0, 1, -2, 1))), 4),
+            # duplicate columns: degree-1 members
+            (build_many_facet_rasch((2, 2, 2)), 6),
+            (build_many_facet_rasch((2, 2, 3), True), 4),
+            (build_complete_independence((2, 2, 3)), 4),
+            # 66 cells: masks of two words
+            (build_two_way_independence(2, 33), 2),
+            # 5^48 keys: no uint64 code, statistics ranked instead
+            (build_ntfi(4), 2),
+        ],
+        ids=["signed-4", "signed-6", "rating-2x2x2", "rating-2x2x3-const", "complete-2x2x3",
+             "two-way-2x33", "ntfi-4x4x4"],
+    )
+    def test_matches_brute_force(self, cfg, max_degree):
+        direct = square_free_graver(cfg, max_degree)
+        ref = brute_square_free(cfg, max_degree)
+        assert [z.vec for z in direct.moves] == [z.vec for z in ref.moves]
+        assert direct.provenance == ref.provenance and direct.source_config is cfg
+        assert all(cfg.is_move(z) for z in direct.moves)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_matches_brute_force_on_random_signed_rows(self, n, data):
+        # an all-ones row makes any rows below it homogeneous
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                  max_size=2))
+        cfg = Configuration(CellSpace((n,)), ((1,) * n, *rows))
+        direct = square_free_graver(cfg, 3)
+        assert [z.vec for z in direct.moves] == [z.vec for z in brute_square_free(cfg, 3).moves]
+
+    def test_more_than_64_cells(self):
+        cfg = build_two_way_independence(2, 33)
+        b = square_free_graver(cfg, 3)
+        assert [z.vec for z in b.moves] == [z.vec for z in basic_moves_two_way(2, 33).moves]
+
+    def test_in_build_order(self):
+        b = square_free_graver(build_complete_independence((2, 2, 4)), 4, min_degree=2)
+        rebuilt = MoveSet.build(list(reversed(b.moves)), "square-free", b.source_config)
+        assert b == rebuilt
+
+    def test_debug_record_per_degree(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="zeroone.graver"):
+            square_free_graver(build_two_way_independence(3, 3), 3, min_degree=2)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.graver"]
+        assert lines == [
+            "degree 2: 36 d-sets, 9 multi-member groups, 9 pairs screened, "
+            "9 disjoint pairs, 9 moves found",
+            # the six 3x3 permutation tables form one fiber; 6 of its 15
+            # pairs are disjoint
+            "degree 3: 84 d-sets, 13 multi-member groups, 51 pairs screened, "
+            "6 disjoint pairs, 6 moves found",
+        ]
+
+    def test_requires_homogeneous(self):
         cfg = Configuration(CellSpace((2,)), ((1, 2),))
         with pytest.raises(NotAMoveError):
             square_free_graver(cfg, 3)

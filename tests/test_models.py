@@ -194,6 +194,25 @@ class TestKeyCodes:
             assert ((codes[i] == codes) == [k == keys[i] for k in keys]).all()
             assert ((codes[i] < codes) == [keys[i] < k for k in keys]).all()
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_sums_of_terms_are_key_codes(self, rows, cells, data):
+        A = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells),
+                               min_size=rows, max_size=rows))
+        cfg = Configuration(CellSpace((cells,)), A)
+        X = (np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1
+        origin, steps = cfg.key_terms
+        S = origin + X.astype(steps.dtype) @ steps
+        assert (cfg.key_codes_of_sums(S) == cfg.key_codes(X @ cfg.array.T)).all()
+
+    def test_terms_without_radix_are_statistics(self):
+        cfg = build_ntfi(4)  # 5^48 keys
+        assert cfg.key_radix is None
+        origin, steps = cfg.key_terms
+        assert not origin.any() and (steps == cfg.array.T).all()
+        S = np.stack([origin, steps[0], steps[0] + steps[5], steps[0]])
+        assert cfg.key_codes_of_sums(S).tolist() == [0, 1, 2, 1]
+
     def test_statistic_outside_zero_one_range_refused(self):
         cfg = build_two_way_independence(2, 2)
         with pytest.raises(ZeroOneError):

@@ -10,11 +10,14 @@ from zeroone.models import (
     build_two_way_independence,
 )
 from zeroone.movegen import basic_moves_two_way
+from zeroone.fiber import enumerate_zero_one_fiber
 from zeroone.sampler import (
+    at_least_as_extreme,
     chi_square_stat,
     exact_test,
     ipf_fit,
     latin_fiber_key,
+    latin_move_set,
     latin_start_table,
     latin_symbols,
     ntfi_basic_moves,
@@ -108,6 +111,28 @@ class TestStatistics:
             resolve_statistic(cfg, "median")
 
 
+class TestTies:
+    def test_margin(self):
+        assert at_least_as_extreme(8.749999999999996, 8.75)
+        assert not at_least_as_extreme(8.7499, 8.75)
+        assert at_least_as_extreme(-2.0000000000000004, -2.0)
+        assert at_least_as_extreme(float("inf"), float("inf"))
+        assert not at_least_as_extreme(1e300, float("inf"))
+        assert list(at_least_as_extreme(np.array([0.0, 1.0]), 0.5)) == [False, True]
+
+    def test_exact_p_of_4x4_chi2_fiber_is_one(self):
+        # chi-square 8.75 or 10.5 in exact arithmetic; the observed table
+        # has the smaller value, computed with different rounding than
+        # others of the 51 tables
+        cfg = build_two_way_independence(4, 4)
+        x0 = Table((0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0))
+        t = cfg.sufficient_stat(x0)
+        sf = resolve_statistic(cfg, "chi2-ipf", t)
+        fiber = enumerate_zero_one_fiber(cfg, t)
+        assert len(fiber) == 51
+        assert all(at_least_as_extreme(sf(x.values), sf(x0.values)) for x in fiber)
+
+
 class TestExactTest:
     def test_reproducible_and_in_range(self):
         cfg, b = basic_with_config(3, 3)
@@ -155,6 +180,14 @@ class TestLatin:
             assert sorted(row) == want
         for col in zip(*sym):
             assert sorted(col) == want
+
+    def test_sampled_square_is_final_walk_state(self):
+        cfg = build_ntfi(3)
+        b = latin_move_set(3)
+        states, _ = random_walk(cfg, latin_start_table(3), b, 2000, seed=9)
+        table, _ = sample_latin_square(3, steps=2000, seed=9)
+        assert table == states[-1]
+        assert sample_latin_square(3, steps=2000, seed=9, b=b)[0] == table
 
     def test_ntfi_basic_move_count(self):
         import math
