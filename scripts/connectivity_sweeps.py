@@ -11,13 +11,8 @@ Usage:
 import time
 
 from zeroone.fiber import sweep_connectivity
-from zeroone.graver import MoveSet
 from zeroone.models import build_quasi_independence, build_two_way_independence
 from zeroone.movegen import basic_moves_two_way, df1_loops
-
-
-def with_config(ms, cfg):
-    return MoveSet(ms.moves, ms.provenance, cfg)
 
 
 def diag_support(n):
@@ -28,10 +23,10 @@ def main() -> None:
     scenarios = []
     for I, J in [(3, 3), (3, 4), (4, 4)]:
         cfg = build_two_way_independence(I, J)
-        scenarios.append((f"{I}x{J} swaps", cfg, with_config(basic_moves_two_way(I, J), cfg)))
+        scenarios.append((f"{I}x{J} swaps", cfg, basic_moves_two_way(I, J)))
     for n in (4, 5):
         cfg = build_quasi_independence(n, n, diag_support(n))
-        scenarios.append((f"{n}x{n} diag-zero df1", cfg, with_config(df1_loops(cfg.cell_space), cfg)))
+        scenarios.append((f"{n}x{n} diag-zero df1", cfg, df1_loops(cfg.cell_space)))
 
     for name, cfg, b in scenarios:
         t0 = time.time()

@@ -14,14 +14,9 @@ import argparse
 import time
 
 from zeroone.fiber import build_fiber_graph, enumerate_zero_one_fiber
-from zeroone.graver import MoveSet
 from zeroone.models import build_ntfi
-from zeroone.movegen import degree8_moves_4x4, ntfi_333_family
-from zeroone.sampler import latin_fiber_key, ntfi_basic_moves, sample_latin_square
-
-
-def with_config(ms, cfg):
-    return MoveSet(ms.moves, ms.provenance, cfg)
+from zeroone.movegen import degree8_moves_4x4, ntfi_333_moves, ntfi_basic_moves
+from zeroone.sampler import latin_fiber_key, sample_latin_square
 
 
 def report(name, fiber, b):
@@ -35,20 +30,18 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cfg3 = build_ntfi(3)
-    fiber3 = enumerate_zero_one_fiber(cfg3, latin_fiber_key(3))
+    fiber3 = enumerate_zero_one_fiber(build_ntfi(3), latin_fiber_key(3))
     print(f"order 3: {len(fiber3)} squares")
-    report("degree-4 swaps", fiber3, with_config(ntfi_333_family("basic"), cfg3))
-    report("degree-6 orbit", fiber3, with_config(ntfi_333_family("deg6"), cfg3))
+    report("degree-4 swaps", fiber3, ntfi_333_moves("basic"))
+    report("degree-6 orbit", fiber3, ntfi_333_moves("deg6"))
 
-    cfg4 = build_ntfi(4)
-    fiber4 = enumerate_zero_one_fiber(cfg4, latin_fiber_key(4))
+    fiber4 = enumerate_zero_one_fiber(build_ntfi(4), latin_fiber_key(4))
     print(f"order 4: {len(fiber4)} squares")
     basic4 = ntfi_basic_moves(4)
     deg8 = degree8_moves_4x4()
-    report("degree-4 swaps", fiber4, with_config(basic4, cfg4))
-    report("degree-8 orbit alone", fiber4, with_config(deg8, cfg4))
-    report("degree-4 + degree-8", fiber4, with_config(basic4.union(deg8), cfg4))
+    report("degree-4 swaps", fiber4, basic4)
+    report("degree-8 orbit alone", fiber4, deg8)
+    report("degree-4 + degree-8", fiber4, basic4.union(deg8))
 
     print("sampled squares (seeded):")
     for n in (3, 4):

@@ -191,17 +191,6 @@ class Move:
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, v in enumerate(self.vec) if v != 0)
 
-    @cached_property
-    def masks(self) -> tuple[int, int]:
-        """(positive, negative) support bitmasks; valid only for square-free moves."""
-        p = m = 0
-        for k, v in enumerate(self.vec):
-            if v > 0:
-                p |= 1 << k
-            elif v < 0:
-                m |= 1 << k
-        return p, m
-
     def __neg__(self) -> "Move":
         return Move(tuple(-v for v in self.vec))
 

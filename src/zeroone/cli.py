@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .cells import CellSpace, Table
+from .cells import Table
 from .errors import BudgetExhaustedError, CapExceededError, ZeroOneError
 from .fiber import (
     build_fiber_graph,
@@ -45,14 +45,12 @@ from .movegen import (
     df1_loops,
     loops_degree_r,
     ntfi_333_moves,
+    ntfi_basic_moves,
 )
 from .sampler import (
     at_least_as_extreme,
     exact_test,
     latin_move_set,
-    latin_symbols,
-    ntfi_basic_moves,
-    random_walk,
     resolve_statistic,
     sample_latin_square,
 )
@@ -102,55 +100,67 @@ def build_model(args):
     raise ZeroOneError(f"unknown model {name!r}")
 
 
-def resolve_moves(spec: str, cfg, args) -> MoveSet:
-    """Move-set source: a generated family name or a move file path."""
-    if Path(spec).is_file():
-        moves = fileio.read_moves(spec)
-        return MoveSet.build(moves, "file", cfg, validate=True)
+def _two_way(cfg):
+    """The dimensions of a two-way model, or a usage error."""
     dims = cfg.cell_space.dims
-    if spec == "basic":
-        if len(dims) == 2:
-            ms = basic_moves_two_way(*dims)
-        elif len(dims) == 3 and dims[0] == dims[1] == dims[2]:
-            ms = ntfi_basic_moves(dims[0])
-        else:
-            raise ZeroOneError("no basic family for this model")
-        return MoveSet(ms.moves, ms.provenance, cfg)
-    if spec == "loops":
-        out = basic_moves_two_way(*dims)
-        for r in range(3, min(dims) + 1):
-            out = out.union(loops_degree_r(dims[0], dims[1], r))
-        return MoveSet(out.moves, out.provenance, cfg)
-    if spec.startswith("loop-"):
-        ms = loops_degree_r(dims[0], dims[1], int(spec.split("-")[1]))
-        return MoveSet(ms.moves, ms.provenance, cfg)
-    if spec == "df1":
-        ms = df1_loops(cfg.cell_space)
-        return MoveSet(ms.moves, ms.provenance, cfg)
-    if spec == "deg2-patterns":
-        return degree2_threeway_patterns(dims)
-    if spec in ("deg6", "deg9", "basic+deg6", "basic+deg6+deg9", "deg6+deg9"):
-        if dims != (3, 3, 3):
-            raise ZeroOneError(f"family {spec!r} is specific to the 3x3x3 model")
-        ms = ntfi_333_moves(spec)
-        return MoveSet(ms.moves, ms.provenance, cfg)
-    if spec == "deg8":
-        if dims != (4, 4, 4):
-            raise ZeroOneError("deg8 is specific to the 4x4x4 model")
-        ms = degree8_moves_4x4()
-        return MoveSet(ms.moves, ms.provenance, cfg)
-    if spec == "basic+deg8":
-        if dims != (4, 4, 4):
-            raise ZeroOneError("basic+deg8 is specific to the 4x4x4 model")
-        ms = ntfi_basic_moves(4).union(degree8_moves_4x4())
-        return MoveSet(ms.moves, ms.provenance, cfg)
-    if spec == "square-free-graver":
-        if args.max_degree is None:
-            raise ZeroOneError("square-free-graver needs --max-degree")
-        return square_free_graver(cfg, args.max_degree)
-    if spec == "graver":
-        return graver_basis(cfg)
-    raise ZeroOneError(f"unknown move family {spec!r}")
+    if len(dims) != 2:
+        raise ZeroOneError("this move family needs a two-way model")
+    return dims
+
+
+def _basic(cfg, args):
+    dims = cfg.cell_space.dims
+    if len(dims) == 2:
+        return basic_moves_two_way(*dims)
+    if len(dims) == 3 and dims[0] == dims[1] == dims[2]:
+        return ntfi_basic_moves(dims[0])
+    raise ZeroOneError("no basic family for this model")
+
+
+def _loops(cfg, args):
+    I, J = _two_way(cfg)
+    out = basic_moves_two_way(I, J)
+    for r in range(3, min(I, J) + 1):
+        out = out.union(loops_degree_r(I, J, r))
+    return out
+
+
+def _square_free_graver(cfg, args):
+    if args.max_degree is None:
+        raise ZeroOneError("square-free-graver needs --max-degree")
+    return square_free_graver(cfg, args.max_degree)
+
+
+# --moves name -> builder(cfg, args) of the family; ``loop-<r>`` is parsed apart
+FAMILIES = {
+    "basic": _basic,
+    "loops": _loops,
+    "df1": lambda cfg, args: df1_loops(cfg.cell_space),
+    "deg2-patterns": lambda cfg, args: degree2_threeway_patterns(cfg.cell_space.dims),
+    **{
+        level: lambda cfg, args, level=level: ntfi_333_moves(level)
+        for level in ("deg6", "deg9", "basic+deg6", "basic+deg6+deg9", "deg6+deg9")
+    },
+    "deg8": lambda cfg, args: degree8_moves_4x4(),
+    "basic+deg8": lambda cfg, args: latin_move_set(4),
+    "square-free-graver": _square_free_graver,
+    "graver": lambda cfg, args: graver_basis(cfg),
+}
+
+
+def resolve_moves(spec: str, cfg, args) -> MoveSet:
+    """A move file or a generated family (:data:`FAMILIES`, ``loop-<r>``),
+    bound to ``cfg``: moves outside its kernel are a usage error."""
+    if Path(spec).is_file():
+        return MoveSet.build(fileio.read_moves(spec), "file", cfg)
+    r = spec.removeprefix("loop-")
+    if r != spec and r.isdigit():
+        ms = loops_degree_r(*_two_way(cfg), int(r))
+    elif spec in FAMILIES:
+        ms = FAMILIES[spec](cfg, args)
+    else:
+        raise ZeroOneError(f"unknown move family {spec!r}")
+    return MoveSet.build(ms.moves, ms.provenance, cfg)
 
 
 def _get_key(args, cfg):
@@ -268,7 +278,10 @@ def _parse_stat(spec: str):
     if spec == "chi2-ipf":
         return "chi2-ipf"
     if spec.startswith("linear:"):
-        return ("linear", [float(tok) for tok in spec.split(":", 1)[1].split(",")])
+        try:
+            return ("linear", [float(tok) for tok in spec.split(":", 1)[1].split(",")])
+        except ValueError:
+            raise ZeroOneError(f"bad linear weights in {spec!r}")
     raise ZeroOneError(f"unknown statistic {spec!r}")
 
 

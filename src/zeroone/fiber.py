@@ -98,8 +98,8 @@ def _member(fiber, X: np.ndarray, r: int) -> Table:
     return Table(X[r]) if isinstance(fiber, np.ndarray) else fiber[r]
 
 
-def _check_single_key(cfg: Configuration | None, X: np.ndarray) -> None:
-    if cfg is None or not len(X):
+def _check_single_key(cfg: Configuration, X: np.ndarray) -> None:
+    if not len(X):
         return
     if X.shape[1] != cfg.n_cells:
         raise LengthMismatchError(
@@ -108,13 +108,6 @@ def _check_single_key(cfg: Configuration | None, X: np.ndarray) -> None:
     T = X.astype(np.int64) @ cfg.array.T
     if (T != T[0]).any():
         raise MixedFiberError("fiber members have differing sufficient statistics")
-
-
-def _move_masks(b: MoveSet, n: int):
-    """``b.masks``, once the moves are known to have ``n`` cells."""
-    if b.moves and len(b.moves[0]) != n:
-        raise LengthMismatchError("move and table lengths differ")
-    return b.masks
 
 
 def _apply_moves(X: np.ndarray, P: np.ndarray, M: np.ndarray):
@@ -205,7 +198,7 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     nodes = tuple(_member(fiber, X, r) for r in range(m))
     if m == 0:
         return FiberGraph((), (), ())
-    P, M, index = _move_masks(b, X.shape[1])
+    P, M, index = b.masks
     i, k, j = _fiber_moves(pack_bits(X), P, M)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     first = np.sort(np.unique(lo * m + hi, return_index=True)[1])
@@ -233,7 +226,7 @@ def check_distance_reducing(b: MoveSet, fiber, strong: bool = False):
     m = len(X)
     if m <= 1:
         return True, None
-    P, M, _ = _move_masks(b, X.shape[1])
+    P, M, _ = b.masks
     B = pack_bits(X)
     # both signs of every move
     i, _, j = _fiber_moves(B, np.vstack([P, M]), np.vstack([M, P]))
@@ -267,23 +260,12 @@ class CrossingReport:
         return self.witness is not None
 
 
-def _column_codes(cfg: Configuration) -> list[int]:
-    A = cfg.matrix
-    bound = max(max(abs(v) for v in row) for row in A) * 4 + 1
-    codes = []
-    for c in range(cfg.n_cells):
-        code = 0
-        for r in range(cfg.n_rows):
-            code = code * bound + A[r][c]
-        codes.append(code)
-    return codes
-
-
 def _crossing_search(x: Table, y: Table, cfg: Configuration, weak: bool) -> CrossingReport:
     if x.values == y.values:
         raise ZeroOneError("crossing patterns are defined for distinct tables")
     cond = "weak" if weak else "strong"
-    col = _column_codes(cfg)
+    # cells i1, i2 and i3, i4 swap along a move iff their pair codes are equal
+    pair = cfg.pair_codes
     n = cfg.n_cells
     for direction, (u, v) in ((1, (x, y)), (-1, (y, x))):
         gt = [i for i in range(n) if u[i] > v[i]]
@@ -295,12 +277,12 @@ def _crossing_search(x: Table, y: Table, cfg: Configuration, weak: bool) -> Cros
         for a in range(len(gt)):
             for bidx in range(a + 1, len(gt)):
                 i1, i2 = gt[a], gt[bidx]
-                lhs = col[i1] + col[i2]
+                lhs = pair[i1][i2]
                 for i3 in lt:
                     for i4 in fourth:
                         if i4 in (i1, i2, i3):
                             continue
-                        if col[i3] + col[i4] == lhs:
+                        if pair[i3][i4] == lhs:
                             return CrossingReport(cond, ((i1, i2, i3, i4), direction))
     return CrossingReport(cond, None)
 
@@ -358,10 +340,9 @@ def conformal_decompose(x: Table, y: Table, b0: MoveSet) -> list[Move]:
     Depth-first over conformal members in canonical order; raises
     :class:`NoDecompositionError` when ``b0`` cannot express the difference.
     """
-    if b0.source_config is not None:
-        cfg = b0.source_config
-        if cfg.sufficient_stat(x) != cfg.sufficient_stat(y):
-            raise MixedFiberError("tables are not in the same fiber")
+    cfg = b0.source_config
+    if cfg.sufficient_stat(x) != cfg.sufficient_stat(y):
+        raise MixedFiberError("tables are not in the same fiber")
     diff = tuple(b - a for a, b in zip(x.values, y.values))
 
     def rec(d, acc):
@@ -435,13 +416,16 @@ def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> S
 
     Moves preserve the key, so every fiber is connected iff the global
     component count equals the number of distinct keys.  Table i has cell
-    k equal to bit k of i, so a move's target is its own index.
+    k equal to bit k of i, so a move's target is its own index.  A move
+    set bound to another model is refused.
     """
+    if b.source_config != cfg:
+        raise ZeroOneError("the move set is bound to another model")
     N = 1 << cfg.n_cells
     codes = np.sort(_cube_codes(cfg, max_cells))
     n_fibers = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
     del codes
-    P, M, _ = _move_masks(b, cfg.n_cells)
+    P, M, _ = b.masks
     flat, targets = _apply_moves(np.arange(N, dtype=np.uint64)[:, None], P, M)
     src = flat // max(1, len(P))
     del flat

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .cells import Move, find_rows, pack_bits, unpack_bits
-from .errors import BudgetExhaustedError, NotAMoveError
+from .errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError
 from .models import Configuration
 
 _LOG = logging.getLogger("zeroone.graver")
@@ -25,15 +25,25 @@ _BUDGET = 1 << 18  # elements in one working array of the square-free pair scree
 
 @dataclass(frozen=True)
 class MoveSet:
-    """Ordered, deduplicated collection of canonical moves with provenance tags."""
+    """Ordered, deduplicated collection of canonical moves with provenance
+    tags, bound to the configuration whose kernel they lie in.
+
+    :meth:`build` is the one checked way to bind moves to a model, also to
+    rebind a set to another one: ``MoveSet.build(ms.moves, ms.provenance, cfg)``.
+    """
 
     moves: tuple[Move, ...]
     provenance: tuple[str, ...]
-    source_config: Configuration | None = None
+    source_config: Configuration
 
     @classmethod
-    def build(cls, moves, tag, cfg=None, validate: bool = False) -> "MoveSet":
-        """Canonicalise, deduplicate and sort; optionally check kernel membership."""
+    def build(cls, moves, tag, cfg: Configuration) -> "MoveSet":
+        """Canonicalise, deduplicate and sort the moves, and bind them to ``cfg``.
+
+        Raises :class:`LengthMismatchError` for a vector whose length is not
+        the model's cell count and :class:`NotAMoveError` for one outside
+        ker A, checked with one matrix product.
+        """
         seen: dict[tuple[int, ...], str] = {}
         if isinstance(tag, str):
             tags = itertools.repeat(tag)
@@ -43,16 +53,14 @@ class MoveSet:
             c = Move.canonical(z.vec)
             if any(c.vec):
                 seen.setdefault(c.vec, t)
+        lengths = {len(v) for v in seen} - {cfg.n_cells}
+        if lengths:
+            raise LengthMismatchError(f"move length {min(lengths)} != {cfg.n_cells} cells")
         ordered = sorted(seen, key=lambda v: (sum(abs(x) for x in v), v))
-        ms = cls(
-            tuple(Move(v) for v in ordered),
-            tuple(seen[v] for v in ordered),
-            cfg,
-        )
-        if validate and cfg is not None:
-            for z in ms.moves:
-                if not cfg.is_move(z):
-                    raise NotAMoveError(f"generated vector {z.vec} is not a move")
+        ms = cls(tuple(Move(v) for v in ordered), tuple(seen[v] for v in ordered), cfg)
+        bad = np.flatnonzero((cfg.array @ ms.matrix.T).any(axis=0))
+        if len(bad):
+            raise NotAMoveError(f"{ms.moves[bad[0]].vec} is not a move of the model")
         return ms
 
     def __len__(self) -> int:
@@ -84,14 +92,13 @@ class MoveSet:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The moves as the rows of an int64 matrix."""
-        n = len(self.moves[0]) if self.moves else 0
-        return np.array([z.vec for z in self.moves], dtype=np.int64).reshape(len(self.moves), n)
+        shape = (len(self.moves), self.source_config.n_cells)
+        return np.array([z.vec for z in self.moves], dtype=np.int64).reshape(shape)
 
     def union(self, other: "MoveSet") -> "MoveSet":
+        """Both sets, bound to (and ``other`` checked against) this set's model."""
         return MoveSet.build(
-            list(self.moves) + list(other.moves),
-            list(self.provenance) + list(other.provenance),
-            self.source_config or other.source_config,
+            self.moves + other.moves, self.provenance + other.provenance, self.source_config
         )
 
     def retag(self, tag: str) -> "MoveSet":

@@ -46,7 +46,7 @@ class Configuration:
 
     @cached_property
     def array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
+        return np.array(self.matrix, dtype=np.int64).reshape(self.n_rows, self.n_cells)
 
     @property
     def n_cells(self) -> int:
@@ -142,6 +142,14 @@ class Configuration:
             return S[..., 0]
         return self.key_codes(S.reshape(-1, S.shape[-1])).reshape(S.shape[:-1])
 
+    @cached_property
+    def pair_codes(self) -> list[list[int]]:
+        """``pair_codes[i][j]``: the key code of the zero-one table with
+        cells i and j set, for i != j (the diagonal is not a zero-one
+        table).  Codes are compared within this table only."""
+        origin, steps = self.key_terms
+        return self.key_codes_of_sums(origin + steps[:, None] + steps[None, :]).tolist()
+
     def sufficient_stat(self, x: Table) -> FiberKey:
         x.check_length(self.cell_space)
         return tuple(sum(r * v for r, v in zip(row, x.values)) for row in self.matrix)
@@ -150,18 +158,6 @@ class Configuration:
         if len(z.vec) != self.n_cells:
             raise LengthMismatchError("move length does not match cell count")
         return all(sum(r * v for r, v in zip(row, z.vec)) == 0 for row in self.matrix)
-
-
-def sufficient_stat(cfg: Configuration, x: Table) -> FiberKey:
-    return cfg.sufficient_stat(x)
-
-
-def is_move(cfg: Configuration, z: Move) -> bool:
-    return cfg.is_move(z)
-
-
-def homogeneity_witness(cfg: Configuration) -> tuple[Fraction, ...] | None:
-    return cfg.homogeneity_witness
 
 
 def _indicator_row(cells: tuple[MultiIndex, ...], pred) -> tuple[int, ...]:
@@ -249,10 +245,6 @@ def build_ntfi(n: int) -> Configuration:
         rows.append(_indicator_row(cells, lambda c, j=j, k=k: c[1] == j and c[2] == k))
         labels.append(f"sum_jk[{j},{k}]")
     return Configuration(space, tuple(rows), tuple(labels))
-
-
-def build_ntfi_333() -> Configuration:
-    return build_ntfi(3)
 
 
 def build_many_facet_rasch(dims, constant_item_param: bool = False) -> Configuration:

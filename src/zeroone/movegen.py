@@ -1,6 +1,9 @@
 """Structured move families: two-way loops, df-1 loops on supports with
-structural zeros, the 3x3x3 no-three-factor-interaction families and the
-4x4x4 degree-8 transposition moves."""
+structural zeros, the n x n x n no-three-factor-interaction swaps, the
+3x3x3 families and the 4x4x4 degree-8 transposition moves.
+
+Each generator builds its model and returns a move set bound to it.
+"""
 from __future__ import annotations
 
 import itertools
@@ -10,7 +13,13 @@ import numpy as np
 from .cells import CellSpace, Move
 from .errors import DimensionError
 from .graver import MoveSet
-from .models import Configuration, build_complete_independence
+from .models import (
+    Configuration,
+    build_complete_independence,
+    build_ntfi,
+    build_quasi_independence,
+    build_two_way_independence,
+)
 
 
 def _loop_vec(space: CellSpace, i_seq, j_seq):
@@ -30,33 +39,31 @@ def loops_degree_r(I: int, J: int, r: int) -> MoveSet:
     """All distinct degree-r loop moves of an I x J table, canonical signs."""
     if not 2 <= r <= min(I, J):
         raise DimensionError(f"need 2 <= r <= min(I, J), got r={r} for {I}x{J}")
-    space = CellSpace((I, J))
+    cfg = build_two_way_independence(I, J)
     moves = []
     for rows in itertools.combinations(range(I), r):
         for cols in itertools.combinations(range(J), r):
             for rperm in itertools.permutations(rows):
                 for cperm in itertools.permutations(cols):
-                    vec = _loop_vec(space, rperm, cperm)
+                    vec = _loop_vec(cfg.cell_space, rperm, cperm)
                     if vec is not None:
                         moves.append(Move.canonical(vec))
-    return MoveSet.build(moves, f"loop-{r}")
+    return MoveSet.build(moves, f"loop-{r}", cfg)
 
 
 def basic_moves_two_way(I: int, J: int) -> MoveSet:
     """All degree-2 loops (2x2 swaps); count C(I,2) * C(J,2)."""
-    if I < 2 or J < 2:
-        raise DimensionError(f"need I, J >= 2, got {I}x{J}")
     return loops_degree_r(I, J, 2).retag("basic")
 
 
 def df1_loops(space: CellSpace) -> MoveSet:
     """Loops on the support S whose index box meets S in exactly two cells
-    per involved row and column, for degrees 2..min(I, J)."""
+    per involved row and column, for degrees 2..min(I, J), bound to the
+    quasi-independence model on S."""
     if len(space.dims) != 2:
         raise DimensionError("df-1 loops are defined for two-way tables")
     I, J = space.dims
-    if space.cell_count == 0:
-        raise DimensionError("support set is empty")
+    cfg = build_quasi_independence(I, J, space.cells)
     in_s = {c: True for c in space.cells}
     moves = []
     for r in range(2, min(I, J) + 1):
@@ -77,7 +84,7 @@ def df1_loops(space: CellSpace) -> MoveSet:
                         vec = _loop_vec(space, rperm, cperm)
                         if vec is not None:
                             moves.append(Move.canonical(vec))
-    return MoveSet.build(moves, "df1")
+    return MoveSet.build(moves, "df1", cfg)
 
 
 _NTFI_BASIC = [
@@ -97,7 +104,7 @@ _NTFI_DEG9 = [
 ]
 
 
-def _symmetry_orbit(rep: np.ndarray, tag: str) -> MoveSet:
+def _symmetry_orbit(rep: np.ndarray, tag: str, cfg: Configuration) -> MoveSet:
     """Full orbit of a cubical move under per-axis level permutations and
     axis permutations, deduplicated by canonical sign."""
     n = rep.shape[0]
@@ -111,7 +118,7 @@ def _symmetry_orbit(rep: np.ndarray, tag: str) -> MoveSet:
                 a1 = a0[:, list(p1), :]
                 for p2 in perms:
                     moves.append(Move.canonical(a1[:, :, list(p2)].ravel()))
-    return MoveSet.build(moves, tag)
+    return MoveSet.build(moves, tag, cfg)
 
 
 def ntfi_333_moves(level: str = "basic+deg6+deg9") -> MoveSet:
@@ -124,16 +131,12 @@ def ntfi_333_moves(level: str = "basic+deg6+deg9") -> MoveSet:
     wanted = level.split("+")
     if any(w not in families for w in wanted):
         raise DimensionError(f"unknown move level {level!r}")
+    cfg = build_ntfi(3)
     out = None
     for w in wanted:
-        orbit = _symmetry_orbit(np.array(families[w], dtype=np.int64), w)
+        orbit = _symmetry_orbit(np.array(families[w], dtype=np.int64), w, cfg)
         out = orbit if out is None else out.union(orbit)
     return out
-
-
-def ntfi_333_family(name: str) -> MoveSet:
-    """A single orbit family: ``basic``, ``deg6`` or ``deg9``."""
-    return ntfi_333_moves(name)
 
 
 _DEG8_REP = [
@@ -146,7 +149,7 @@ _DEG8_REP = [
 
 def degree8_moves_4x4() -> MoveSet:
     """Orbit of the 4x4x4 two-level-transposition move (degree 8)."""
-    return _symmetry_orbit(np.array(_DEG8_REP, dtype=np.int64), "deg8")
+    return _symmetry_orbit(np.array(_DEG8_REP, dtype=np.int64), "deg8", build_ntfi(4))
 
 
 def degree2_threeway_patterns(dims) -> MoveSet:
@@ -202,4 +205,25 @@ def degree2_threeway_patterns(dims) -> MoveSet:
                                 [cell(i1, ib, i3p), cell(i1p, ib, i3)],
                             )
                         )
-    return MoveSet.build(moves, "deg2-pattern", cfg, validate=True)
+    return MoveSet.build(moves, "deg2-pattern", cfg)
+
+
+def ntfi_basic_moves(n: int) -> MoveSet:
+    """Degree-4 swap moves of the n x n x n NTFI model (2x2x2 sign patterns)."""
+    cfg = build_ntfi(n)
+    space = cfg.cell_space
+    moves = []
+    for i1, i2 in itertools.combinations(range(n), 2):
+        for j1, j2 in itertools.combinations(range(n), 2):
+            for k1, k2 in itertools.combinations(range(n), 2):
+                vec = [0] * space.cell_count
+                for (i, j), s in (
+                    ((i1, j1), 1),
+                    ((i1, j2), -1),
+                    ((i2, j1), -1),
+                    ((i2, j2), 1),
+                ):
+                    vec[space.linear_index((i, j, k1))] += s
+                    vec[space.linear_index((i, j, k2))] -= s
+                moves.append(Move.canonical(vec))
+    return MoveSet.build(moves, "basic", cfg)

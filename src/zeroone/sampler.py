@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Move, Table
+from .cells import Table
 from .errors import IpfError, ZeroOneError
-from .fiber import enumerate_zero_one_fiber
 from .graver import MoveSet
 from .models import Configuration, build_ntfi
-from .movegen import basic_moves_two_way, degree8_moves_4x4, ntfi_333_family
+from .movegen import degree8_moves_4x4, ntfi_333_moves, ntfi_basic_moves
 
 _CHUNK = 1 << 16
 
@@ -61,7 +60,9 @@ def random_walk(
 ):
     """Trajectory of ``steps + 1`` states (including the start).
 
-    Returns ``(states, acceptance_rate)`` where states are Tables.
+    Returns ``(states, acceptance_rate)`` where states are Tables.  ``b``
+    must be bound to ``cfg`` (:attr:`MoveSet.source_config`), as for
+    :func:`exact_test` and :func:`sample_latin_square`.
     """
     traj, accepted = _walk_masks(cfg, x0, b, steps, seed)
     n = cfg.n_cells
@@ -72,6 +73,8 @@ def random_walk(
 
 def _walk_masks(cfg, x0, b, steps, seed):
     """``(trajectory, accepted)``: the visited states as Python-int masks."""
+    if b.source_config != cfg:
+        raise ZeroOneError("the move set is bound to another model")
     x0.check_length(cfg.cell_space)
     if not x0.zero_one:
         raise ZeroOneError("start table must be zero-one")
@@ -254,33 +257,10 @@ def latin_start_table(n: int) -> Table:
 def latin_move_set(n: int) -> MoveSet:
     """The connecting family: degree-6 orbit for n=3, basic + degree-8 for n=4."""
     if n == 3:
-        return ntfi_333_family("deg6")
+        return ntfi_333_moves("deg6")
     if n == 4:
-        basics = ntfi_basic_moves(4)
-        return basics.union(degree8_moves_4x4())
+        return ntfi_basic_moves(4).union(degree8_moves_4x4())
     raise ZeroOneError(f"unsupported Latin-square size {n}")
-
-
-def ntfi_basic_moves(n: int) -> MoveSet:
-    """Degree-4 swap moves of the n x n x n NTFI model (2x2x2 sign patterns)."""
-    import itertools
-
-    space = build_ntfi(n).cell_space
-    moves = []
-    for i1, i2 in itertools.combinations(range(n), 2):
-        for j1, j2 in itertools.combinations(range(n), 2):
-            for k1, k2 in itertools.combinations(range(n), 2):
-                vec = [0] * space.cell_count
-                for (i, j), s in (
-                    ((i1, j1), 1),
-                    ((i1, j2), -1),
-                    ((i2, j1), -1),
-                    ((i2, j2), 1),
-                ):
-                    vec[space.linear_index((i, j, k1))] += s
-                    vec[space.linear_index((i, j, k2))] -= s
-                moves.append(Move.canonical(vec))
-    return MoveSet.build(moves, "basic")
 
 
 def sample_latin_square(n: int, steps: int, seed: int, b: MoveSet | None = None):
@@ -288,7 +268,8 @@ def sample_latin_square(n: int, steps: int, seed: int, b: MoveSet | None = None)
 
     The result is ``(table, symbols)`` where ``symbols`` is the n x n
     symbol matrix (entries 1..n).  ``b`` defaults to ``latin_move_set(n)``;
-    callers drawing several squares build it once and pass it.  The walk
+    callers drawing several squares build it once and pass it.  It must
+    be bound to ``build_ntfi(n)``.  The walk
     is :func:`random_walk`'s, but only its final state is decoded.
     """
     if n not in (3, 4):

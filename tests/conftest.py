@@ -2,6 +2,7 @@ import pytest
 
 from zeroone.graver import square_free_graver
 from zeroone.models import build_complete_independence
+from zeroone.movegen import degree8_moves_4x4
 
 
 def pytest_addoption(parser):
@@ -35,3 +36,9 @@ def b0_333():
     """
     return square_free_graver(build_complete_independence((3, 3, 3)), 6)
 
+
+
+@pytest.fixture(scope="session")
+def deg8_444():
+    """Degree-8 transposition orbit of 4x4x4 (shared: about 5 s a build)."""
+    return degree8_moves_4x4()

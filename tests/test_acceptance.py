@@ -16,7 +16,7 @@ from zeroone.fiber import (
     iter_fibers,
     sweep_connectivity,
 )
-from zeroone.graver import MoveSet, degree_histogram, prune_by_one_cancellation, square_free_graver
+from zeroone.graver import degree_histogram, prune_by_one_cancellation, square_free_graver
 from zeroone.models import (
     build_complete_independence,
     build_many_facet_rasch,
@@ -27,24 +27,18 @@ from zeroone.models import (
 from zeroone.movegen import (
     basic_moves_two_way,
     degree2_threeway_patterns,
-    degree8_moves_4x4,
     df1_loops,
-    ntfi_333_family,
     ntfi_333_moves,
+    ntfi_basic_moves,
 )
 from zeroone.sampler import (
     at_least_as_extreme,
     exact_test,
     latin_fiber_key,
     latin_start_table,
-    ntfi_basic_moves,
     random_walk,
     resolve_statistic,
 )
-
-
-def with_config(ms, cfg):
-    return MoveSet(ms.moves, ms.provenance, cfg)
 
 
 def diag_support(n):
@@ -120,7 +114,7 @@ class TestBasicMoveSweeps:
     def test_all_4x4_fibers_connected_by_swaps(self):
         # every fixed-margin family of 4x4 zero-one tables is one component
         cfg = build_two_way_independence(4, 4)
-        rep = sweep_connectivity(cfg, with_config(basic_moves_two_way(4, 4), cfg), max_cells=16)
+        rep = sweep_connectivity(cfg, basic_moves_two_way(4, 4), max_cells=16)
         assert rep.n_tables == 65536
         assert rep.all_connected and rep.n_components == rep.n_fibers
 
@@ -129,7 +123,7 @@ class TestStructuredSupportSweeps:
     @pytest.mark.parametrize("n", [4, 5])
     def test_diagonal_zero_fibers_connected_by_df1_loops(self, n):
         cfg = build_quasi_independence(n, n, diag_support(n))
-        b = with_config(df1_loops(cfg.cell_space), cfg)
+        b = df1_loops(cfg.cell_space)
         rep = sweep_connectivity(cfg, b, max_cells=n * n - n)
         assert rep.n_tables == 2 ** (n * n - n)
         assert rep.all_connected
@@ -150,7 +144,7 @@ class TestLineSumMoveFamilies:
 
     def test_thousand_random_fibers_connected(self):
         cfg = build_ntfi(3)
-        b = with_config(ntfi_333_moves("basic+deg6+deg9"), cfg)
+        b = ntfi_333_moves("basic+deg6+deg9")
         rng = np.random.Generator(np.random.PCG64(424242))
         for _ in range(1000):
             x = Table(tuple(int(v) for v in rng.integers(0, 2, size=27)))
@@ -161,18 +155,18 @@ class TestLineSumMoveFamilies:
         cfg = build_ntfi(3)
         fiber = enumerate_zero_one_fiber(cfg, latin_fiber_key(3))
         assert len(fiber) == 12
-        deg6 = with_config(ntfi_333_family("deg6"), cfg)
+        deg6 = ntfi_333_moves("deg6")
         assert build_fiber_graph(fiber, deg6).connected
-        basic = with_config(ntfi_333_family("basic"), cfg)
+        basic = ntfi_333_moves("basic")
         assert build_fiber_graph(fiber, basic).n_components == 12
 
 
 class TestOrder4LatinSquares:
-    def test_fiber_size_and_connectivity(self):
+    def test_fiber_size_and_connectivity(self, deg8_444):
         cfg = build_ntfi(4)
         fiber = enumerate_zero_one_fiber(cfg, latin_fiber_key(4))
         assert len(fiber) == 576
-        b = with_config(ntfi_basic_moves(4).union(degree8_moves_4x4()), cfg)
+        b = ntfi_basic_moves(4).union(deg8_444)
         assert build_fiber_graph(fiber, b).connected
 
 
@@ -216,7 +210,7 @@ class TestSamplerCorrectness:
         # before the chi-square so the nominal calibration applies despite
         # chain autocorrelation
         cfg = build_ntfi(3)
-        b = with_config(ntfi_333_family("deg6"), cfg)
+        b = ntfi_333_moves("deg6")
         states, rate = random_walk(cfg, latin_start_table(3), b, 1_000_000, seed=20260823)
         assert 0 < rate < 1
         counts: dict = {}
@@ -262,9 +256,7 @@ class TestSamplerCorrectness:
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_p_value_matches_enumeration(self, name, cfg, moves, x0, stat, steps, seed):
-        if moves is None:
-            moves = df1_loops(cfg.cell_space)
-        b = with_config(moves, cfg)
+        b = df1_loops(cfg.cell_space) if moves is None else moves
         t = cfg.sufficient_stat(x0)
         fiber = enumerate_zero_one_fiber(cfg, t)
         sf = resolve_statistic(cfg, stat, t)
@@ -284,5 +276,5 @@ class TestPruningSoundness:
         b0 = square_free_graver(cfg, min(I, J))
         pruned = prune_by_one_cancellation(b0)
         assert {z.vec for z in pruned.moves} == {z.vec for z in basic_moves_two_way(I, J).moves}
-        rep = sweep_connectivity(cfg, with_config(pruned, cfg), max_cells=I * J)
+        rep = sweep_connectivity(cfg, pruned, max_cells=I * J)
         assert rep.all_connected

@@ -85,11 +85,6 @@ class TestMove:
         assert z.degree == 2
         assert not z.square_free
 
-    def test_masks_match_signs(self):
-        z = Move((1, -1, 0, 1))
-        p, m = z.masks
-        assert p == 0b1001 and m == 0b0010
-
     def test_apply_and_negate(self):
         x = Table((1, 0, 0, 1))
         z = Move((-1, 1, 1, -1))

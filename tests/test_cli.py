@@ -1,8 +1,19 @@
 import pytest
 
+import zeroone.cli
+import zeroone.sampler
 from zeroone import fileio
-from zeroone.cells import Table
-from zeroone.cli import main
+from zeroone.cells import Move, Table
+from zeroone.cli import FAMILIES, build_model, main, make_parser, resolve_moves
+from zeroone.graver import graver_basis, square_free_graver
+from zeroone.movegen import (
+    basic_moves_two_way,
+    degree2_threeway_patterns,
+    df1_loops,
+    loops_degree_r,
+    ntfi_333_moves,
+    ntfi_basic_moves,
+)
 
 
 def run(capsys, *argv):
@@ -182,9 +193,6 @@ class TestSample:
 
 class TestLatin:
     def test_count_builds_move_set_once(self, capsys, monkeypatch):
-        import zeroone.cli
-        import zeroone.sampler
-
         built, real = [], zeroone.sampler.latin_move_set
 
         def counting(n):
@@ -224,3 +232,102 @@ class TestUsage:
         code, _, err = run(capsys, "graver", "--model", "two-way-indep")
         assert code == 2
         assert "error" in err
+
+
+# --moves name, model (--model, --dims), the generator the name stands for
+FAMILY_CASES = [
+    ("basic", ("two-way-indep", "3,4"), lambda cfg, deg8: basic_moves_two_way(3, 4)),
+    ("basic", ("ntfi", "3"), lambda cfg, deg8: ntfi_basic_moves(3)),
+    ("loops", ("two-way-indep", "3,4"),
+     lambda cfg, deg8: basic_moves_two_way(3, 4).union(loops_degree_r(3, 4, 3))),
+    ("loop-3", ("two-way-indep", "3,4"), lambda cfg, deg8: loops_degree_r(3, 4, 3)),
+    ("df1", ("quasi-indep", "4,4"), lambda cfg, deg8: df1_loops(cfg.cell_space)),
+    ("deg2-patterns", ("complete-indep", "2,2,3"),
+     lambda cfg, deg8: degree2_threeway_patterns((2, 2, 3))),
+    *[(level, ("ntfi", "3"), lambda cfg, deg8, level=level: ntfi_333_moves(level))
+      for level in ("deg6", "deg9", "basic+deg6", "deg6+deg9", "basic+deg6+deg9")],
+    ("deg8", ("ntfi", "4"), lambda cfg, deg8: deg8),
+    ("basic+deg8", ("ntfi", "4"), lambda cfg, deg8: ntfi_basic_moves(4).union(deg8)),
+    ("square-free-graver", ("complete-indep", "2,2,3"),
+     lambda cfg, deg8: square_free_graver(cfg, 3)),
+    ("graver", ("two-way-indep", "3,3"), lambda cfg, deg8: graver_basis(cfg)),
+]
+
+
+class TestResolveMoves:
+    """Each --moves name gives its generator's vectors, bound to the CLI's model."""
+
+    @pytest.mark.parametrize(
+        "spec,model,direct", FAMILY_CASES,
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_family(self, spec, model, direct, tmp_path, monkeypatch, deg8_444):
+        # the degree-8 orbit comes from the shared fixture, not a fresh build
+        monkeypatch.setattr(zeroone.cli, "degree8_moves_4x4", lambda: deg8_444)
+        monkeypatch.setattr(zeroone.sampler, "degree8_moves_4x4", lambda: deg8_444)
+        args = self.parse(tmp_path, model, spec)
+        cfg = build_model(args)
+        b = resolve_moves(spec, cfg, args)
+        want = direct(cfg, deg8_444)
+        assert [z.vec for z in b.moves] == [z.vec for z in want.moves]
+        assert b.provenance == want.provenance and b.source_config is cfg
+
+    def test_move_file(self, tmp_path):
+        path = tmp_path / "moves.txt"
+        fileio.write_moves(path, reversed(basic_moves_two_way(3, 3).moves))
+        args = self.parse(tmp_path, ("two-way-indep", "3,3"), str(path))
+        cfg = build_model(args)
+        b = resolve_moves(str(path), cfg, args)
+        assert [z.vec for z in b.moves] == [z.vec for z in basic_moves_two_way(3, 3).moves]
+        assert set(b.provenance) == {"file"} and b.source_config is cfg
+
+    def test_every_family_is_covered(self):
+        assert {spec for spec, _, _ in FAMILY_CASES} == set(FAMILIES) | {"loop-3"}
+
+    @staticmethod
+    def parse(tmp_path, model, spec):
+        zeros = tmp_path / "zeros.txt"
+        fileio.write_mask(zeros, [(i, i) for i in range(4)])
+        return make_parser().parse_args([
+            "connect", "--model", model[0], "--dims", model[1], "--zeros", str(zeros),
+            "--moves", spec, "--max-degree", "3", "--t", "t.txt",
+        ])
+
+    @pytest.mark.parametrize(
+        "model,spec",
+        [
+            # the degree-2 patterns of complete independence change line sums
+            (("ntfi", "3"), "deg2-patterns"),
+            # 27-cell moves for a 9-cell model
+            (("two-way-indep", "3,3"), "deg6"),
+            # a vector that changes column sums
+            (("two-way-indep", "3,3"), "file"),
+        ],
+    )
+    def test_family_of_another_model_exits_two(self, capsys, tmp_path, model, spec):
+        if spec == "file":
+            spec = tmp_path / "moves.txt"
+            fileio.write_moves(spec, [Move((1, -1, 0, 0, 0, 0, 0, 0, 0))])
+        t = tmp_path / "t.txt"
+        fileio.write_vector(t, (1,) * 27)
+        code, _, err = run(capsys, "connect", "--model", model[0], "--dims", model[1],
+                           "--moves", str(spec), "--t", str(t))
+        assert code == 2 and "error" in err
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("spec", ["loops", "loop-3", "df1", "loop-x", "loop-", "frobnicate"])
+    def test_moves_exit_two(self, capsys, tmp_path, spec):
+        t = tmp_path / "t.txt"
+        fileio.write_vector(t, (1,) * 27)
+        code, _, err = run(capsys, "connect", "--model", "ntfi", "--dims", "3",
+                           "--moves", spec, "--t", str(t))
+        assert code == 2 and "error" in err
+
+    def test_linear_stat_exit_two(self, capsys, tmp_path):
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((1, 0, 0, 1)))
+        code, _, err = run(capsys, "sample", "--model", "two-way-indep", "--dims", "2,2",
+                           "--moves", "basic", "--start", str(x), "--steps", "10",
+                           "--seed", "1", "--stat", "linear:a,b")
+        assert code == 2 and "error" in err

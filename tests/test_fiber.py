@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,12 +31,6 @@ from zeroone.models import (
     build_two_way_independence,
 )
 from zeroone.movegen import basic_moves_two_way, degree2_threeway_patterns
-
-
-def basic_with_config(I, J):
-    cfg = build_two_way_independence(I, J)
-    b = basic_moves_two_way(I, J)
-    return cfg, MoveSet(b.moves, b.provenance, cfg)
 
 
 class TestEnumeration:
@@ -69,24 +65,25 @@ class TestEnumeration:
 
 class TestFiberGraph:
     def test_two_node_graph(self):
-        cfg, b = basic_with_config(2, 2)
+        b = basic_moves_two_way(2, 2)
+        cfg = b.source_config
         fiber = enumerate_zero_one_fiber(cfg, (1, 1, 1, 1))
         g = build_fiber_graph(fiber, b)
         assert g.connected and g.n_components == 1
         assert len(g.edges) == 1
 
     def test_mixed_fiber_rejected(self):
-        cfg, b = basic_with_config(2, 2)
+        b = basic_moves_two_way(2, 2)
         with pytest.raises(MixedFiberError):
             build_fiber_graph([Table((1, 0, 0, 1)), Table((1, 1, 0, 0))], b)
 
     def test_non_zero_one_member_refused(self):
-        _, b = basic_with_config(2, 2)
+        b = basic_moves_two_way(2, 2)
         fiber = [Table((1, 0, 0, 1)), Table((2, 0, 0, 0))]
         with pytest.raises(ZeroOneError, match="zero-one"):
-            build_fiber_graph(fiber, MoveSet(b.moves, b.provenance))
+            build_fiber_graph(fiber, b)
         with pytest.raises(ZeroOneError, match="zero-one"):
-            check_distance_reducing(MoveSet(b.moves, b.provenance), fiber)
+            check_distance_reducing(b, fiber)
 
     def test_empty_move_set_gives_singletons(self):
         cfg = build_two_way_independence(2, 2)
@@ -97,16 +94,16 @@ class TestFiberGraph:
 
 class TestDistanceReduction:
     def test_basic_on_small_fiber(self):
-        cfg, b = basic_with_config(3, 3)
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
         fiber = enumerate_zero_one_fiber(cfg, (1, 1, 1, 1, 1, 1))
         ok, cex = check_distance_reducing(b, fiber, strong=True)
         assert ok and cex is None
 
     def test_counterexample_reported(self):
-        cfg = build_ntfi(3)
-        b0 = basic_moves_two_way(3, 3)  # wrong model: 9-cell moves never apply
-        fiber = enumerate_zero_one_fiber(build_two_way_independence(3, 3), (1, 1, 1, 1, 1, 1))
-        ok, cex = check_distance_reducing(MoveSet.build([], "t"), fiber)
+        cfg = build_two_way_independence(3, 3)
+        fiber = enumerate_zero_one_fiber(cfg, (1, 1, 1, 1, 1, 1))
+        ok, cex = check_distance_reducing(MoveSet.build([], "t", cfg), fiber)
         assert not ok
         x, y = cex
         assert x.values != y.values
@@ -142,6 +139,67 @@ class TestCrossing:
             check_generalized_crossing(other, b0)
 
 
+def brute_crossing(x, y, cfg, weak):
+    """Reference crossing search on explicit column sums: the first cells
+    i1 < i2 with u > v, i3 with u < v and i4 (strong: u <= v) such that
+    A[:, i1] + A[:, i2] == A[:, i3] + A[:, i4], for (u, v) = (x, y), then (y, x)."""
+    cols = cfg.array.T.tolist()
+    n = cfg.n_cells
+
+    def swap(i1, i2, i3, i4):
+        return all(a + b == c + d for a, b, c, d in zip(cols[i1], cols[i2], cols[i3], cols[i4]))
+
+    for direction, (u, v) in ((1, (x.values, y.values)), (-1, (y.values, x.values))):
+        for i1, i2 in itertools.combinations([i for i in range(n) if u[i] > v[i]], 2):
+            for i3 in (i for i in range(n) if u[i] < v[i]):
+                for i4 in range(n):
+                    if i4 in (i1, i2, i3) or not (weak or u[i4] <= v[i4]):
+                        continue
+                    if swap(i1, i2, i3, i4):
+                        return (i1, i2, i3, i4), direction
+    return None
+
+
+class TestCrossingAgainstBruteForce:
+    @pytest.mark.parametrize(
+        "cfg,outcomes",
+        [
+            (build_two_way_independence(3, 4), {True, False}),
+            (build_complete_independence((2, 2, 3)), {True, False}),
+            (build_quasi_independence(4, 4, {(i, j) for i in range(4) for j in range(4) if i != j}),
+             {True, False}),
+            (build_many_facet_rasch((2, 2, 3)), {True, False}),
+            (Configuration(CellSpace((6,)), ((1, 1, 1, 1, 1, 1), (2, -1, 0, 1, -2, 1))),
+             {True, False}),
+            # line sums have no degree-2 move, so no crossing either
+            (build_ntfi(3), {False}),
+            (build_ntfi(4), {False}),  # 5^48 keys: no uint64 code
+        ],
+        ids=["two-way-3x4", "complete-2x2x3", "quasi-4x4", "rating-2x2x3", "signed-6",
+             "ntfi-3x3x3", "ntfi-4x4x4"],
+    )
+    def test_witnesses_match(self, cfg, outcomes):
+        rng = np.random.Generator(np.random.PCG64(7))
+        found = set()
+        for _ in range(40):
+            x = Table(rng.integers(0, 2, size=cfg.n_cells))
+            # a partner in x's fiber, else x with four cells flipped (4x4x4 is not enumerated)
+            fiber = []
+            if cfg.n_cells < 64:
+                fiber = enumerate_zero_one_fiber(cfg, cfg.sufficient_stat(x))
+            others = [z for z in fiber if z != x]
+            if others:
+                y = others[rng.integers(len(others))]
+            else:
+                flip = rng.choice(cfg.n_cells, size=4, replace=False)
+                y = Table(np.array(x.values) ^ np.isin(np.arange(cfg.n_cells), flip))
+            for weak, check in ((False, check_strong_crossing), (True, check_weak_crossing)):
+                want = brute_crossing(x, y, cfg, weak)
+                assert check(x, y, cfg).witness == want
+                found.add(want is not None)
+        assert found == outcomes
+
+
 class TestConformalDecompose:
     def test_single_move_difference(self):
         cfg = build_two_way_independence(2, 2)
@@ -153,21 +211,31 @@ class TestConformalDecompose:
         assert tuple(total) == (-1, 1, 1, -1)
 
     def test_no_decomposition_raises(self):
-        b0 = MoveSet.build([], "t")
+        b0 = MoveSet.build([], "t", build_two_way_independence(2, 2))
         with pytest.raises(NoDecompositionError):
             conformal_decompose(Table((1, 0, 0, 1)), Table((0, 1, 1, 0)), b0)
 
 
 class TestSweep:
     def test_three_by_three_basic_connected(self):
-        cfg, b = basic_with_config(3, 3)
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
         rep = sweep_connectivity(cfg, b, max_cells=9)
         assert rep.n_tables == 512
         assert rep.all_connected
         assert rep.n_components == rep.n_fibers
 
+    def test_refuses_moves_of_another_model(self):
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
+        rows = Configuration(cfg.cell_space, cfg.matrix[:3])  # row sums only
+        other = MoveSet.build(b.moves, b.provenance, rows)
+        with pytest.raises(ZeroOneError, match="another model"):
+            sweep_connectivity(cfg, other, max_cells=9)
+
     def test_cell_limit_enforced(self):
-        cfg, b = basic_with_config(5, 5)
+        b = basic_moves_two_way(5, 5)
+        cfg = b.source_config
         with pytest.raises(CapExceededError):
             sweep_connectivity(cfg, b, max_cells=9)
         with pytest.raises(CapExceededError):
@@ -178,6 +246,16 @@ class TestSweep:
         rep = sweep_connectivity(cfg, MoveSet.build([Move((1, 1, 0))], "t", cfg))
         assert (rep.n_tables, rep.n_fibers, rep.n_components) == (8, 6, 6)
         assert rep.all_connected
+
+
+    def test_zero_row_matrix(self):
+        # no statistic: every vector is a move and all tables form one fiber
+        cfg = Configuration(CellSpace((2,)), ())
+        assert cfg.array.shape == (0, 2)
+        b = MoveSet.build([Move((1, -1)), Move((1, 0))], "t", cfg)
+        assert len(enumerate_zero_one_fiber(cfg, ())) == 4
+        rep = sweep_connectivity(cfg, b)
+        assert (rep.n_tables, rep.n_fibers, rep.n_components) == (4, 1, 1)
 
 
 class TestIterFibers:
@@ -264,7 +342,7 @@ class TestKernelAgainstBruteForce:
     def test_every_fiber(self, cfg, max_degree):
         b0 = square_free_graver(cfg, max_degree)
         # every other move too, so that some fibers fail and split
-        for b in (b0, MoveSet(b0.moves[::2], b0.provenance[::2], cfg)):
+        for b in (b0, MoveSet.build(b0.moves[::2], b0.provenance[::2], cfg)):
             for _, X in iter_fibers(cfg):
                 assert_kernel_matches_brute_force([Table(x) for x in X.tolist()], b)
 
@@ -275,5 +353,5 @@ class TestKernelAgainstBruteForce:
         fiber = enumerate_zero_one_fiber(cfg, (3, 3) + tuple(int(j in busy) for j in range(33)))
         assert len(fiber) == 20
         swaps = basic_moves_two_way(2, 33)
-        for b in (swaps, MoveSet(swaps.moves[::3], swaps.provenance[::3])):
-            assert_kernel_matches_brute_force(fiber, MoveSet(b.moves, b.provenance, cfg))
+        for b in (swaps, MoveSet.build(swaps.moves[::3], swaps.provenance[::3], cfg)):
+            assert_kernel_matches_brute_force(fiber, b)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeroone.cells import CellSpace, Move
-from zeroone.errors import BudgetExhaustedError, NotAMoveError
+from zeroone.errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError
 from zeroone.graver import (
     MoveSet,
     degree_histogram,
@@ -58,30 +58,45 @@ def brute_square_free(cfg, max_degree):
     return MoveSet.build(found, "square-free", cfg)
 
 
+ALL_ONES_4 = Configuration(CellSpace((4,)), ((1, 1, 1, 1),))
+
+
 class TestMoveSet:
     def test_dedup_and_canonical_order(self):
         z1 = Move((0, 1, -1, 0))
         z2 = Move((0, -1, 1, 0))  # same move, opposite sign
         z3 = Move((1, -1, -1, 1))
-        ms = MoveSet.build([z3, z1, z2], "t")
+        ms = MoveSet.build([z3, z1, z2], "t", ALL_ONES_4)
         assert len(ms) == 2
         assert ms.moves[0].vec == (0, 1, -1, 0)  # smaller L1 first
         assert z2 in ms
 
     def test_zero_vector_dropped(self):
-        assert len(MoveSet.build([Move((0, 0))], "t")) == 0
+        assert len(MoveSet.build([Move((0, 0, 0, 0))], "t", ALL_ONES_4)) == 0
 
     def test_validate_rejects_non_moves(self):
         cfg = build_two_way_independence(2, 2)
         with pytest.raises(NotAMoveError):
-            MoveSet.build([Move((1, 0, 0, 0))], "t", cfg, validate=True)
+            MoveSet.build([Move((1, 0, 0, 0))], "t", cfg)
+
+    def test_rejects_length_mismatch(self):
+        cfg = build_two_way_independence(2, 2)
+        with pytest.raises(LengthMismatchError):
+            MoveSet.build([Move((1, -1))], "t", cfg)
+        with pytest.raises(LengthMismatchError):
+            basic_moves_two_way(2, 2).union(basic_moves_two_way(2, 3))
 
     def test_union_keeps_first_provenance(self):
-        a = MoveSet.build([Move((1, -1, -1, 1))], "a")
-        b = MoveSet.build([Move((1, -1, -1, 1)), Move((0, 1, -1, 0))], "b")
+        a = MoveSet.build([Move((1, -1, -1, 1))], "a", ALL_ONES_4)
+        b = MoveSet.build([Move((1, -1, -1, 1)), Move((0, 1, -1, 0))], "b", ALL_ONES_4)
         u = a.union(b)
         assert len(u) == 2
         assert dict(zip((z.vec for z in u.moves), u.provenance))[(1, -1, -1, 1)] == "a"
+
+    def test_union_checks_other_against_own_model(self):
+        # (0, 1, -1, 0) changes the row sums of a 2x2 table
+        with pytest.raises(NotAMoveError):
+            basic_moves_two_way(2, 2).union(MoveSet.build([Move((0, 1, -1, 0))], "b", ALL_ONES_4))
 
 
 class TestIntegerKernelBasis:
@@ -255,7 +270,8 @@ class TestSquareFreeGraver:
 class TestSquareFreeSubset:
     def test_filters_and_is_idempotent(self):
         cfg = build_ntfi(2)
-        mixed = MoveSet.build([Move((2, -2, -2, 2, -2, 2, 2, -2)), graver_basis(cfg).moves[0]], "t")
+        moves = [Move((2, -2, -2, 2, -2, 2, 2, -2)), graver_basis(cfg).moves[0]]
+        mixed = MoveSet.build(moves, "t", cfg)
         sf = square_free_subset(mixed)
         assert all(z.square_free for z in sf.moves)
         assert {z.vec for z in square_free_subset(sf).moves} == {z.vec for z in sf.moves}

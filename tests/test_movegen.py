@@ -10,16 +10,16 @@ from zeroone.graver import degree_histogram, square_free_graver
 from zeroone.models import (
     build_complete_independence,
     build_ntfi,
+    build_quasi_independence,
     build_two_way_independence,
 )
 from zeroone.movegen import (
     basic_moves_two_way,
     degree2_threeway_patterns,
-    degree8_moves_4x4,
     df1_loops,
     loops_degree_r,
-    ntfi_333_family,
     ntfi_333_moves,
+    ntfi_basic_moves,
 )
 
 
@@ -79,18 +79,18 @@ class TestDf1Loops:
 
 class TestNtfi333Orbits:
     def test_orbit_sizes(self):
-        assert len(ntfi_333_family("basic")) == 27
-        assert len(ntfi_333_family("deg6")) == 54
-        assert len(ntfi_333_family("deg9")) == 12
+        assert len(ntfi_333_moves("basic")) == 27
+        assert len(ntfi_333_moves("deg6")) == 54
+        assert len(ntfi_333_moves("deg9")) == 12
 
     def test_cumulative_union(self):
         assert len(ntfi_333_moves("basic+deg6")) == 81
         assert len(ntfi_333_moves("basic+deg6+deg9")) == 93
 
     def test_degrees(self):
-        assert {z.degree for z in ntfi_333_family("basic")} == {4}
-        assert {z.degree for z in ntfi_333_family("deg6")} == {6}
-        assert {z.degree for z in ntfi_333_family("deg9")} == {9}
+        assert {z.degree for z in ntfi_333_moves("basic")} == {4}
+        assert {z.degree for z in ntfi_333_moves("deg6")} == {6}
+        assert {z.degree for z in ntfi_333_moves("deg9")} == {9}
 
     def test_all_are_line_sum_moves(self):
         cfg = build_ntfi(3)
@@ -103,15 +103,15 @@ class TestNtfi333Orbits:
 
 
 class TestDegree8Moves:
-    def test_orbit_size_and_shape(self):
-        b = degree8_moves_4x4()
+    def test_orbit_size_and_shape(self, deg8_444):
+        b = deg8_444
         assert len(b) == 1296
         assert {z.degree for z in b.moves} == {8}
         assert {z.l1_norm for z in b.moves} == {16}
 
-    def test_all_are_moves(self):
+    def test_all_are_moves(self, deg8_444):
         cfg = build_ntfi(4)
-        for z in degree8_moves_4x4():
+        for z in deg8_444:
             assert cfg.is_move(z)
 
 
@@ -130,3 +130,26 @@ class TestDegree2ThreewayPatterns:
     def test_bad_dims(self):
         with pytest.raises(DimensionError):
             degree2_threeway_patterns((2, 2))
+
+
+QUASI_4X4 = build_quasi_independence(4, 4, {(i, j) for i in range(4) for j in range(4) if i != j})
+
+
+class TestBoundModels:
+    @pytest.mark.parametrize(
+        "make,cfg",
+        [
+            (lambda: loops_degree_r(3, 4, 3), build_two_way_independence(3, 4)),
+            (lambda: basic_moves_two_way(2, 5), build_two_way_independence(2, 5)),
+            (lambda: df1_loops(QUASI_4X4.cell_space), QUASI_4X4),
+            (lambda: ntfi_333_moves("deg6+deg9"), build_ntfi(3)),
+            (lambda: ntfi_basic_moves(4), build_ntfi(4)),
+            (lambda: degree2_threeway_patterns((2, 2, 3)), build_complete_independence((2, 2, 3))),
+        ],
+        ids=["loops", "basic", "df1", "ntfi-333", "ntfi-basic", "deg2-patterns"],
+    )
+    def test_generator_binds_its_model(self, make, cfg):
+        assert make().source_config == cfg
+
+    def test_degree8_binds_4x4x4(self, deg8_444):
+        assert deg8_444.source_config == build_ntfi(4)

@@ -5,11 +5,12 @@ from zeroone.cells import Table
 from zeroone.errors import IpfError, ZeroOneError
 from zeroone.graver import MoveSet
 from zeroone.models import (
+    Configuration,
     build_many_facet_rasch,
     build_ntfi,
     build_two_way_independence,
 )
-from zeroone.movegen import basic_moves_two_way
+from zeroone.movegen import basic_moves_two_way, ntfi_basic_moves
 from zeroone.fiber import enumerate_zero_one_fiber
 from zeroone.sampler import (
     at_least_as_extreme,
@@ -20,22 +21,16 @@ from zeroone.sampler import (
     latin_move_set,
     latin_start_table,
     latin_symbols,
-    ntfi_basic_moves,
     random_walk,
     resolve_statistic,
     sample_latin_square,
 )
 
 
-def basic_with_config(I, J):
-    cfg = build_two_way_independence(I, J)
-    b = basic_moves_two_way(I, J)
-    return cfg, MoveSet(b.moves, b.provenance, cfg)
-
-
 class TestRandomWalk:
     def test_states_stay_in_fiber(self):
-        cfg, b = basic_with_config(3, 3)
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
         x0 = Table((1, 0, 0, 0, 1, 0, 0, 0, 1))
         t = cfg.sufficient_stat(x0)
         states, rate = random_walk(cfg, x0, b, 500, seed=1)
@@ -45,7 +40,8 @@ class TestRandomWalk:
             assert x.zero_one and cfg.sufficient_stat(x) == t
 
     def test_seed_determinism(self):
-        cfg, b = basic_with_config(3, 3)
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
         x0 = Table((1, 0, 0, 0, 1, 0, 0, 0, 1))
         s1, r1 = random_walk(cfg, x0, b, 300, seed=42)
         s2, r2 = random_walk(cfg, x0, b, 300, seed=42)
@@ -54,14 +50,25 @@ class TestRandomWalk:
         assert [x.values for x in s1] != [x.values for x in s3]
 
     def test_rejects_non_zero_one_start(self):
-        cfg, b = basic_with_config(2, 2)
+        b = basic_moves_two_way(2, 2)
+        cfg = b.source_config
         with pytest.raises(ZeroOneError):
             random_walk(cfg, Table((2, 0, 0, 0)), b, 10, seed=0)
 
+    def test_refuses_moves_of_another_model(self):
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
+        rows = Configuration(cfg.cell_space, cfg.matrix[:3])  # row sums only
+        other = MoveSet.build(b.moves, b.provenance, rows)
+        with pytest.raises(ZeroOneError, match="another model"):
+            random_walk(cfg, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)), other, 10, seed=0)
+        with pytest.raises(ZeroOneError, match="another model"):
+            sample_latin_square(3, steps=10, seed=0, b=ntfi_basic_moves(4))
+
     def test_rejects_empty_move_set(self):
-        cfg, _ = basic_with_config(2, 2)
+        cfg = build_two_way_independence(2, 2)
         with pytest.raises(ZeroOneError):
-            random_walk(cfg, Table((1, 0, 0, 1)), MoveSet.build([], "t"), 10, seed=0)
+            random_walk(cfg, Table((1, 0, 0, 1)), MoveSet.build([], "t", cfg), 10, seed=0)
 
 
 class TestIpf:
@@ -135,7 +142,8 @@ class TestTies:
 
 class TestExactTest:
     def test_reproducible_and_in_range(self):
-        cfg, b = basic_with_config(3, 3)
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
         x0 = Table((1, 0, 0, 0, 1, 0, 0, 0, 1))
         r1 = exact_test(cfg, x0, b, ("linear", tuple(range(9))), steps=2000, seed=5)
         r2 = exact_test(cfg, x0, b, ("linear", tuple(range(9))), steps=2000, seed=5)
@@ -144,13 +152,23 @@ class TestExactTest:
         assert 0 <= r1.acceptance_rate <= 1
 
     def test_callable_statistic(self):
-        cfg, b = basic_with_config(2, 2)
+        b = basic_moves_two_way(2, 2)
+        cfg = b.source_config
         run = exact_test(cfg, Table((1, 0, 0, 1)), b, lambda v: float(v[0]), steps=500, seed=3)
         # the two-point fiber splits evenly on the corner-cell statistic
         assert abs(run.p_value_estimate - 0.5) < 0.1
 
+    def test_refuses_moves_of_another_model(self):
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
+        rows = Configuration(cfg.cell_space, cfg.matrix[:3])  # row sums only
+        other = MoveSet.build(b.moves, b.provenance, rows)
+        with pytest.raises(ZeroOneError, match="another model"):
+            exact_test(cfg, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)), other, "chi2-ipf", steps=10)
+
     def test_burn_in_default(self):
-        cfg, b = basic_with_config(2, 2)
+        b = basic_moves_two_way(2, 2)
+        cfg = b.source_config
         run = exact_test(cfg, Table((1, 0, 0, 1)), b, lambda v: 0.0, steps=100, seed=1)
         assert run.burn_in == 10 * cfg.n_cells
 
@@ -173,8 +191,9 @@ class TestLatin:
             latin_symbols(Table((0,) * 27), 3)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_sampled_square_is_latin(self, n):
-        _, sym = sample_latin_square(n, steps=400, seed=9)
+    def test_sampled_square_is_latin(self, n, deg8_444):
+        b = latin_move_set(3) if n == 3 else ntfi_basic_moves(4).union(deg8_444)
+        _, sym = sample_latin_square(n, steps=400, seed=9, b=b)
         want = list(range(1, n + 1))
         for row in sym:
             assert sorted(row) == want
