@@ -152,7 +152,7 @@ def resolve_moves(spec: str, cfg, args) -> MoveSet:
     """A move file or a generated family (:data:`FAMILIES`, ``loop-<r>``),
     bound to ``cfg``: moves outside its kernel are a usage error."""
     if Path(spec).is_file():
-        return MoveSet.build(fileio.read_moves(spec), "file", cfg)
+        return MoveSet.build(fileio.read_matrix(spec), "file", cfg)
     r = spec.removeprefix("loop-")
     if r != spec and r.isdigit():
         ms = loops_degree_r(*_two_way(cfg), int(r))
@@ -160,7 +160,7 @@ def resolve_moves(spec: str, cfg, args) -> MoveSet:
         ms = FAMILIES[spec](cfg, args)
     else:
         raise ZeroOneError(f"unknown move family {spec!r}")
-    return MoveSet.build(ms.moves, ms.provenance, cfg)
+    return MoveSet.build(ms.matrix, ms.provenance, cfg)
 
 
 def _get_key(args, cfg):

@@ -29,7 +29,7 @@ class MoveSet:
     tags, bound to the configuration whose kernel they lie in.
 
     :meth:`build` is the one checked way to bind moves to a model, also to
-    rebind a set to another one: ``MoveSet.build(ms.moves, ms.provenance, cfg)``.
+    rebind a set to another one: ``MoveSet.build(ms.matrix, ms.provenance, cfg)``.
     """
 
     moves: tuple[Move, ...]
@@ -38,30 +38,30 @@ class MoveSet:
 
     @classmethod
     def build(cls, moves, tag, cfg: Configuration) -> "MoveSet":
-        """Canonicalise, deduplicate and sort the moves, and bind them to ``cfg``.
-
-        Raises :class:`LengthMismatchError` for a vector whose length is not
-        the model's cell count and :class:`NotAMoveError` for one outside
-        ker A, checked with one matrix product.
+        """Bind ``moves`` (an (m, n) integer array, or moves or vectors) to
+        ``cfg``, tagged ``tag`` or one tag per move: canonical signs, each
+        move once with its first tag, in (L1 norm, vector) order.  Raises
+        :class:`LengthMismatchError` for a vector or a tag count of the wrong
+        length and :class:`NotAMoveError` for a move outside ker A.
         """
-        seen: dict[tuple[int, ...], str] = {}
-        if isinstance(tag, str):
-            tags = itertools.repeat(tag)
-        else:
-            tags = iter(tag)
-        for z, t in zip(moves, tags):
-            c = Move.canonical(z.vec)
-            if any(c.vec):
-                seen.setdefault(c.vec, t)
-        lengths = {len(v) for v in seen} - {cfg.n_cells}
-        if lengths:
-            raise LengthMismatchError(f"move length {min(lengths)} != {cfg.n_cells} cells")
-        ordered = sorted(seen, key=lambda v: (sum(abs(x) for x in v), v))
-        ms = cls(tuple(Move(v) for v in ordered), tuple(seen[v] for v in ordered), cfg)
-        bad = np.flatnonzero((cfg.array @ ms.matrix.T).any(axis=0))
+        n = cfg.n_cells
+        if not isinstance(moves, np.ndarray):
+            moves = [z.vec if isinstance(z, Move) else z for z in moves]
+            lengths = {len(v) for v in moves} - {n}
+            if lengths:
+                raise LengthMismatchError(f"move length {min(lengths)} != {n} cells")
+            moves = np.array(moves, dtype=np.int64).reshape(len(moves), n)
+        elif moves.ndim != 2 or moves.shape[1] != n:
+            raise LengthMismatchError(f"moves of shape {moves.shape} for {n} cells")
+        tags = (tag,) * len(moves) if isinstance(tag, str) else tuple(tag)
+        if len(tags) != len(moves):
+            raise LengthMismatchError(f"{len(tags)} tags for {len(moves)} moves")
+        V, first = _canonical_rows(moves)
+        bad = np.flatnonzero((cfg.array @ V.T).any(axis=0))
         if len(bad):
-            raise NotAMoveError(f"{ms.moves[bad[0]].vec} is not a move of the model")
-        return ms
+            raise NotAMoveError(f"{tuple(V[bad[0]].tolist())} is not a move of the model")
+        provenance = tuple(tags[i] for i in first.tolist())
+        return cls(tuple(Move(v) for v in V.tolist()), provenance, cfg)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -70,7 +70,7 @@ class MoveSet:
         return iter(self.moves)
 
     def __contains__(self, z: Move) -> bool:
-        return Move.canonical(z.vec).vec in self._vecs
+        return z.vec in self._vecs or (-z).vec in self._vecs
 
     @cached_property
     def _vecs(self) -> frozenset:
@@ -102,19 +102,31 @@ class MoveSet:
         )
 
     def retag(self, tag: str) -> "MoveSet":
-        return MoveSet(self.moves, tuple(tag for _ in self.moves), self.source_config)
+        return MoveSet.build(self.matrix, tag, self.source_config)
+
+
+def _canonical_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero rows of ``V`` up to sign, each once and with its first
+    nonzero entry positive, in (L1 norm, vector) order; and the position in
+    ``V`` of each one's first occurrence.  Works in ``V``'s dtype."""
+    lead = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
+    keep = np.flatnonzero(lead)
+    V = V[keep]
+    V[lead[keep] < 0] *= -1
+    order = np.lexsort((*V.T[::-1], np.abs(V).sum(axis=1)))
+    V, keep = V[order], keep[order]
+    new = np.ones(len(V), dtype=bool)
+    new[1:] = (V[1:] != V[:-1]).any(axis=1)  # the sort is stable: first occurrences lead
+    return V[new], keep[new]
 
 
 def degree_histogram(b: MoveSet) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for z in b.moves:
-        hist[z.degree] = hist.get(z.degree, 0) + 1
-    return dict(sorted(hist.items()))
+    degree, count = np.unique(np.maximum(b.matrix, 0).sum(axis=1), return_counts=True)
+    return dict(zip(degree.tolist(), count.tolist()))
 
 
 def square_free_subset(b: MoveSet) -> MoveSet:
-    keep = [z for z in b.moves if z.square_free]
-    return MoveSet.build(keep, "square-free", b.source_config)
+    return MoveSet.build(b.matrix[b.masks[2]], "square-free", b.source_config)
 
 
 def integer_kernel_basis(A: np.ndarray) -> list[tuple[int, ...]]:
@@ -246,7 +258,7 @@ def _finalize_graver(G, cfg) -> MoveSet:
                 reducible = True
                 break
         if not reducible:
-            keep.append(Move.canonical(g))
+            keep.append(g)
     return MoveSet.build(keep, "graver", cfg)
 
 
@@ -306,15 +318,14 @@ def square_free_graver(
     # level k: the k-sets of cells in lexicographic order, as masks, key
     # sums and first cells; level 0 is the empty set
     masks, sums, first = np.zeros_like(bits[:1]), origin[None], np.array([n])
-    found = []
+    found = [np.zeros((0, n), dtype=np.int8)]
     for d in range(1, max_degree + 1):
         masks, sums, first = _next_level(masks, sums, first, bits, steps)
         if not len(masks):
             break
         if d >= min_degree:
             found.append(_pair_screen(cfg, masks, cfg.key_codes_of_sums(sums), d))
-    V = np.concatenate(found) if found else np.zeros((0, n), dtype=np.int8)
-    return MoveSet(tuple(Move(v) for v in V.tolist()), ("square-free",) * len(V), cfg)
+    return MoveSet.build(np.concatenate(found), "square-free", cfg)
 
 
 def _next_level(masks, sums, first, bits, steps):
@@ -338,7 +349,7 @@ def _ranges(start, count) -> np.ndarray:
 
 def _pair_screen(cfg: Configuration, masks: np.ndarray, codes: np.ndarray, d: int) -> np.ndarray:
     """The square-free primitive moves between the d-sets ``masks`` whose key
-    ``codes`` agree, as +1/-1 rows in increasing lexicographic order.
+    ``codes`` agree, as +1/-1 rows.
 
     The fibers are screened in chunks of whole fibers of one size, and
     their pairs in slices, each holding about :data:`_BUDGET` elements; a
@@ -381,7 +392,6 @@ def _pair_screen(cfg: Configuration, masks: np.ndarray, codes: np.ndarray, d: in
             a, b = a[apart], b[apart]
             disjoint += len(a)
             primitive = ~(B[a] & B[b]).any(axis=1)
-            # a precedes b in lexicographic order, so it holds the first cell
             plus.append(mem[a[primitive]])
             minus.append(mem[b[primitive]])
             j0 = j1
@@ -393,8 +403,8 @@ def _pair_screen(cfg: Configuration, masks: np.ndarray, codes: np.ndarray, d: in
         "%d disjoint pairs, %d moves found",
         d, len(codes), len(size), pairs, disjoint, len(plus),
     )
-    V = unpack_bits(masks[plus], n).astype(np.int8) - unpack_bits(masks[minus], n).astype(np.int8)
-    return V[np.lexsort(V.T[::-1])]
+    V = unpack_bits(masks[plus], n).astype(np.int8)
+    return V - unpack_bits(masks[minus], n).astype(np.int8)
 
 
 def _shared_subset_bits(cfg: Configuration, cells: np.ndarray, s: int, patterns) -> np.ndarray:
@@ -452,9 +462,6 @@ def prune_by_one_cancellation(b0: MoveSet) -> MoveSet:
         minus = (np.bitwise_count(Pa & P) + np.bitwise_count(Ma & M)).sum(axis=2)
         for sign, cancels in ((1, plus), (-1, minus)):
             a, b = np.nonzero(np.triu(cancels == 1, a0 + 1))
-            S = V[a0 + a] + sign * V[b]
-            S[S[np.arange(len(S)), (S != 0).argmax(axis=1)] < 0] *= -1  # canonical sign
-            hit = find_rows(V, S)
+            hit = find_rows(V, _canonical_rows(V[a0 + a] + sign * V[b])[0])
             drop[hit[hit >= 0]] = True
-    keep = [z for z, d in zip(b0.moves, drop) if not d]
-    return MoveSet.build(keep, "pruned-survivor", b0.source_config)
+    return MoveSet.build(V[~drop], "pruned-survivor", b0.source_config)

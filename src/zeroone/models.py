@@ -157,7 +157,7 @@ class Configuration:
     def is_move(self, z: Move) -> bool:
         if len(z.vec) != self.n_cells:
             raise LengthMismatchError("move length does not match cell count")
-        return all(sum(r * v for r, v in zip(row, z.vec)) == 0 for row in self.matrix)
+        return not (self.array @ np.array(z.vec, dtype=np.int64)).any()
 
 
 def _indicator_row(cells: tuple[MultiIndex, ...], pred) -> tuple[int, ...]:

@@ -10,9 +10,9 @@ import itertools
 
 import numpy as np
 
-from .cells import CellSpace, Move
-from .errors import DimensionError
-from .graver import MoveSet
+from .cells import CellSpace
+from .errors import DimensionError, StructuralZeroError
+from .graver import MoveSet, _canonical_rows
 from .models import (
     Configuration,
     build_complete_independence,
@@ -30,13 +30,13 @@ def _loop_vec(space: CellSpace, i_seq, j_seq):
         for k in range(r):
             vec[space.linear_index((i_seq[k], j_seq[k]))] += 1
             vec[space.linear_index((i_seq[k], j_seq[(k + 1) % r]))] -= 1
-    except Exception:
+    except StructuralZeroError:
         return None
     return tuple(vec)
 
 
 def loops_degree_r(I: int, J: int, r: int) -> MoveSet:
-    """All distinct degree-r loop moves of an I x J table, canonical signs."""
+    """All distinct degree-r loop moves of an I x J table."""
     if not 2 <= r <= min(I, J):
         raise DimensionError(f"need 2 <= r <= min(I, J), got r={r} for {I}x{J}")
     cfg = build_two_way_independence(I, J)
@@ -45,9 +45,7 @@ def loops_degree_r(I: int, J: int, r: int) -> MoveSet:
         for cols in itertools.combinations(range(J), r):
             for rperm in itertools.permutations(rows):
                 for cperm in itertools.permutations(cols):
-                    vec = _loop_vec(cfg.cell_space, rperm, cperm)
-                    if vec is not None:
-                        moves.append(Move.canonical(vec))
+                    moves.append(_loop_vec(cfg.cell_space, rperm, cperm))
     return MoveSet.build(moves, f"loop-{r}", cfg)
 
 
@@ -83,7 +81,7 @@ def df1_loops(space: CellSpace) -> MoveSet:
                     for cperm in itertools.permutations(cols):
                         vec = _loop_vec(space, rperm, cperm)
                         if vec is not None:
-                            moves.append(Move.canonical(vec))
+                            moves.append(vec)
     return MoveSet.build(moves, "df1", cfg)
 
 
@@ -106,19 +104,20 @@ _NTFI_DEG9 = [
 
 def _symmetry_orbit(rep: np.ndarray, tag: str, cfg: Configuration) -> MoveSet:
     """Full orbit of a cubical move under per-axis level permutations and
-    axis permutations, deduplicated by canonical sign."""
+    axis permutations.  Per axis permutation, the (n!)^3 images
+    ``base[p0][:, p1][:, :, p2]`` are gathered at once, in int8, and reduced
+    to their distinct moves."""
     n = rep.shape[0]
-    perms = list(itertools.permutations(range(n)))
-    moves = []
-    for axes in itertools.permutations(range(3)):
-        base = np.transpose(rep, axes)
-        for p0 in perms:
-            a0 = base[list(p0), :, :]
-            for p1 in perms:
-                a1 = a0[:, list(p1), :]
-                for p2 in perms:
-                    moves.append(Move.canonical(a1[:, :, list(p2)].ravel()))
-    return MoveSet.build(moves, tag, cfg)
+    P = np.array(list(itertools.permutations(range(n))))
+    # image (p0, p1, p2) holds base[p0[a], p1[b], p2[c]] at (a, b, c)
+    i = P[:, None, None, :, None, None]
+    j = P[None, :, None, None, :, None]
+    k = P[None, None, :, None, None, :]
+    chunks = [
+        _canonical_rows(np.transpose(rep, axes).astype(np.int8)[i, j, k].reshape(-1, n**3))[0]
+        for axes in itertools.permutations(range(3))
+    ]
+    return MoveSet.build(np.concatenate(chunks), tag, cfg)
 
 
 def ntfi_333_moves(level: str = "basic+deg6+deg9") -> MoveSet:
@@ -168,7 +167,7 @@ def degree2_threeway_patterns(dims) -> MoveSet:
             vec[space.linear_index(c)] += 1
         for c in cells_minus:
             vec[space.linear_index(c)] -= 1
-        return Move.canonical(vec)
+        return vec
 
     moves = []
     for axes in itertools.permutations(range(3)):
@@ -211,19 +210,9 @@ def degree2_threeway_patterns(dims) -> MoveSet:
 def ntfi_basic_moves(n: int) -> MoveSet:
     """Degree-4 swap moves of the n x n x n NTFI model (2x2x2 sign patterns)."""
     cfg = build_ntfi(n)
-    space = cfg.cell_space
-    moves = []
-    for i1, i2 in itertools.combinations(range(n), 2):
-        for j1, j2 in itertools.combinations(range(n), 2):
-            for k1, k2 in itertools.combinations(range(n), 2):
-                vec = [0] * space.cell_count
-                for (i, j), s in (
-                    ((i1, j1), 1),
-                    ((i1, j2), -1),
-                    ((i2, j1), -1),
-                    ((i2, j2), 1),
-                ):
-                    vec[space.linear_index((i, j, k1))] += s
-                    vec[space.linear_index((i, j, k2))] -= s
-                moves.append(Move.canonical(vec))
-    return MoveSet.build(moves, "basic", cfg)
+    E = np.eye(n, dtype=np.int8)
+    D = np.array([E[a] - E[b] for a, b in itertools.combinations(range(n), 2)])
+    # the swap on levels (i1, i2) x (j1, j2) x (k1, k2) is the outer product
+    # of e_i1 - e_i2, e_j1 - e_j2 and e_k1 - e_k2
+    V = np.einsum("ai,bj,ck->abcijk", D, D, D).reshape(-1, n**3)
+    return MoveSet.build(V, "basic", cfg)

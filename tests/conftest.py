@@ -40,5 +40,5 @@ def b0_333():
 
 @pytest.fixture(scope="session")
 def deg8_444():
-    """Degree-8 transposition orbit of 4x4x4 (shared: about 5 s a build)."""
+    """Degree-8 transposition orbit of 4x4x4 (shared by the tests that need it)."""
     return degree8_moves_4x4()

@@ -324,6 +324,16 @@ class TestMalformedSpecs:
                            "--moves", spec, "--t", str(t))
         assert code == 2 and "error" in err
 
+    def test_move_file_of_wrong_length_exits_two(self, capsys, tmp_path):
+        # an all-zero row is still a vector of the wrong length
+        moves = tmp_path / "moves.txt"
+        fileio.write_matrix(moves, [[0, 0, 0]])
+        t = tmp_path / "t.txt"
+        fileio.write_vector(t, (1, 1, 1, 1))
+        code, _, err = run(capsys, "connect", "--model", "two-way-indep", "--dims", "2,2",
+                           "--moves", str(moves), "--t", str(t))
+        assert code == 2 and "error" in err
+
     def test_linear_stat_exit_two(self, capsys, tmp_path):
         x = tmp_path / "x.txt"
         fileio.write_table(x, Table((1, 0, 0, 1)))

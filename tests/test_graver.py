@@ -61,37 +61,58 @@ def brute_square_free(cfg, max_degree):
 ALL_ONES_4 = Configuration(CellSpace((4,)), ((1, 1, 1, 1),))
 
 
+def input_forms(vecs):
+    """The same vectors as moves, an int64 array and an int8 array."""
+    return [
+        [Move(v) for v in vecs],
+        np.array(vecs, dtype=np.int64).reshape(len(vecs), -1),
+        np.array(vecs, dtype=np.int8).reshape(len(vecs), -1),
+    ]
+
+
 class TestMoveSet:
     def test_dedup_and_canonical_order(self):
-        z1 = Move((0, 1, -1, 0))
-        z2 = Move((0, -1, 1, 0))  # same move, opposite sign
-        z3 = Move((1, -1, -1, 1))
-        ms = MoveSet.build([z3, z1, z2], "t", ALL_ONES_4)
-        assert len(ms) == 2
-        assert ms.moves[0].vec == (0, 1, -1, 0)  # smaller L1 first
-        assert z2 in ms
+        z2 = Move((0, -1, 1, 0))  # the same move as (0, 1, -1, 0), opposite sign
+        for moves in input_forms([(1, -1, -1, 1), (0, 1, -1, 0), z2.vec]):
+            ms = MoveSet.build(moves, ("c", "a", "b"), ALL_ONES_4)
+            assert [z.vec for z in ms.moves] == [(0, 1, -1, 0), (1, -1, -1, 1)]  # smaller L1 first
+            assert ms.provenance == ("a", "c")  # the first occurrence's tag
+            assert z2 in ms
 
     def test_zero_vector_dropped(self):
-        assert len(MoveSet.build([Move((0, 0, 0, 0))], "t", ALL_ONES_4)) == 0
+        for moves in input_forms([(0, 0, 0, 0)]):
+            assert len(MoveSet.build(moves, "t", ALL_ONES_4)) == 0
 
     def test_validate_rejects_non_moves(self):
         cfg = build_two_way_independence(2, 2)
-        with pytest.raises(NotAMoveError):
-            MoveSet.build([Move((1, 0, 0, 0))], "t", cfg)
+        for moves in input_forms([(1, 0, 0, 0)]):
+            with pytest.raises(NotAMoveError):
+                MoveSet.build(moves, "t", cfg)
 
     def test_rejects_length_mismatch(self):
         cfg = build_two_way_independence(2, 2)
-        with pytest.raises(LengthMismatchError):
-            MoveSet.build([Move((1, -1))], "t", cfg)
+        for moves in input_forms([(1, -1)]):
+            with pytest.raises(LengthMismatchError):
+                MoveSet.build(moves, "t", cfg)
         with pytest.raises(LengthMismatchError):
             basic_moves_two_way(2, 2).union(basic_moves_two_way(2, 3))
 
+    def test_rejects_zero_vector_of_wrong_length(self):
+        for moves in input_forms([(0, 0, 0)]):
+            with pytest.raises(LengthMismatchError):
+                MoveSet.build(moves, "t", ALL_ONES_4)
+
+    def test_rejects_tag_count_mismatch(self):
+        for moves in input_forms([(1, -1, 0, 0), (0, 0, 1, -1)]):
+            with pytest.raises(LengthMismatchError):
+                MoveSet.build(moves, ("a",), ALL_ONES_4)
+
     def test_union_keeps_first_provenance(self):
         a = MoveSet.build([Move((1, -1, -1, 1))], "a", ALL_ONES_4)
-        b = MoveSet.build([Move((1, -1, -1, 1)), Move((0, 1, -1, 0))], "b", ALL_ONES_4)
-        u = a.union(b)
-        assert len(u) == 2
-        assert dict(zip((z.vec for z in u.moves), u.provenance))[(1, -1, -1, 1)] == "a"
+        for moves in input_forms([(1, -1, -1, 1), (0, 1, -1, 0)]):
+            u = a.union(MoveSet.build(moves, "b", ALL_ONES_4))
+            assert len(u) == 2
+            assert dict(zip((z.vec for z in u.moves), u.provenance))[(1, -1, -1, 1)] == "a"
 
     def test_union_checks_other_against_own_model(self):
         # (0, 1, -1, 0) changes the row sums of a 2x2 table
@@ -141,11 +162,21 @@ class TestGraverBasis:
         loops = basic_moves_two_way(3, 3).union(loops_degree_r(3, 3, 3))
         assert {z.vec for z in b.moves} == {z.vec for z in loops.moves}
 
-    def test_lawrence_lift_of_two_by_two(self):
-        b = graver_basis(lawrence_lift(build_two_way_independence(2, 2)))
-        assert len(b) == 1
-        z = b.moves[0].vec
-        assert z[:4] == (1, -1, -1, 1) and z[4:] == (-1, 1, 1, -1)
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            build_two_way_independence(2, 2),
+            build_two_way_independence(2, 3),
+            build_two_way_independence(3, 3),
+            build_complete_independence((2, 2, 2)),
+        ],
+        ids=["2x2", "2x3", "3x3", "2x2x2"],
+    )
+    def test_lawrence_lift(self, cfg):
+        # the Graver basis of the Lawrence lifting is the lifts (z, -z)
+        lifted = graver_basis(lawrence_lift(cfg))
+        want = {z.vec + (-z).vec for z in graver_basis(cfg).moves}
+        assert {z.vec for z in lifted.moves} == want and len(lifted) == len(want)
 
     def test_budget_error_carries_partial(self):
         with pytest.raises(BudgetExhaustedError) as exc:

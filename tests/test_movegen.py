@@ -1,12 +1,14 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroone.cells import CellSpace
-from zeroone.errors import DimensionError
-from zeroone.graver import degree_histogram, square_free_graver
+from zeroone.cells import CellSpace, Move
+from zeroone.errors import CellIndexError, DimensionError
+from zeroone.graver import MoveSet, degree_histogram, square_free_graver
 from zeroone.models import (
     build_complete_independence,
     build_ntfi,
@@ -14,6 +16,11 @@ from zeroone.models import (
     build_two_way_independence,
 )
 from zeroone.movegen import (
+    _NTFI_BASIC,
+    _NTFI_DEG6,
+    _NTFI_DEG9,
+    _loop_vec,
+    _symmetry_orbit,
     basic_moves_two_way,
     degree2_threeway_patterns,
     df1_loops,
@@ -43,6 +50,11 @@ class TestTwoWayLoops:
         for z in basic_moves_two_way(3, 4).union(loops_degree_r(3, 4, 3)):
             assert cfg.is_move(z)
             assert z.square_free
+
+    def test_bad_index_is_not_skipped(self):
+        # only structural zeros make a loop skippable
+        with pytest.raises(CellIndexError):
+            _loop_vec(CellSpace((2, 2)), (0, 2), (0, 1))
 
     def test_degree_bounds(self):
         with pytest.raises(DimensionError):
@@ -77,7 +89,33 @@ class TestDf1Loops:
             df1_loops(CellSpace((2, 2, 2)))
 
 
+def brute_orbit(rep, tag, cfg):
+    """Reference orbit: every image by explicit indexing, one move at a time."""
+    n = rep.shape[0]
+    perms = list(itertools.permutations(range(n)))
+    moves = []
+    for axes in itertools.permutations(range(3)):
+        base = np.transpose(rep, axes)
+        for p0 in perms:
+            a0 = base[list(p0), :, :]
+            for p1 in perms:
+                a1 = a0[:, list(p1), :]
+                for p2 in perms:
+                    moves.append(Move.canonical(a1[:, :, list(p2)].ravel()))
+    return MoveSet.build(moves, tag, cfg)
+
+
 class TestNtfi333Orbits:
+    @pytest.mark.parametrize(
+        "rep", [_NTFI_BASIC, _NTFI_DEG6, _NTFI_DEG9], ids=["basic", "deg6", "deg9"]
+    )
+    def test_orbit_matches_brute_force(self, rep):
+        cfg = build_ntfi(3)
+        rep = np.array(rep, dtype=np.int64)
+        got, want = _symmetry_orbit(rep, "t", cfg), brute_orbit(rep, "t", cfg)
+        assert [z.vec for z in got.moves] == [z.vec for z in want.moves]
+        assert got.provenance == want.provenance and got.source_config == cfg
+
     def test_orbit_sizes(self):
         assert len(ntfi_333_moves("basic")) == 27
         assert len(ntfi_333_moves("deg6")) == 54
