@@ -41,11 +41,12 @@ def main() -> None:
     deg8 = degree8_moves_4x4()
     report("degree-4 swaps", fiber4, basic4)
     report("degree-8 orbit alone", fiber4, deg8)
-    report("degree-4 + degree-8", fiber4, basic4.union(deg8))
+    both4 = basic4.union(deg8)
+    report("degree-4 + degree-8", fiber4, both4)
 
     print("sampled squares (seeded):")
-    for n in (3, 4):
-        _, sym = sample_latin_square(n, steps=5000, seed=args.seed)
+    for n, b in ((3, None), (4, both4)):
+        _, sym = sample_latin_square(n, steps=5000, seed=args.seed, b=b)
         for row in sym:
             print("   " + " ".join(str(v) for v in row))
         print()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Table
+from .cells import Table, pack_bits, unpack_bits
 from .errors import IpfError, ZeroOneError
 from .graver import MoveSet
 from .models import Configuration, build_ntfi
@@ -23,8 +23,8 @@ from .movegen import degree8_moves_4x4, ntfi_333_moves, ntfi_basic_moves
 _CHUNK = 1 << 16
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def _as_int(words) -> int:
+    return int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
 
 
 def _masks(b: MoveSet):
@@ -32,23 +32,17 @@ def _masks(b: MoveSet):
 
     Moves that are not square-free never apply to a zero-one table.
     """
-    def as_int(words):
-        return int.from_bytes(words.astype("<u8").tobytes(), "little")
-
     P, M, _ = b.masks
-    return [(as_int(p), as_int(m)) for p, m in zip(P, M)]
+    return [(_as_int(p), _as_int(m)) for p, m in zip(P, M)]
 
 
-def _to_mask(x: Table) -> int:
-    m = 0
-    for k, v in enumerate(x.values):
-        if v:
-            m |= 1 << k
-    return m
-
-
-def _from_mask(m: int, n: int) -> Table:
-    return Table(tuple((m >> k) & 1 for k in range(n)))
+def _decode(masks, n: int) -> dict:
+    """One :class:`Table` per distinct mask of ``masks``, decoded in one call."""
+    distinct = list(set(masks))
+    w = max(1, -(-n // 64))
+    words = np.frombuffer(b"".join(m.to_bytes(8 * w, "little") for m in distinct), dtype="<u8")
+    rows = unpack_bits(words.reshape(len(distinct), w), n).tolist()
+    return {m: Table(row) for m, row in zip(distinct, rows)}
 
 
 def random_walk(
@@ -60,46 +54,59 @@ def random_walk(
 ):
     """Trajectory of ``steps + 1`` states (including the start).
 
-    Returns ``(states, acceptance_rate)`` where states are Tables.  ``b``
+    Returns ``(states, acceptance_rate)`` where states are Tables; repeated
+    states within a block of the walk are one shared (frozen) Table.  ``b``
     must be bound to ``cfg`` (:attr:`MoveSet.source_config`), as for
     :func:`exact_test` and :func:`sample_latin_square`.
     """
-    traj, accepted = _walk_masks(cfg, x0, b, steps, seed)
-    n = cfg.n_cells
-    states = [_from_mask(m, n) for m in traj]
-    rate = accepted / steps if steps else 0.0
-    return states, rate
+    walk = _Walk(cfg, x0, b, steps, seed)
+    states = []
+    for chunk in walk:
+        tables = _decode(chunk, cfg.n_cells)
+        states += map(tables.__getitem__, chunk)
+    return states, (walk.accepted / steps if steps else 0.0)
 
 
-def _walk_masks(cfg, x0, b, steps, seed):
-    """``(trajectory, accepted)``: the visited states as Python-int masks."""
-    if b.source_config != cfg:
-        raise ZeroOneError("the move set is bound to another model")
-    x0.check_length(cfg.cell_space)
-    if not x0.zero_one:
-        raise ZeroOneError("start table must be zero-one")
-    moves = _masks(b)
-    if not moves:
-        raise ZeroOneError("empty move set")
-    rng = _rng(seed)
-    x = _to_mask(x0)
-    traj = [x]
-    accepted = 0
-    done = 0
-    while done < steps:
-        k = min(_CHUNK, steps - done)
-        idx = rng.integers(0, len(moves), size=k)
-        sgn = rng.integers(0, 2, size=k)
-        for i in range(k):
-            p, m = moves[idx[i]]
-            if sgn[i]:
-                p, m = m, p
-            if (x & p) == 0 and (x & m) == m:
-                x ^= p | m
-                accepted += 1
-            traj.append(x)
-        done += k
-    return traj, accepted
+class _Walk:
+    """A seeded walk streamed as Python-int masks: ``[x0]``, then one list per block.
+
+    ``accepted`` and ``state`` (the current mask) follow the iteration.
+    """
+
+    def __init__(self, cfg, x0, b, steps, seed):
+        if b.source_config != cfg:
+            raise ZeroOneError("the move set is bound to another model")
+        x0.check_length(cfg.cell_space)
+        if not x0.zero_one:
+            raise ZeroOneError("start table must be zero-one")
+        if steps < 0:
+            raise ZeroOneError(f"walk length must be non-negative, got {steps}")
+        self.moves = _masks(b)
+        if not self.moves:
+            raise ZeroOneError("empty move set")
+        self.steps, self.seed = steps, seed
+        self.state = _as_int(pack_bits([x0.values]))
+        self.accepted = 0
+
+    def __iter__(self):
+        moves, x, accepted = self.moves, self.state, 0
+        yield [x]
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        for done in range(0, self.steps, _CHUNK):
+            k = min(_CHUNK, self.steps - done)
+            idx = rng.integers(0, len(moves), size=k)
+            sgn = rng.integers(0, 2, size=k)
+            chunk = []
+            for i in range(k):
+                p, m = moves[idx[i]]
+                if sgn[i]:
+                    p, m = m, p
+                if (x & p) == 0 and (x & m) == m:
+                    x ^= p | m
+                    accepted += 1
+                chunk.append(x)
+            self.state, self.accepted = x, accepted
+            yield chunk
 
 
 def at_least_as_extreme(s, obs: float):
@@ -207,35 +214,43 @@ def exact_test(
 ) -> SampleRun:
     """Monte Carlo conditional test with the conservative +1 p-value.
 
-    ``statistic`` is ``"chi2-ipf"``, ``("linear", weights)`` or any
-    callable on cell-value tuples.  Large statistics are extreme.
+    ``statistic`` is ``"chi2-ipf"``, ``("linear", weights)`` or any pure
+    callable on cell-value tuples.  Large statistics are extreme.  The
+    samples are walk states ``burn_in + 1``, then every ``thinning``-th; the
+    statistic is called once per distinct sample of each block of the
+    streamed walk, whose states are not kept.
     """
     if burn_in is None:
         burn_in = 10 * cfg.n_cells
+    if steps < 1 or burn_in < 0 or thinning < 1:
+        raise ZeroOneError(f"need steps >= 1, burn_in >= 0 and thinning >= 1, "
+                           f"got {steps}, {burn_in}, {thinning}")
     t = cfg.sufficient_stat(x_obs)
     if callable(statistic):
         stat = statistic
     else:
         stat = resolve_statistic(cfg, statistic, t)
-    traj, accepted = _walk_masks(cfg, x_obs, b, burn_in + steps, seed)
-    n = cfg.n_cells
+    walk = _Walk(cfg, x_obs, b, burn_in + steps, seed)
+    n, start, samples = cfg.n_cells, 0, []
+    for chunk in walk:
+        skip = burn_in + 1 - start  # position of state burn_in + 1 in this chunk
+        kept = chunk[skip if skip >= 0 else skip % thinning::thinning]
+        scores = {m: stat(x.values) for m, x in _decode(kept, n).items()}
+        samples += map(scores.__getitem__, kept)
+        start += len(chunk)
     obs = stat(x_obs.values)
-    samples = []
-    for pos in range(burn_in + 1, len(traj), thinning):
-        samples.append(stat(_from_mask(traj[pos], n).values))
     exceed = int(np.count_nonzero(at_least_as_extreme(np.array(samples, dtype=float), obs)))
     p = (1 + exceed) / (1 + len(samples))
-    total = burn_in + steps
     return SampleRun(
         seed=seed,
         steps=steps,
         burn_in=burn_in,
         thinning=thinning,
         trajectory_stats=tuple(samples),
-        acceptance_rate=accepted / total if total else 0.0,
+        acceptance_rate=walk.accepted / (burn_in + steps),
         p_value_estimate=p,
         observed_stat=obs,
-        final_state=_from_mask(traj[-1], n),
+        final_state=_decode([walk.state], n)[walk.state],
     )
 
 
@@ -277,8 +292,10 @@ def sample_latin_square(n: int, steps: int, seed: int, b: MoveSet | None = None)
     cfg = build_ntfi(n)
     if b is None:
         b = latin_move_set(n)
-    traj, _accepted = _walk_masks(cfg, latin_start_table(n), b, steps, seed)
-    final = _from_mask(traj[-1], cfg.n_cells)
+    walk = _Walk(cfg, latin_start_table(n), b, steps, seed)
+    for _ in walk:
+        pass
+    final = _decode([walk.state], cfg.n_cells)[walk.state]
     return final, latin_symbols(final, n)
 
 

@@ -190,6 +190,26 @@ class TestSample:
         assert code == 0
         assert "p_value: 1.000000" in out and "exact_p: 1.000000" in out
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--steps", "10", "--thinning", "0"),
+            ("--steps", "10", "--thinning", "-1"),
+            ("--steps", "0"),
+            ("--steps", "-5"),
+            ("--steps", "10", "--burn-in", "-3"),
+            ("--steps", "0", "--verify-exact"),
+        ],
+        ids=["thinning-0", "thinning-negative", "steps-0", "steps-negative",
+             "burn-in-negative", "steps-0-verify-exact"],
+    )
+    def test_invalid_walk_length_exits_two(self, capsys, tmp_path, extra):
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((1, 0, 0, 1)))
+        code, out, err = run(capsys, "sample", "--model", "two-way-indep", "--dims", "2,2",
+                             "--moves", "basic", "--start", str(x), "--seed", "1", *extra)
+        assert code == 2 and "error" in err and "p_value" not in out
+
 
 class TestLatin:
     def test_count_builds_move_set_once(self, capsys, monkeypatch):
@@ -220,6 +240,10 @@ class TestLatin:
             assert sorted(row) == [1, 2, 3, 4]
         for col in zip(*rows):
             assert sorted(col) == [1, 2, 3, 4]
+
+    def test_negative_steps_exit_two(self, capsys):
+        code, out, err = run(capsys, "latin", "3", "--steps", "-2", "--seed", "1")
+        assert code == 2 and "error" in err and out == ""
 
 
 class TestUsage:

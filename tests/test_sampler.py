@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from zeroone.models import (
 )
 from zeroone.movegen import basic_moves_two_way, ntfi_basic_moves
 from zeroone.fiber import enumerate_zero_one_fiber
+from zeroone import sampler
 from zeroone.sampler import (
     at_least_as_extreme,
     chi_square_stat,
@@ -69,6 +72,15 @@ class TestRandomWalk:
         cfg = build_two_way_independence(2, 2)
         with pytest.raises(ZeroOneError):
             random_walk(cfg, Table((1, 0, 0, 1)), MoveSet.build([], "t", cfg), 10, seed=0)
+
+    def test_walk_length(self):
+        b = basic_moves_two_way(2, 2)
+        cfg = b.source_config
+        assert random_walk(cfg, Table((1, 0, 0, 1)), b, 0, seed=0) == ([Table((1, 0, 0, 1))], 0.0)
+        with pytest.raises(ZeroOneError, match="non-negative"):
+            random_walk(cfg, Table((1, 0, 0, 1)), b, -4, seed=0)
+        with pytest.raises(ZeroOneError, match="non-negative"):
+            sample_latin_square(3, steps=-2, seed=0)
 
 
 class TestIpf:
@@ -171,6 +183,88 @@ class TestExactTest:
         cfg = b.source_config
         run = exact_test(cfg, Table((1, 0, 0, 1)), b, lambda v: 0.0, steps=100, seed=1)
         assert run.burn_in == 10 * cfg.n_cells
+
+    @pytest.mark.parametrize(
+        "steps,burn_in,thinning",
+        [(0, None, 1), (-5, None, 1), (10, -3, 1), (10, 0, 0), (10, 0, -1)],
+    )
+    def test_rejects_invalid_walk_length(self, steps, burn_in, thinning):
+        b = basic_moves_two_way(2, 2)
+        with pytest.raises(ZeroOneError, match="steps >= 1"):
+            exact_test(b.source_config, Table((1, 0, 0, 1)), b, lambda v: 0.0,
+                       steps=steps, burn_in=burn_in, thinning=thinning, seed=1)
+
+
+X44 = Table((0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0))
+X2_33 = Table((1, 0) * 16 + (1,) + (0, 1) * 16 + (0,))  # 66 cells: two words a state
+
+
+class TestStreamedWalk:
+    """The streamed walk gives the states and statistics of the whole trajectory."""
+
+    def test_latin3_walk_digest(self):
+        # pinned: a 70,000-step walk crosses a block boundary
+        states, rate = random_walk(build_ntfi(3), latin_start_table(3), latin_move_set(3),
+                                   70_000, seed=3)
+        digest = hashlib.sha256()
+        for x in states:
+            digest.update(bytes(x.values))
+        assert digest.hexdigest() == (
+            "3772a6e91b2c3e0f893b82c960da4a197ebc594dd5d9db91eec5b03c51d5d7b8"
+        )
+        assert rate == 0.08337142857142857
+
+    def test_chi2_exact_test_digest(self):
+        # pinned to the last bit of every statistic value
+        b = basic_moves_two_way(4, 4)
+        run = exact_test(b.source_config, X44, b, "chi2-ipf", steps=70_000, seed=202)
+        digest = hashlib.sha256(" ".join(map(float.hex, run.trajectory_stats)).encode())
+        assert digest.hexdigest() == (
+            "2c69ce9ca9120bdaab60bbe19521565c110db884a456fd27a3bc2d3981e02193"
+        )
+        assert run.acceptance_rate == 0.1415478905359179
+        assert run.final_state == Table((0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0))
+
+    @pytest.mark.parametrize(
+        "b,x0,spec,steps,burn_in,thinning",
+        [
+            # samples in several blocks; neither the burn-in nor the thinning
+            # divides the block length
+            (basic_moves_two_way(4, 4), X44, "chi2-ipf", 100_000, 70_001, 7),
+            (basic_moves_two_way(2, 33), X2_33, ("linear", [k % 7 for k in range(66)]),
+             70_000, 5, 3),
+        ],
+        ids=["odd-blocks", "two-words"],
+    )
+    def test_exact_test_matches_random_walk(self, b, x0, spec, steps, burn_in, thinning):
+        cfg = b.source_config
+        run = exact_test(cfg, x0, b, spec, steps=steps, burn_in=burn_in, thinning=thinning,
+                         seed=9)
+        states, rate = random_walk(cfg, x0, b, burn_in + steps, seed=9)
+        stat = resolve_statistic(cfg, spec, cfg.sufficient_stat(x0))
+        assert run.trajectory_stats == tuple(stat(x.values) for x in states[burn_in + 1::thinning])
+        assert run.final_state == states[-1] and run.acceptance_rate == rate
+        for x in states[:: len(states) // 50]:
+            assert cfg.sufficient_stat(x) == cfg.sufficient_stat(x0)
+
+    def test_one_decode_and_statistic_call_per_distinct_state_and_block(self):
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
+        x0 = Table((1, 0, 0, 0, 1, 0, 0, 0, 1))
+        calls = []
+
+        def stat(values):
+            calls.append(values)
+            return float(values[0] + 2 * values[4])
+
+        run = exact_test(cfg, x0, b, stat, steps=100_000, seed=4)
+        states, _ = random_walk(cfg, x0, b, run.burn_in + 100_000, seed=4)
+        blocks = 1 + -(-(len(states) - 1) // sampler._CHUNK)  # the start state is a block
+        distinct = len(set(states))
+        assert distinct == 6 and len(run.trajectory_stats) == 100_000
+        assert len(calls) <= distinct * blocks + 1  # +1: the observed table
+        assert len({id(x) for x in states}) <= distinct * blocks
+        assert run.trajectory_stats == tuple(stat(x.values) for x in states[run.burn_in + 1:])
 
 
 class TestLatin:
