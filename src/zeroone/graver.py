@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .cells import Move, find_rows, pack_bits, unpack_bits
-from .errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError
+from .errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from .models import Configuration
 
 _LOG = logging.getLogger("zeroone.graver")
@@ -177,6 +177,27 @@ def _conformal_leq(g: tuple, s: tuple) -> bool:
     return True
 
 
+def _sign_masks(v) -> tuple[int, int]:
+    """The positive and the negative cells of ``v`` as Python-int bitmasks."""
+    p = m = 0
+    for i, x in enumerate(v):
+        if x > 0:
+            p |= 1 << i
+        elif x < 0:
+            m |= 1 << i
+    return p, m
+
+
+def _reducer(v: tuple) -> tuple:
+    """``(v, P, M, support, big)`` for a nonzero vector ``v``: its sign masks,
+    its ``(cell, entry)`` pairs and its ``(cell, |entry|)`` pairs with
+    ``|entry| > 1``.  ``v`` fits conformally inside ``s`` iff ``P`` and ``M``
+    lie in the sign masks of ``s`` and ``|s|`` covers every pair of ``big``."""
+    p, m = _sign_masks(v)
+    support = tuple((i, x) for i, x in enumerate(v) if x)
+    return v, p, m, support, tuple((i, abs(x)) for i, x in support if abs(x) > 1)
+
+
 def graver_basis(
     cfg: Configuration,
     max_candidates: int = 2_000_000,
@@ -185,31 +206,42 @@ def graver_basis(
     """Full Graver basis by conformal completion of a lattice kernel basis.
 
     Candidates are processed in increasing L1 order, which makes the run
-    deterministic.  On budget exhaustion a :class:`BudgetExhaustedError`
-    carrying the partial set is raised, never a silent truncation.
+    deterministic.  Each member g is kept with -g, both with their sign
+    masks; a candidate is reduced by the members in order, each tested on
+    the masks before the magnitudes.  When a member s is accepted, s + h
+    is pushed only for the h (members and negations) that are not
+    sign-compatible with s: a sign-compatible sum is a conformal sum and
+    reduces to zero (Pottier's and Hemmecke's criterion).
+    ``max_candidates`` counts the candidates popped.  On budget exhaustion
+    a :class:`BudgetExhaustedError` carrying the partial set is raised,
+    never a silent truncation.  One DEBUG record per run reports the
+    counters.
     """
+    if max_candidates <= 0:
+        raise ZeroOneError(f"max_candidates must be positive, got {max_candidates}")
     basis = integer_kernel_basis(cfg.array)
     if not basis:
         return MoveSet.build([], "graver", cfg)
 
-    G: list[tuple[int, ...]] = []
-    Gset: set[tuple[int, ...]] = set()
+    R: list[tuple] = []  # the reducers of g and -g for each member g, in order
 
     def norm_form(s):
-        changed = True
-        while changed and any(s):
-            changed = False
-            for g in G:
-                if _conformal_leq(g, s):
-                    s = tuple(a - b for a, b in zip(s, g))
-                    changed = True
-                    break
-                ng = tuple(-x for x in g)
-                if _conformal_leq(ng, s):
-                    s = tuple(a - b for a, b in zip(s, ng))
-                    changed = True
-                    break
-        return s
+        # a reducer that does not fit s does not fit s minus a conformal
+        # part of s either, so one pass over R finds the normal form
+        s = list(s)
+        p, m = _sign_masks(s)
+        for _, rp, rm, support, big in R:
+            while not (rp & ~p or rm & ~m) and all(abs(s[i]) >= a for i, a in big):
+                zeroed = 0
+                for i, x in support:
+                    s[i] -= x
+                    if not s[i]:
+                        zeroed |= 1 << i
+                p &= ~zeroed
+                m &= ~zeroed
+                if not (p or m):
+                    return None
+        return tuple(s)
 
     heap: list = []
     counter = itertools.count()
@@ -219,26 +251,32 @@ def graver_basis(
 
     for b in basis:
         push(b)
-    pops = 0
-    while heap:
-        pops += 1
-        if pops > max_candidates:
-            raise BudgetExhaustedError(_finalize_graver(G, cfg))
-        _, _, s = heapq.heappop(heap)
-        s = norm_form(s)
-        if not any(s):
+    popped = zero = pushed = skipped = 0
+    while heap and popped < max_candidates:
+        popped += 1
+        s = norm_form(heapq.heappop(heap)[2])
+        if s is None:  # also every copy of a member: it reduces by itself
+            zero += 1
             continue
-        if s in Gset or tuple(-x for x in s) in Gset:
-            continue
-        for g in G:
-            for h in (g, tuple(-x for x in g)):
-                v = tuple(a + b for a, b in zip(s, h))
-                if any(v):
-                    push(v)
-        G.append(s)
-        Gset.add(s)
+        new = _reducer(s)
+        sp, sm = new[1], new[2]
+        for h, hp, hm, _, _ in R:
+            if sp & hm or sm & hp:
+                push(tuple(a + b for a, b in zip(s, h)))
+                pushed += 1
+            else:
+                skipped += 1
+        R += (new, _reducer(tuple(-x for x in s)))
 
-    result = _finalize_graver(G, cfg)
+    result = _finalize_graver(R, cfg)
+    _LOG.debug(
+        "graver basis: %d candidates popped, %d reduced to zero, %d sums pushed, "
+        "%d sign-compatible sums skipped, %d members before and %d after finalizing%s",
+        popped, zero, pushed, skipped, len(R) // 2, len(result),
+        ", budget exhausted" if heap else "",
+    )
+    if heap:
+        raise BudgetExhaustedError(result)
     sample = result.moves[:verify_sample] if verify_sample else ()
     for z in sample:
         if not is_primitive(cfg, z):
@@ -246,18 +284,16 @@ def graver_basis(
     return result
 
 
-def _finalize_graver(G, cfg) -> MoveSet:
-    # drop vectors conformally reducible by another member
+def _finalize_graver(R, cfg) -> MoveSet:
+    """The members, R's even entries, that no other member or negation
+    (R's other entries) fits conformally inside."""
     keep = []
-    for i, g in enumerate(G):
-        reducible = False
-        for j, h in enumerate(G):
-            if i == j:
-                continue
-            if _conformal_leq(h, g) or _conformal_leq(tuple(-x for x in h), g):
-                reducible = True
-                break
-        if not reducible:
+    for i in range(0, len(R), 2):
+        g, p, m, _, _ = R[i]
+        if not any(
+            j // 2 != i // 2 and not (hp & ~p or hm & ~m) and all(abs(g[c]) >= a for c, a in big)
+            for j, (_, hp, hm, _, big) in enumerate(R)
+        ):
             keep.append(g)
     return MoveSet.build(keep, "graver", cfg)
 
@@ -440,7 +476,7 @@ def _shared_subset_bits(cfg: Configuration, cells: np.ndarray, s: int, patterns)
     return pack_bits(X)
 
 
-def prune_by_one_cancellation(b0: MoveSet) -> MoveSet:
+def prune_by_one_cancellation(b0: MoveSet, max_pairs: int = 10**7) -> MoveSet:
     """Drop members that are one-sign-cancellation sums of two members.
 
     ``a + b`` cancels in the cells where one has +1 and the other -1.  A
@@ -451,7 +487,16 @@ def prune_by_one_cancellation(b0: MoveSet) -> MoveSet:
     cells (M): ``a + b`` cancels in ``popcount(P_a & M_b) +
     popcount(M_a & P_b)`` cells, ``a - b`` in ``popcount(P_a & P_b) +
     popcount(M_a & M_b)``.
+
+    The screen is quadratic: a set of m members has m(m-1)/2 pairs, and
+    more than ``max_pairs`` of them raise :class:`BudgetExhaustedError`
+    carrying ``b0`` before any pair is screened.
     """
+    if max_pairs <= 0:
+        raise ZeroOneError(f"max_pairs must be positive, got {max_pairs}")
+    pairs = len(b0) * (len(b0) - 1) // 2
+    if pairs > max_pairs:
+        raise BudgetExhaustedError(b0, f"{pairs} pairs to screen exceed max_pairs={max_pairs}")
     V = b0.matrix
     P, M = pack_bits(V == 1), pack_bits(V == -1)
     drop = np.zeros(len(V), dtype=bool)

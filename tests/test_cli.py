@@ -51,6 +51,20 @@ class TestGraver:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_budget_exits_two(self, capsys, budget):
+        code, out, err = run(capsys, "graver", "--model", "ntfi", "--dims", "3", "--budget", budget)
+        assert code == 2 and "error" in err and "budget exhausted" not in err and out == ""
+
+    def test_prune_over_pair_budget_exits_three(self, capsys):
+        # 8,394 square-free moves: 35M pairs exceed the default 10^7 before any is screened
+        code, out, err = run(
+            capsys,
+            "graver", "--model", "complete-indep", "--dims", "2,3,4",
+            "--square-free", "--max-degree", "6", "--prune",
+        )
+        assert code == 3 and "budget exhausted" in err and "max_pairs" in err and out == ""
+
     def test_move_file_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "b.txt"
         code, _, _ = run(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeroone.cells import CellSpace, Move
-from zeroone.errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError
+from zeroone.errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from zeroone.graver import (
     MoveSet,
     degree_histogram,
@@ -169,8 +170,9 @@ class TestGraverBasis:
             build_two_way_independence(2, 3),
             build_two_way_independence(3, 3),
             build_complete_independence((2, 2, 2)),
+            build_two_way_independence(3, 4),
         ],
-        ids=["2x2", "2x3", "3x3", "2x2x2"],
+        ids=["2x2", "2x3", "3x3", "2x2x2", "3x4"],
     )
     def test_lawrence_lift(self, cfg):
         # the Graver basis of the Lawrence lifting is the lifts (z, -z)
@@ -187,6 +189,38 @@ class TestGraverBasis:
         cfg = build_complete_independence((2, 2, 2))
         b = graver_basis(cfg)
         assert all(is_primitive(cfg, z) for z in b.moves)
+
+    def test_complete_2x2x3_pinned(self):
+        # the basis of the completion without the sign-compatibility
+        # criterion and the mask prefilter, move for move and in order
+        cfg = build_complete_independence((2, 2, 3))
+        b = graver_basis(cfg)
+        assert len(b) == 129 and degree_histogram(b) == {2: 33, 3: 72, 4: 24}
+        digest = hashlib.sha256(repr([z.vec for z in b.moves]).encode()).hexdigest()
+        assert digest == "d1399e295352980b676ce4f8e8a8a9dff5da90bc5ae51d642bb0ee0bca47d2ef"
+        assert set(b.provenance) == {"graver"} and b.source_config is cfg
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_refused(self, budget):
+        with pytest.raises(ZeroOneError) as exc:
+            graver_basis(build_two_way_independence(2, 2), max_candidates=budget)
+        assert not isinstance(exc.value, BudgetExhaustedError)
+
+    def test_debug_record_per_run(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="zeroone.graver"):
+            graver_basis(build_two_way_independence(3, 3))
+            with pytest.raises(BudgetExhaustedError):
+                graver_basis(build_two_way_independence(3, 3), max_candidates=5)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.graver"]
+        assert lines == [
+            # 136 popped = 121 reduced to zero + 15 accepted; the 15 members
+            # meet 2 * (0 + 1 + ... + 14) = 210 members and negations
+            "graver basis: 136 candidates popped, 121 reduced to zero, 132 sums pushed, "
+            "78 sign-compatible sums skipped, 15 members before and 15 after finalizing",
+            "graver basis: 5 candidates popped, 0 reduced to zero, 10 sums pushed, "
+            "10 sign-compatible sums skipped, 5 members before and 5 after finalizing, "
+            "budget exhausted",
+        ]
 
 
 class TestIsPrimitive:
@@ -319,3 +353,17 @@ class TestPruning:
         b0 = square_free_graver(build_complete_independence((2, 2, 3)), 3)
         pruned = prune_by_one_cancellation(b0)
         assert {z.vec for z in pruned.moves} <= {z.vec for z in b0.moves}
+
+    def test_pair_budget(self):
+        b0 = square_free_graver(build_two_way_independence(3, 3), 3)  # 15 moves, 105 pairs
+        assert prune_by_one_cancellation(b0, max_pairs=105) == prune_by_one_cancellation(b0)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            prune_by_one_cancellation(b0, max_pairs=104)
+        assert exc.value.partial is b0
+
+    @pytest.mark.parametrize("max_pairs", [0, -1])
+    def test_non_positive_pair_budget_refused(self, max_pairs):
+        b0 = square_free_graver(build_two_way_independence(2, 2), 2)
+        with pytest.raises(ZeroOneError) as exc:
+            prune_by_one_cancellation(b0, max_pairs=max_pairs)
+        assert not isinstance(exc.value, BudgetExhaustedError)
