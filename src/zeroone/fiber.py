@@ -7,6 +7,7 @@ masks of their +1 and -1 cells (:attr:`~zeroone.graver.MoveSet.masks`).
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .models import Configuration, FiberKey
 DEFAULT_CAP = 5_000_000
 _CHUNK = 1 << 20  # words in one temporary of the bitmask kernel
 _SMALL_GRAPH = 512  # nodes + edges below which a Python union-find beats scipy
+_LOG = logging.getLogger("zeroone.fiber")
 
 
 def enumerate_zero_one_fiber(
@@ -34,45 +36,76 @@ def enumerate_zero_one_fiber(
 ) -> list[Table]:
     """All zero-one solutions of ``A x = t`` in canonical cell order.
 
-    Depth-first assignment, branching 0 before 1, pruning a branch when
-    some row's residual leaves the range the remaining cells can still
-    reach (the sums of the row's negative and of its positive entries
-    over those cells), so signed matrices are handled.  Infeasible keys
-    yield an empty list; exceeding ``cap`` raises.
+    Iterative depth-first assignment over :attr:`Configuration.fiber_plan`,
+    branching 0 before 1.  The key is checked against every row's range
+    once; a branch at cell p is then pruned when one of the rows the cell
+    touches leaves the range the later cells can still reach, so signed
+    matrices are handled.  A row's range after its last nonzero cell is
+    [0, 0], so every leaf is a solution.  Infeasible keys yield an empty
+    list; exceeding ``cap`` raises.  One DEBUG record per call on the
+    ``zeroone.fiber`` logger gives the search's counters.
     """
-    nr, n = cfg.n_rows, cfg.n_cells
+    n = cfg.n_cells
     t = tuple(int(v) for v in t)
-    if len(t) != nr:
-        raise MixedFiberError(f"key length {len(t)} != {nr} rows")
-    # low[p][r], high[p][r]: least and greatest sum of row r over cells p..n-1
-    low = np.zeros((n + 1, nr), dtype=np.int64)
-    high = np.zeros((n + 1, nr), dtype=np.int64)
-    low[:n] = np.cumsum(np.minimum(cfg.array, 0)[:, ::-1], axis=1)[:, ::-1].T
-    high[:n] = np.cumsum(np.maximum(cfg.array, 0)[:, ::-1], axis=1)[:, ::-1].T
-    low, high, columns = low.tolist(), high.tolist(), cfg.array.T.tolist()
-
+    if len(t) != cfg.n_rows:
+        raise MixedFiberError(f"key length {len(t)} != {cfg.n_rows} rows")
+    ranges, touched = cfg.fiber_plan
     out: list[Table] = []
-    x = [0] * n
-
-    def rec(p: int, resid: list[int]):
-        if p == n:
-            if not any(resid):
+    nodes = pruned = 0
+    capped = False
+    if all(lo <= v <= hi for v, (lo, hi) in zip(t, ranges)):
+        nodes = 1
+        resid, x = list(t), [0] * n
+        # branch[p]: the next branch to try at cell p, 2 once both are tried
+        branch = [0] * n
+        p = 0
+        while p >= 0:
+            if p == n:
                 if len(out) >= cap:
-                    raise CapExceededError(cap)
+                    capped = True
+                    break
                 out.append(Table(tuple(x)))
-            return
-        lo, hi = low[p + 1], high[p + 1]
-        # branch 0
-        if all(a <= v <= b for a, v, b in zip(lo, resid, hi)):
-            rec(p + 1, resid)
-        # branch 1
-        col = columns[p]
-        if all(a <= v - c <= b for a, v, c, b in zip(lo, resid, col, hi)):
-            x[p] = 1
-            rec(p + 1, [v - c for v, c in zip(resid, col)])
-            x[p] = 0
-
-    rec(0, list(t))
+                p -= 1
+                continue
+            rows = touched[p]
+            if branch[p] == 0:
+                branch[p] = 1
+                for r, _, lo, hi in rows:
+                    if not lo <= resid[r] <= hi:
+                        pruned += 1
+                        break
+                else:
+                    nodes += 1
+                    p += 1
+                    continue
+            if branch[p] == 1:
+                branch[p] = 2
+                for r, a, lo, hi in rows:
+                    if not lo <= resid[r] - a <= hi:
+                        pruned += 1
+                        break
+                else:
+                    for r, a, _, _ in rows:
+                        resid[r] -= a
+                    x[p] = 1
+                    nodes += 1
+                    p += 1
+                    continue
+            elif x[p]:
+                for r, a, _, _ in rows:
+                    resid[r] += a
+                x[p] = 0
+            branch[p] = 0
+            p -= 1
+    else:
+        pruned = 1
+    _LOG.debug(
+        "fiber enumeration: %d cells, %d rows, %d nodes visited, %d branches pruned, "
+        "%d tables found%s",
+        n, cfg.n_rows, nodes, pruned, len(out), ", cap reached" if capped else "",
+    )
+    if capped:
+        raise CapExceededError(cap)
     return out
 
 
@@ -196,8 +229,8 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     _check_single_key(b.source_config, X)
     m = len(X)
     nodes = tuple(_member(fiber, X, r) for r in range(m))
-    if m == 0:
-        return FiberGraph((), (), ())
+    if m <= 1:
+        return FiberGraph(nodes, (), ((0,),) if m else ())
     P, M, index = b.masks
     i, k, j = _fiber_moves(pack_bits(X), P, M)
     lo, hi = np.minimum(i, j), np.maximum(i, j)

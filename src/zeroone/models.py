@@ -150,9 +150,43 @@ class Configuration:
         origin, steps = self.key_terms
         return self.key_codes_of_sums(origin + steps[:, None] + steps[None, :]).tolist()
 
+    @cached_property
+    def fiber_plan(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
+        """``(ranges, touched)``, Python ints, for walking the cells in order.
+
+        ``ranges[r]`` is ``(low, high)``: the least and greatest value of
+        row r of the statistic over zero-one tables, the sums of the row's
+        negative and of its positive entries.  ``touched[p]`` holds one
+        ``(r, A[r, p], low, high)`` per row r with ``A[r, p] != 0``, in row
+        order, ``low`` and ``high`` being the same sums over the cells
+        after p only.
+        """
+        nr, n = self.n_rows, self.n_cells
+        cols, rows = np.nonzero(self.array.T)
+        entries = [[] for _ in range(n)]
+        for p, r, a in zip(cols.tolist(), rows.tolist(), self.array.T[cols, rows].tolist()):
+            entries[p].append((r, a))
+        # low[r], high[r]: sums of row r's negative and positive entries after p
+        low, high = [0] * nr, [0] * nr
+        touched = [()] * n
+        for p in reversed(range(n)):
+            touched[p] = tuple((r, a, low[r], high[r]) for r, a in entries[p])
+            for r, a in entries[p]:
+                if a < 0:
+                    low[r] += a
+                else:
+                    high[r] += a
+        return tuple(zip(low, high)), tuple(touched)
+
     def sufficient_stat(self, x: Table) -> FiberKey:
+        """``A x`` in Python ints, exact for any integer table."""
         x.check_length(self.cell_space)
-        return tuple(sum(r * v for r, v in zip(row, x.values)) for row in self.matrix)
+        stat = [0] * self.n_rows
+        for v, cells in zip(x.values, self.fiber_plan[1]):
+            if v:
+                for r, a, _, _ in cells:
+                    stat[r] += a * v
+        return tuple(stat)
 
     def is_move(self, z: Move) -> bool:
         if len(z.vec) != self.n_cells:

@@ -100,6 +100,21 @@ class TestConnect:
         assert code == 1
         assert "components: 12" in out
 
+    def test_wide_model(self, capsys, tmp_path):
+        # 1,000 cells, beyond the depth of a recursive search
+        swap = [0] * 1000
+        swap[0], swap[499], swap[500], swap[999] = 1, -1, -1, 1
+        moves, t = tmp_path / "moves.txt", tmp_path / "t.txt"
+        fileio.write_moves(moves, [Move(tuple(swap))])
+        fileio.write_vector(t, (1, 1) + tuple(int(j in (0, 499)) for j in range(500)))
+        code, out, _ = run(
+            capsys,
+            "connect", "--model", "two-way-indep", "--dims", "2,500",
+            "--moves", str(moves), "--t", str(t),
+        )
+        assert code == 0
+        assert "fiber size: 2" in out and "components: 1" in out
+
     def test_cap_exit_three(self, capsys, tmp_path):
         t = tmp_path / "t.txt"
         fileio.write_vector(t, (1,) * 8)

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -62,6 +63,63 @@ class TestEnumeration:
         cfg = Configuration(CellSpace((2,)), ((1, -1),))
         assert {x.values for x in enumerate_zero_one_fiber(cfg, (0,))} == {(0, 0), (1, 1)}
 
+    def test_wide_model_needs_no_recursion(self):
+        # 1,000 cells: one Python frame per cell would exceed the recursion limit
+        cfg = build_two_way_independence(2, 500)
+        key = (1, 1) + tuple(int(j in (0, 499)) for j in range(500))
+        fiber = enumerate_zero_one_fiber(cfg, key)
+        ones = [[k for k, v in enumerate(x.values) if v] for x in fiber]
+        assert ones == [[499, 500], [0, 999]]
+
+    def test_key_outside_row_ranges_is_empty(self):
+        cfg = Configuration(CellSpace((3,)), ((1, 1, 0), (0, 0, 0), (1, -1, 1)))
+        assert enumerate_zero_one_fiber(cfg, (1, 0, 0)) == [Table((0, 1, 1))]
+        assert enumerate_zero_one_fiber(cfg, (1, 1, 0)) == []  # nonzero on the zero row
+        assert enumerate_zero_one_fiber(cfg, (0, 0, -2)) == []  # below the row's range
+        assert enumerate_zero_one_fiber(cfg, (3, 0, 0)) == []  # above the row's range
+
+    def test_debug_record_per_call(self, caplog):
+        cfg = build_two_way_independence(2, 2)
+        with caplog.at_level(logging.DEBUG, logger="zeroone.fiber"):
+            enumerate_zero_one_fiber(cfg, (1, 1, 1, 1))
+            enumerate_zero_one_fiber(cfg, (3, 1, 1, 1))
+            with pytest.raises(CapExceededError):
+                enumerate_zero_one_fiber(cfg, (1, 1, 1, 1), cap=1)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.fiber"]
+        assert lines == [
+            # the root, 6 inner nodes and the 2 leaves; 6 branches fail a touched row
+            "fiber enumeration: 4 cells, 4 rows, 9 nodes visited, 6 branches pruned, "
+            "2 tables found",
+            # the root's range check fails
+            "fiber enumeration: 4 cells, 4 rows, 0 nodes visited, 1 branches pruned, "
+            "0 tables found",
+            "fiber enumeration: 4 cells, 4 rows, 9 nodes visited, 4 branches pruned, "
+            "1 tables found, cap reached",
+        ]
+
+
+class TestEnumerationAgainstBruteForce:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            build_two_way_independence(3, 3),
+            build_complete_independence((2, 2, 3)),
+            build_quasi_independence(4, 4, {(i, j) for i in range(4) for j in range(4) if i != j}),
+            build_many_facet_rasch((2, 2, 3)),  # entries up to 2
+            Configuration(CellSpace((6,)), ((1, 1, 1, 1, 1, 1), (2, -1, 0, 1, -2, 1))),
+            # cell 1 is in no row, so every fiber holds both of its values
+            Configuration(CellSpace((4,)), ((1, 0, 1, 1), (0, 0, 1, -1))),
+            Configuration(CellSpace((3,)), ()),
+        ],
+        ids=["two-way-3x3", "complete-2x2x3", "quasi-4x4", "rating-2x2x3", "signed-6",
+             "zero-column", "zero-row"],
+    )
+    def test_every_fiber(self, cfg):
+        for key, X in iter_fibers(cfg):
+            # branch 0 before 1: the members in lexicographic order
+            want = sorted(tuple(x) for x in X.tolist())
+            assert [x.values for x in enumerate_zero_one_fiber(cfg, key)] == want
+
 
 class TestFiberGraph:
     def test_two_node_graph(self):
@@ -84,6 +142,13 @@ class TestFiberGraph:
             build_fiber_graph(fiber, b)
         with pytest.raises(ZeroOneError, match="zero-one"):
             check_distance_reducing(b, fiber)
+
+    def test_single_table_fiber(self):
+        b = basic_moves_two_way(2, 2)
+        fiber = enumerate_zero_one_fiber(b.source_config, (2, 0, 1, 1))
+        g = build_fiber_graph(fiber, b)
+        assert g.nodes == (Table((1, 1, 0, 0)),)
+        assert g.edges == () and g.components == ((0,),) and g.connected
 
     def test_empty_move_set_gives_singletons(self):
         cfg = build_two_way_independence(2, 2)
