@@ -285,6 +285,22 @@ def _parse_stat(spec: str):
     raise ZeroOneError(f"unknown statistic {spec!r}")
 
 
+def _trace_text(stats) -> str:
+    """One ``.10g`` line per statistic, each distinct value formatted once.
+
+    A walk revisits few distinct values (3 in 200,000 samples of the 4x4
+    chi-square trace), so formatting each sample would dominate.
+    """
+    lines, out = {}, []
+    for s in stats:
+        key = s or repr(s)  # 0.0 and -0.0 are one dict key but format apart
+        line = lines.get(key)
+        if line is None:
+            line = lines[key] = f"{s:.10g}\n"
+        out.append(line)
+    return "".join(out)
+
+
 def cmd_sample(args) -> int:
     cfg = build_model(args)
     b = resolve_moves(args.moves, cfg, args)
@@ -307,9 +323,7 @@ def cmd_sample(args) -> int:
     print(f"observed_stat: {run.observed_stat:.10g}")
     print(f"p_value: {run.p_value_estimate:.6f}")
     if args.trace:
-        Path(args.trace).write_text(
-            "".join(f"{s:.10g}\n" for s in run.trajectory_stats)
-        )
+        Path(args.trace).write_text(_trace_text(run.trajectory_stats))
         print(f"wrote {args.trace}")
     if args.verify_exact:
         t = cfg.sufficient_stat(x0)

@@ -11,8 +11,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .cells import Move, Table, find_rows, pack_bits
 from .errors import (
@@ -27,7 +25,6 @@ from .models import Configuration, FiberKey
 
 DEFAULT_CAP = 5_000_000
 _CHUNK = 1 << 20  # words in one temporary of the bitmask kernel
-_SMALL_GRAPH = 512  # nodes + edges below which a Python union-find beats scipy
 _LOG = logging.getLogger("zeroone.fiber")
 
 
@@ -180,24 +177,39 @@ def _fiber_moves(X: np.ndarray, P: np.ndarray, M: np.ndarray):
 
 
 def _components(m: int, src: np.ndarray, dst: np.ndarray):
-    """``(count, labels)``: connected components of an undirected graph."""
-    if m + len(src) > _SMALL_GRAPH:
-        g = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(m, m))
-        return connected_components(g, directed=False)
-    parent = list(range(m))
+    """``(count, labels, rounds)``: connected components of the undirected
+    graph on nodes ``0 .. m-1`` with edges ``(src[e], dst[e])``.
 
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for a, b in zip(src.tolist(), dst.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    labels = np.array([find(u) for u in range(m)], dtype=np.int64)
-    return len(set(labels.tolist())), labels
+    Hook and compress (Shiloach & Vishkin, 1982).  Each round hooks the
+    larger root of every edge under the smaller one (``np.minimum.at``
+    keeps the smallest), jumps pointers until every node points at its
+    root, and replaces each edge by the pair of its roots, dropping the
+    pairs within one root; the rounds end when no edge is left.  A node is
+    only ever hooked under a smaller node, so ``labels[v]`` is the
+    smallest node of v's component.  Labels and edges are int32 while
+    ``m < 2**31``.
+    """
+    itype = np.int32 if m < 2**31 else np.int64
+    labels = np.arange(m, dtype=itype)
+    lo, hi = src.astype(itype), dst.astype(itype)
+    rounds = 0
+    while True:
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        del keep
+        if not len(lo):
+            break
+        rounds += 1
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+        np.minimum.at(labels, hi, lo)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        lo = labels[lo]
+        hi = labels[hi]
+    return int(np.count_nonzero(labels == np.arange(m, dtype=itype))), labels, rounds
 
 
 @dataclass(frozen=True)
@@ -462,5 +474,9 @@ def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> S
     flat, targets = _apply_moves(np.arange(N, dtype=np.uint64)[:, None], P, M)
     src = flat // max(1, len(P))
     del flat
-    n_comp = _components(N, src, targets[:, 0].view(np.int64))[0]
-    return SweepReport(N, n_fibers, int(n_comp))
+    n_comp, _, rounds = _components(N, src, targets[:, 0].view(np.int64))
+    _LOG.debug(
+        "connectivity sweep: %d tables, %d fibers, %d edges, %d components, %d hook rounds",
+        N, n_fibers, len(src), n_comp, rounds,
+    )
+    return SweepReport(N, n_fibers, n_comp)

@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import sympy
 
 from .cells import CellSpace, Move, MultiIndex, Table
 from .errors import DimensionError, LengthMismatchError, ZeroOneError
@@ -60,19 +59,48 @@ class Configuration:
     def homogeneity_witness(self) -> tuple[Fraction, ...] | None:
         """A rational ``w`` with ``w^T A = (1, ..., 1)``, or ``None``.
 
+        Sparse exact elimination over :class:`~fractions.Fraction`: one
+        equation ``sum_r A[r, c] w_r = 1`` per cell c, each reduced by its
+        leading unknown against the pivot equation of that unknown until it
+        vanishes or becomes the pivot of a new one.  The pivot unknowns are
+        then the rows of A independent of the rows before them, as in the
+        reduced row echelon form, and the free unknowns are set to 0, so
+        ``w`` is the particular solution Gauss–Jordan elimination gives.
         Verified by exact multiplication before it is returned.
         """
-        A = sympy.Matrix(self.matrix)
-        ones = sympy.ones(self.n_cells, 1)
-        try:
-            sol, _params = A.T.gauss_jordan_solve(ones)
-        except ValueError:
+        # pivots[u]: an equation ({unknown: coefficient}, rhs) whose
+        # smallest unknown is u, with coefficient 1.  Integral values stay
+        # Python ints, which are many times faster than Fractions.
+        pivots: dict[int, tuple[dict, int | Fraction]] = {}
+        columns = self.fiber_plan[1]
+        for cells in columns:
+            eq = {r: a for r, a, _, _ in cells}
+            rhs = 1
+            while eq:
+                u = min(eq)
+                a = eq[u]
+                if u not in pivots:
+                    pivots[u] = ({s: _exact_ratio(v, a) for s, v in eq.items()},
+                                 _exact_ratio(rhs, a))
+                    break
+                peq, prhs = pivots[u]
+                for s, v in peq.items():
+                    v = eq.get(s, 0) - a * v
+                    if v:
+                        eq[s] = v
+                    else:
+                        del eq[s]
+                rhs -= a * prhs
+            else:
+                if rhs:
+                    return None
+        w = [0] * self.n_rows
+        for u in sorted(pivots, reverse=True):
+            peq, prhs = pivots[u]
+            w[u] = prhs - sum(v * w[s] for s, v in peq.items() if s != u)
+        if any(sum(a * w[r] for r, a, _, _ in cells) != 1 for cells in columns):
             return None
-        w = sol.subs({s: 0 for s in sol.free_symbols})
-        check = (A.T * w - ones).is_zero_matrix
-        if not check:
-            return None
-        return tuple(Fraction(int(v.p), int(v.q)) for v in map(sympy.Rational, w))
+        return tuple(map(Fraction, w))
 
     @cached_property
     def key_radix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -192,6 +220,12 @@ class Configuration:
         if len(z.vec) != self.n_cells:
             raise LengthMismatchError("move length does not match cell count")
         return not (self.array @ np.array(z.vec, dtype=np.int64)).any()
+
+
+def _exact_ratio(x, y):
+    """``x / y`` exactly: an int when it is integral, else a Fraction."""
+    q = Fraction(x, y)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _indicator_row(cells: tuple[MultiIndex, ...], pred) -> tuple[int, ...]:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import zeroone.cli
@@ -219,6 +224,30 @@ class TestSample:
         assert code == 0
         assert "p_value: 1.000000" in out and "exact_p: 1.000000" in out
 
+    def test_trace_is_one_line_per_sample(self, capsys, tmp_path, monkeypatch):
+        runs, real = [], zeroone.cli.exact_test
+
+        def recording(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(zeroone.cli, "exact_test", recording)
+        x, trace = tmp_path / "x.txt", tmp_path / "trace.txt"
+        fileio.write_table(x, Table((0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0)))
+        code, out, _ = run(
+            capsys,
+            "sample", "--model", "two-way-indep", "--dims", "4,4",
+            "--moves", "basic", "--start", str(x), "--stat", "chi2-ipf",
+            "--steps", "70000", "--seed", "202", "--trace", str(trace),
+        )
+        assert code == 0 and f"wrote {trace}" in out
+        stats = runs[0].trajectory_stats
+        assert len(stats) == 70000 and len(set(stats)) > 1
+        assert trace.read_text() == "".join(f"{s:.10g}\n" for s in stats)
+
+    def test_trace_keeps_the_sign_of_zero(self):
+        assert zeroone.cli._trace_text((0.0, -0.0, 0.0, 1.5, -0.0)) == "0\n-0\n0\n1.5\n-0\n"
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -273,6 +302,22 @@ class TestLatin:
     def test_negative_steps_exit_two(self, capsys):
         code, out, err = run(capsys, "latin", "3", "--steps", "-2", "--seed", "1")
         assert code == 2 and "error" in err and out == ""
+
+
+def test_package_imports_neither_scipy_nor_sympy():
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        import zeroone
+        for mod in pkgutil.iter_modules(zeroone.__path__):
+            importlib.import_module("zeroone." + mod.name)
+        print(" ".join(m for m in sys.modules if m.split(".")[0] in ("zeroone", "scipy", "sympy")))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    loaded = out.stdout.split()
+    assert {"zeroone.cli", "zeroone.sampler"} <= set(loaded)
+    assert [m for m in loaded if m.split(".")[0] != "zeroone"] == []
 
 
 class TestUsage:

@@ -19,6 +19,7 @@ from zeroone.fiber import (
     check_weak_crossing,
     conformal_decompose,
     enumerate_zero_one_fiber,
+    _components,
     iter_fibers,
     sweep_connectivity,
 )
@@ -323,6 +324,80 @@ class TestSweep:
         assert (rep.n_tables, rep.n_fibers, rep.n_components) == (4, 1, 1)
 
 
+    def test_debug_record_per_call(self, caplog):
+        b = basic_moves_two_way(2, 2)
+        cfg = b.source_config
+        with caplog.at_level(logging.DEBUG, logger="zeroone.fiber"):
+            sweep_connectivity(cfg, b)
+            sweep_connectivity(cfg, MoveSet.build([], "t", cfg))
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.fiber"]
+        assert lines == [
+            # the swap joins the two tables with all margins 1 (0110 -> 1001)
+            "connectivity sweep: 16 tables, 15 fibers, 1 edges, 15 components, 1 hook rounds",
+            "connectivity sweep: 16 tables, 15 fibers, 0 edges, 16 components, 0 hook rounds",
+        ]
+
+
+def bfs_labels(m, edges):
+    """Reference: each node labelled by the smallest node of its component."""
+    adj = [[] for _ in range(m)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    labels = [-1] * m
+    for s in range(m):
+        if labels[s] < 0:
+            labels[s] = s
+            queue = [s]
+            for u in queue:
+                for v in adj[u]:
+                    if labels[v] < 0:
+                        labels[v] = s
+                        queue.append(v)
+    return labels
+
+
+class TestComponents:
+    def check(self, m, edges):
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        count, labels, rounds = _components(m, edges[:, 0], edges[:, 1])
+        want = bfs_labels(m, edges.tolist())
+        assert labels.tolist() == want
+        assert count == len(set(want))
+        return rounds
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 300))
+        edges = rng.integers(0, m, size=(int(rng.integers(0, 2 * m)), 2))
+        loops = rng.integers(0, m, size=5)
+        # self-loops and every edge twice, the second time reversed
+        edges = np.vstack([edges, np.c_[loops, loops], edges[:, ::-1]])
+        self.check(m, edges[rng.permutation(len(edges))])
+
+    def test_trivial_graphs(self):
+        assert self.check(0, []) == 0
+        assert self.check(1, []) == 0
+        assert self.check(1, [(0, 0)]) == 0
+        assert self.check(5, []) == 0
+        self.check(6, [(4, 2), (2, 4), (5, 5)])  # isolated nodes 0, 1 and 3
+
+    def test_long_paths(self):
+        n = 5000
+        # numbered in descending order: one hook round makes a chain of
+        # n nodes that pointer jumping must compress
+        down = np.arange(n)[::-1]
+        self.check(n, np.c_[down[:-1], down[1:]])
+        # numbered at random, most nodes are hooked a few rounds later
+        path = np.random.default_rng(1).permutation(n)
+        assert self.check(n, np.c_[path[:-1], path[1:]]) > 3
+
+    def test_labels_are_int32(self):
+        _, labels, _ = _components(3, np.array([0]), np.array([2]))
+        assert labels.dtype == np.int32
+
+
 class TestIterFibers:
     def test_fibers_partition_the_tables_in_key_order(self):
         cfg = build_many_facet_rasch((2, 2, 2))
@@ -360,14 +435,7 @@ def brute_force(fiber, moves):
                     nbrs[i].add(j)
                     if sign == 1:
                         edges.setdefault((min(i, j), max(i, j)), z)
-    label = list(range(len(fiber)))
-    changed = True
-    while changed:
-        changed = False
-        for i, js in enumerate(nbrs):
-            for j in js:
-                if label[j] > label[i]:
-                    label[j], changed = label[i], True
+    label = bfs_labels(len(fiber), [(i, j) for i, js in enumerate(nbrs) for j in js])
     comps = sorted(tuple(i for i in range(len(fiber)) if label[i] == c) for c in set(label))
 
     def closer(i, j):

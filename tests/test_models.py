@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy
@@ -148,6 +150,62 @@ class TestHomogeneity:
     def test_inhomogeneous_returns_none(self):
         cfg = Configuration(CellSpace((2,)), ((1, 2),))
         assert cfg.homogeneity_witness is None
+
+
+def sympy_witness(cfg):
+    """Reference: sympy's Gauss-Jordan solution of ``A^T w = 1``, free
+    parameters set to 0, or None when there is none."""
+    A = sympy.Matrix(cfg.n_rows, cfg.n_cells, [v for row in cfg.matrix for v in row])
+    ones = sympy.ones(cfg.n_cells, 1)
+    try:
+        sol, _params = A.T.gauss_jordan_solve(ones)
+    except ValueError:
+        return None
+    w = sol.subs({s: 0 for s in sol.free_symbols})
+    assert (A.T * w - ones).is_zero_matrix
+    return tuple(Fraction(int(v.p), int(v.q)) for v in map(sympy.Rational, w))
+
+
+class TestHomogeneityAgainstSympy:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            build_complete_independence((2, 3, 4)),
+            build_complete_independence((2, 2, 3)),
+            build_ntfi(3),
+            build_ntfi(4),
+            build_ntfi(5),
+            build_two_way_independence(4, 5),
+            build_two_way_independence(2, 60),
+            build_quasi_independence(4, 4, {(i, j) for i in range(4) for j in range(4) if i != j}),
+            build_quasi_independence(3, 4, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}),
+            build_many_facet_rasch((2, 2, 3)),
+            build_many_facet_rasch((2, 3, 2), constant_item_param=True),
+            lawrence_lift(build_two_way_independence(2, 3)),
+            lawrence_lift(build_complete_independence((2, 2, 2))),
+            Configuration(CellSpace((2,)), ((1, 2),)),
+            Configuration(CellSpace((2,)), ()),
+            Configuration(CellSpace((3,)), ((0, 0, 0), (1, 0, 1), (0, 0, 0))),
+            Configuration(CellSpace((3,)), ((0, 0, 0), (1, 1, 1), (2, 2, 2))),
+            Configuration(CellSpace((2,)), ((1, -1), (1, 1))),
+        ],
+        ids=["complete-2x3x4", "complete-2x2x3", "ntfi-3", "ntfi-4", "ntfi-5", "two-way-4x5",
+             "two-way-2x60", "quasi-4x4-offdiag", "quasi-3x4-staircase", "rasch-2x2x3",
+             "rasch-2x3x2-constant", "lawrence-2x3", "lawrence-2x2x2", "inhomogeneous",
+             "zero-rows", "zero-rows-and-column", "zero-and-dependent-rows", "signed"],
+    )
+    def test_builders_and_edge_cases(self, cfg):
+        assert cfg.homogeneity_witness == sympy_witness(cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 6), st.data())
+    def test_small_signed_matrices(self, rows, cells, data):
+        A = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells),
+                               min_size=rows, max_size=rows))
+        cfg = Configuration(CellSpace((cells,)), A)
+        w = cfg.homogeneity_witness
+        assert w == sympy_witness(cfg)
+        assert w is None or all(type(v) is Fraction for v in w)
 
 
 class TestLawrenceLift:
