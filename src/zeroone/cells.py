@@ -152,52 +152,16 @@ class Move:
                 return cls(tuple(-x for x in vec))
         return cls(vec)
 
-    @classmethod
-    def from_cells(cls, n_cells: int, plus, minus) -> "Move":
-        """Square-free move with +1 on ``plus`` and -1 on ``minus`` (linear indices)."""
-        vec = [0] * n_cells
-        for k in plus:
-            vec[k] += 1
-        for k in minus:
-            vec[k] -= 1
-        return cls.canonical(vec)
-
-    @cached_property
-    def entries(self) -> dict[int, int]:
-        """Sparse view: linear cell index -> nonzero coefficient."""
-        return {k: v for k, v in enumerate(self.vec) if v != 0}
-
-    @cached_property
-    def positive_part(self) -> tuple[int, ...]:
-        return tuple(v if v > 0 else 0 for v in self.vec)
-
-    @cached_property
-    def negative_part(self) -> tuple[int, ...]:
-        return tuple(-v if v < 0 else 0 for v in self.vec)
-
     @property
     def degree(self) -> int:
-        return sum(self.positive_part)
-
-    @property
-    def l1_norm(self) -> int:
-        return sum(abs(v) for v in self.vec)
+        return sum(v for v in self.vec if v > 0)
 
     @property
     def square_free(self) -> bool:
         return all(v in (-1, 0, 1) for v in self.vec)
-
-    @cached_property
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, v in enumerate(self.vec) if v != 0)
 
     def __neg__(self) -> "Move":
         return Move(tuple(-v for v in self.vec))
 
     def __len__(self) -> int:
         return len(self.vec)
-
-    def apply(self, x: Table, sign: int = 1) -> Table:
-        if len(x.values) != len(self.vec):
-            raise LengthMismatchError("move and table lengths differ")
-        return Table(tuple(a + sign * b for a, b in zip(x.values, self.vec)))

@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import fileio
 from .cells import Table
 from .errors import BudgetExhaustedError, CapExceededError, ZeroOneError
@@ -49,6 +51,7 @@ from .movegen import (
 )
 from .sampler import (
     at_least_as_extreme,
+    batch_means_se,
     exact_test,
     latin_move_set,
     resolve_statistic,
@@ -91,8 +94,9 @@ def build_model(args):
         box = {(i, j) for i in range(dims[0]) for j in range(dims[1])}
         return build_quasi_independence(dims[0], dims[1], box - set(zeros))
     if name == "ntfi":
-        n = dims[0] if dims else 3
-        return build_ntfi(n)
+        if dims is not None and len(dims) != 1:
+            raise ZeroOneError("ntfi needs --dims N (one value)")
+        return build_ntfi(dims[0] if dims else 3)
     if name == "many-facet-rasch":
         if dims is None:
             raise ZeroOneError("many-facet-rasch needs --dims")
@@ -188,7 +192,7 @@ def cmd_graver(args) -> int:
     for d, c in hist.items():
         print(f"degree {d}: {c}")
     if args.out:
-        fileio.write_moves(args.out, b.moves)
+        fileio.write_matrix(args.out, b.matrix)
         print(f"wrote {args.out}")
     return EXIT_PASS
 
@@ -227,7 +231,9 @@ def cmd_check(args) -> int:
 
     checker = check_strong_crossing if args.condition == "strong" else check_weak_crossing
     if args.sweep:
-        # every table of the model: 2^n of them, within the --cap budget
+        # every table of the model: 2^n of them (n >= 1), within the --cap budget
+        if args.cap < 2:
+            raise ZeroOneError(f"cap must be at least 2 with --sweep, got {args.cap}")
         for key, members in iter_fibers(cfg, max_cells=args.cap.bit_length() - 1):
             if args.condition == "distance-reducing":
                 ok, _ = check_distance_reducing(b, members, strong=args.strong)
@@ -332,7 +338,8 @@ def cmd_sample(args) -> int:
         obs = sf(x0.values)
         exact_p = sum(1 for x in fiber if at_least_as_extreme(sf(x.values), obs)) / len(fiber)
         n = len(run.trajectory_stats)
-        se = (exact_p * (1 - exact_p) / n) ** 0.5
+        # the walk's samples are correlated: the binomial error is several times too small
+        se = batch_means_se(at_least_as_extreme(np.array(run.trajectory_stats), obs))
         diff = abs(run.p_value_estimate - exact_p)
         print(f"exact_p: {exact_p:.6f}  se: {se:.6f}  diff: {diff:.6f}")
         if diff > 3 * se + 2 / n:

@@ -20,7 +20,7 @@ from .errors import (
     NoDecompositionError,
     ZeroOneError,
 )
-from .graver import MoveSet, _conformal_leq
+from .graver import MoveSet
 from .models import Configuration, FiberKey
 
 DEFAULT_CAP = 5_000_000
@@ -39,9 +39,12 @@ def enumerate_zero_one_fiber(
     touches leaves the range the later cells can still reach, so signed
     matrices are handled.  A row's range after its last nonzero cell is
     [0, 0], so every leaf is a solution.  Infeasible keys yield an empty
-    list; exceeding ``cap`` raises.  One DEBUG record per call on the
-    ``zeroone.fiber`` logger gives the search's counters.
+    list; exceeding ``cap`` raises and a non-positive ``cap`` is refused.
+    One DEBUG record per call on the ``zeroone.fiber`` logger gives the
+    search's counters.
     """
+    if cap <= 0:
+        raise ZeroOneError(f"cap must be positive, got {cap}")
     n = cfg.n_cells
     t = tuple(int(v) for v in t)
     if len(t) != cfg.n_rows:
@@ -347,65 +350,65 @@ def check_generalized_crossing(b: MoveSet, b0: MoveSet):
 
     Pattern: a square-free z' in ``b`` whose negative support sits inside
     supp(z+), whose positive support sits inside supp(z-) except possibly
-    one designated cell where z <= 0 (or the sign-swapped version).
+    one designated cell where z <= 0 (or the sign-swapped version).  On
+    packed masks, with ``zp``, ``zm`` the positive and the negative cells
+    of z and ``pos``, ``neg`` the +1 and the -1 cells of z' in either
+    sign: ``neg & ~zp == 0``, ``pos & zp == 0`` and
+    ``popcount(pos & ~zm) <= 1``.
     Returns ``(True, None)`` or ``(False, first_uncovered_move)``.
     """
-    bvecs = {z.vec for z in b.moves}
-    b0vecs = {z.vec for z in b0.moves}
-    if not bvecs <= b0vecs:
+    if b.matrix.shape[1] != b0.matrix.shape[1] or (find_rows(b0.matrix, b.matrix) < 0).any():
         raise ZeroOneError("b must be a subset of b0")
-    for z in b0.moves:
-        if z.vec in bvecs:
-            continue
-        if not _has_crossing_member(z, b):
-            return False, z
+    uncovered = np.flatnonzero(find_rows(b.matrix, b0.matrix) < 0)
+    P, M, _ = b.masks
+    pos, neg = np.vstack([P, M]), np.vstack([M, P])
+    V = b0.matrix[uncovered]
+    ZP, ZM = pack_bits(V > 0)[:, None, :], pack_bits(V < 0)[:, None, :]
+    step = max(1, _CHUNK // max(1, pos.size))
+    for a in range(0, len(V), step):
+        zp, zm = ZP[a:a + step], ZM[a:a + step]
+        crossing = (
+            ((neg & ~zp) == 0).all(axis=2)
+            & ((pos & zp) == 0).all(axis=2)
+            & (np.bitwise_count(pos & ~zm).sum(axis=2) <= 1)
+        )
+        lonely = np.flatnonzero(~crossing.any(axis=1))
+        if len(lonely):
+            return False, b0.moves[uncovered[a + lonely[0]]]
     return True, None
-
-
-def _has_crossing_member(z: Move, b: MoveSet) -> bool:
-    for zp in b.moves:
-        if not zp.square_free:
-            continue
-        for sgn in (1, -1):
-            pos = [k for k, v in zp.entries.items() if v * sgn > 0]
-            neg = [k for k, v in zp.entries.items() if v * sgn < 0]
-            if any(z.vec[k] <= 0 for k in neg):
-                continue
-            if any(z.vec[k] > 0 for k in pos):
-                continue
-            strict = sum(1 for k in pos if z.vec[k] < 0)
-            if strict >= len(pos) - 1:
-                return True
-    return False
 
 
 def conformal_decompose(x: Table, y: Table, b0: MoveSet) -> list[Move]:
     """Signed members of ``b0`` summing to ``y - x`` with no sign cancellation.
 
-    Depth-first over conformal members in canonical order; raises
+    Depth-first over the rows of ``W``, each member of ``b0`` followed by
+    its negation in canonical order; a row fits the remaining difference
+    ``d`` iff ``min(d, 0) <= W <= max(d, 0)`` in every cell.  Raises
     :class:`NoDecompositionError` when ``b0`` cannot express the difference.
     """
     cfg = b0.source_config
     if cfg.sufficient_stat(x) != cfg.sufficient_stat(y):
         raise MixedFiberError("tables are not in the same fiber")
-    diff = tuple(b - a for a, b in zip(x.values, y.values))
+    V = b0.matrix
+    W = np.stack([V, -V], axis=1).reshape(2 * len(V), V.shape[1])
 
-    def rec(d, acc):
-        if not any(d):
-            return list(acc)
-        for z in b0.moves:
-            for sgn in (1, -1):
-                v = z.vec if sgn > 0 else tuple(-w for w in z.vec)
-                if _conformal_leq(v, d):
-                    res = rec(tuple(a - bb for a, bb in zip(d, v)), acc + [Move(v)])
-                    if res is not None:
-                        return res
-        return None
+    def fitting(d):
+        return iter(np.flatnonzero(((np.minimum(d, 0) <= W) & (W <= np.maximum(d, 0))).all(1)))
 
-    result = rec(diff, [])
-    if result is None:
-        raise NoDecompositionError("difference is not a conformal sum over the given set")
-    return result
+    d = np.subtract(y.values, x.values, dtype=np.int64)
+    rows, untried = [], [fitting(d)]  # the rows taken, and the rows left to try at each depth
+    while d.any():
+        r = next(untried[-1], None)
+        if r is not None:
+            rows.append(r)
+            d = d - W[r]
+            untried.append(fitting(d))
+            continue
+        untried.pop()
+        if not rows:
+            raise NoDecompositionError("difference is not a conformal sum over the given set")
+        d = d + W[rows.pop()]
+    return [Move(v) for v in W[rows].tolist()]
 
 
 @dataclass(frozen=True)
@@ -426,8 +429,10 @@ def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
     tables, table i having cell k equal to bit k of i.
 
     The sums of :attr:`Configuration.key_terms` are built by doubling, one
-    cell at a time.
+    cell at a time.  A non-positive ``max_cells`` is refused.
     """
+    if max_cells <= 0:
+        raise ZeroOneError(f"max_cells must be positive, got {max_cells}")
     n = cfg.n_cells
     if n > max_cells:
         raise CapExceededError(1 << max_cells, f"sweep over 2^{n} tables refused")
@@ -445,7 +450,8 @@ def iter_fibers(cfg: Configuration, max_cells: int = 24):
     Yields ``(key, members)`` in increasing key order.  ``members`` is an
     (m, n) 0/1 uint8 array of the fiber's tables, table i of the sweep
     having cell k equal to bit k of i, in increasing order of i.  More
-    than ``max_cells`` cells raise :class:`CapExceededError`.
+    than ``max_cells`` cells raise :class:`CapExceededError`, and a
+    non-positive ``max_cells`` is refused.
     """
     codes = _cube_codes(cfg, max_cells)
     order = np.argsort(codes, kind="stable")
@@ -462,7 +468,8 @@ def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> S
     Moves preserve the key, so every fiber is connected iff the global
     component count equals the number of distinct keys.  Table i has cell
     k equal to bit k of i, so a move's target is its own index.  A move
-    set bound to another model is refused.
+    set bound to another model, or a non-positive ``max_cells``, is
+    refused.
     """
     if b.source_config != cfg:
         raise ZeroOneError("the move set is bound to another model")

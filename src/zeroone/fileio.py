@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .cells import Move, Table
+from .cells import Table
 from .errors import ZeroOneError
 
 
@@ -53,14 +53,6 @@ def read_table(path) -> Table:
     if len(rows) != 1:
         raise FileFormatError(f"{path}: a table file must have exactly one row")
     return Table(tuple(rows[0]))
-
-
-def write_moves(path, moves) -> None:
-    write_matrix(path, [list(z.vec) for z in moves])
-
-
-def read_moves(path) -> list[Move]:
-    return [Move.canonical(r) for r in read_matrix(path)]
 
 
 def write_vector(path, t) -> None:

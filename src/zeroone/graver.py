@@ -70,11 +70,8 @@ class MoveSet:
         return iter(self.moves)
 
     def __contains__(self, z: Move) -> bool:
-        return z.vec in self._vecs or (-z).vec in self._vecs
-
-    @cached_property
-    def _vecs(self) -> frozenset:
-        return frozenset(z.vec for z in self.moves)
+        v = Move.canonical(z.vec).vec
+        return len(v) == self.matrix.shape[1] and find_rows(self.matrix, [v])[0] >= 0
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,8 +94,13 @@ class MoveSet:
 
     def union(self, other: "MoveSet") -> "MoveSet":
         """Both sets, bound to (and ``other`` checked against) this set's model."""
+        n = self.source_config.n_cells
+        if other.matrix.shape[1] != n:
+            raise LengthMismatchError(f"moves of {other.matrix.shape[1]} cells for {n} cells")
         return MoveSet.build(
-            self.moves + other.moves, self.provenance + other.provenance, self.source_config
+            np.concatenate([self.matrix, other.matrix]),
+            self.provenance + other.provenance,
+            self.source_config,
         )
 
     def retag(self, tag: str) -> "MoveSet":
@@ -165,16 +167,6 @@ def integer_kernel_basis(A: np.ndarray) -> list[tuple[int, ...]]:
                 active.remove(piv)
                 break
     return [tuple(U[r][c] for r in range(nc)) for c in active]
-
-
-def _conformal_leq(g: tuple, s: tuple) -> bool:
-    """True iff g fits conformally inside s (g+ <= s+ and g- <= s- componentwise)."""
-    for a, b in zip(g, s):
-        if a > 0 and (b < a):
-            return False
-        if a < 0 and (b > a):
-            return False
-    return True
 
 
 def _sign_masks(v) -> tuple[int, int]:
@@ -302,7 +294,7 @@ def is_primitive(cfg: Configuration, z: Move) -> bool:
     """Brute-force primitivity: no proper nonzero move fits conformally inside z."""
     if not cfg.is_move(z):
         raise NotAMoveError("is_primitive requires a move")
-    supp = z.support
+    supp = [k for k, v in enumerate(z.vec) if v]
     if not supp:
         return False
     A = cfg.array

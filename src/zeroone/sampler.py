@@ -122,6 +122,23 @@ def at_least_as_extreme(s, obs: float):
     return s >= obs
 
 
+def batch_means_se(indicator) -> float:
+    """Monte Carlo standard error of the mean of a correlated series, by
+    batch means (Geyer 1992; Flegal & Jones 2010).
+
+    The first ``k * (n // k)`` values go in ``k = isqrt(n)`` batches of
+    equal length, and the error is the standard deviation of the batch
+    means over ``sqrt(k)``.  With fewer than two batches (n < 4) it is
+    ``inf``.
+    """
+    x = np.asarray(indicator, dtype=float)
+    k = math.isqrt(len(x))
+    if k < 2:
+        return math.inf
+    means = x[: k * (len(x) // k)].reshape(k, -1).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(k))
+
+
 @dataclass(frozen=True)
 class SampleRun:
     """Result of one seeded exact-test run."""

@@ -73,28 +73,21 @@ class TestMove:
         assert z.vec == (0, 1, -1)
         assert Move.canonical((0, 1, -1)).vec == (0, 1, -1)
 
-    def test_from_cells(self):
-        z = Move.from_cells(4, (0, 3), (1, 2))
-        assert z.vec == (1, -1, -1, 1)
-        assert z.degree == 2 and z.l1_norm == 4 and z.square_free
-
     def test_parts_and_degree(self):
+        # the degree is the sum of the positive part
         z = Move((2, -1, 0, -1))
-        assert z.positive_part == (2, 0, 0, 0)
-        assert z.negative_part == (0, 1, 0, 1)
         assert z.degree == 2
         assert not z.square_free
+        z = Move((1, -1, -1, 1))
+        assert z.degree == 2 and z.square_free and len(z) == 4
 
     def test_apply_and_negate(self):
-        x = Table((1, 0, 0, 1))
+        x = (1, 0, 0, 1)
         z = Move((-1, 1, 1, -1))
-        y = z.apply(x)
-        assert y.values == (0, 1, 1, 0)
-        assert (-z).apply(y).values == x.values
-
-    def test_apply_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            Move((1, -1)).apply(Table((1, 0, 0)))
+        y = tuple(a + b for a, b in zip(x, z.vec))
+        assert y == (0, 1, 1, 0)
+        assert tuple(a + b for a, b in zip(y, (-z).vec)) == x
+        assert -(-z) == z
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
     def test_canonical_idempotent_and_sign_fixed(self, vec):

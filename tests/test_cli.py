@@ -8,9 +8,10 @@ import pytest
 import zeroone.cli
 import zeroone.sampler
 from zeroone import fileio
-from zeroone.cells import Move, Table
+from zeroone.cells import Table
 from zeroone.cli import FAMILIES, build_model, main, make_parser, resolve_moves
 from zeroone.graver import graver_basis, square_free_graver
+from zeroone.models import build_two_way_independence
 from zeroone.movegen import (
     basic_moves_two_way,
     degree2_threeway_patterns,
@@ -77,8 +78,9 @@ class TestGraver:
             "graver", "--model", "two-way-indep", "--dims", "2,3", "--out", str(out_file),
         )
         assert code == 0
-        moves = fileio.read_moves(out_file)
-        assert len(moves) == 3
+        rows = fileio.read_matrix(out_file)
+        assert rows == graver_basis(build_two_way_independence(2, 3)).matrix.tolist()
+        assert len(rows) == 3
 
 
 class TestConnect:
@@ -110,7 +112,7 @@ class TestConnect:
         swap = [0] * 1000
         swap[0], swap[499], swap[500], swap[999] = 1, -1, -1, 1
         moves, t = tmp_path / "moves.txt", tmp_path / "t.txt"
-        fileio.write_moves(moves, [Move(tuple(swap))])
+        fileio.write_matrix(moves, [swap])
         fileio.write_vector(t, (1, 1) + tuple(int(j in (0, 499)) for j in range(500)))
         code, out, _ = run(
             capsys,
@@ -129,6 +131,30 @@ class TestConnect:
             "--moves", "basic", "--t", str(t), "--cap", "3",
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("cmd", ["connect", "check", "check-sweep", "sample"])
+def test_non_positive_cap_exits_two(capsys, tmp_path, cmd, cap):
+    x = tmp_path / "x.txt"
+    fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
+    model = ("--model", "two-way-indep", "--dims", "3,3", "--moves", "basic", "--cap", cap)
+    argv = {
+        "connect": ("connect", *model, "--from-table", str(x)),
+        "check": ("check", *model, "--condition", "strong", "--from-table", str(x)),
+        "check-sweep": ("check", *model, "--condition", "strong", "--sweep"),
+        "sample": ("sample", *model, "--start", str(x), "--steps", "100", "--seed", "1",
+                   "--verify-exact"),
+    }[cmd]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "cap must be" in err and "budget exhausted" not in err
+
+
+def test_sweep_cap_of_one_table_exits_two(capsys):
+    # no model has fewer than 2^1 tables
+    code, _, err = run(capsys, "check", "--model", "two-way-indep", "--dims", "3,3",
+                       "--moves", "basic", "--cap", "1", "--condition", "strong", "--sweep")
+    assert code == 2 and "at least 2" in err
 
 
 class TestCheck:
@@ -209,6 +235,38 @@ class TestSample:
         assert code == 0
         assert "verify-exact: ok" in out
 
+
+    def test_verify_exact_false_fail_rate(self, capsys, tmp_path):
+        # an unbiased walk (mean p-hat 0.3335 against the exact 1/3 over seeds
+        # 0-99) whose samples are correlated: against the binomial error the
+        # check failed on 15 of these 40 seeds, against batch means on none
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
+        fails = 0
+        for seed in range(40):
+            code, out, _ = run(
+                capsys,
+                "sample", "--model", "two-way-indep", "--dims", "3,3",
+                "--moves", "basic", "--start", str(x),
+                "--steps", "20000", "--seed", str(seed),
+                "--stat", "linear:0,1,3,2,7,1,5,0,4", "--verify-exact",
+            )
+            assert code in (0, 1) and "exact_p: 0.333333  se: " in out
+            fails += "verify-exact: FAIL" in out
+        assert fails <= 2
+
+    def test_verify_exact_fails_on_a_walk_that_cannot_reach_the_fiber(self, capsys, tmp_path):
+        # one swap reaches 2 of the 6 permutation tables
+        x, moves = tmp_path / "x.txt", tmp_path / "moves.txt"
+        fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
+        fileio.write_matrix(moves, [(1, -1, 0, -1, 1, 0, 0, 0, 0)])
+        code, out, _ = run(
+            capsys,
+            "sample", "--model", "two-way-indep", "--dims", "3,3",
+            "--moves", str(moves), "--start", str(x), "--steps", "20000", "--seed", "0",
+            "--stat", "linear:0,1,3,2,7,1,5,0,4", "--verify-exact",
+        )
+        assert code == 1 and "verify-exact: FAIL" in out
 
     def test_verify_exact_counts_ties(self, capsys, tmp_path):
         # the chi-square values of this fiber are 8.75 and 10.5 in exact
@@ -321,6 +379,11 @@ def test_package_imports_neither_scipy_nor_sympy():
 
 
 class TestUsage:
+    @pytest.mark.parametrize("dims", ["2,5", "2,2"])
+    def test_ntfi_takes_one_dim(self, capsys, dims):
+        code, out, err = run(capsys, "graver", "--model", "ntfi", "--dims", dims)
+        assert code == 2 and "one value" in err and out == ""
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -372,7 +435,7 @@ class TestResolveMoves:
 
     def test_move_file(self, tmp_path):
         path = tmp_path / "moves.txt"
-        fileio.write_moves(path, reversed(basic_moves_two_way(3, 3).moves))
+        fileio.write_matrix(path, basic_moves_two_way(3, 3).matrix[::-1])
         args = self.parse(tmp_path, ("two-way-indep", "3,3"), str(path))
         cfg = build_model(args)
         b = resolve_moves(str(path), cfg, args)
@@ -405,7 +468,7 @@ class TestResolveMoves:
     def test_family_of_another_model_exits_two(self, capsys, tmp_path, model, spec):
         if spec == "file":
             spec = tmp_path / "moves.txt"
-            fileio.write_moves(spec, [Move((1, -1, 0, 0, 0, 0, 0, 0, 0))])
+            fileio.write_matrix(spec, [(1, -1, 0, 0, 0, 0, 0, 0, 0)])
         t = tmp_path / "t.txt"
         fileio.write_vector(t, (1,) * 27)
         code, _, err = run(capsys, "connect", "--model", model[0], "--dims", model[1],

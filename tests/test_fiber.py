@@ -55,6 +55,13 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             enumerate_zero_one_fiber(cfg, (1,) * 8, cap=3)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_cap_refused(self, cap):
+        cfg = build_two_way_independence(4, 4)
+        with pytest.raises(ZeroOneError, match="cap must be positive") as e:
+            enumerate_zero_one_fiber(cfg, (1,) * 8, cap=cap)
+        assert not isinstance(e.value, CapExceededError)
+
     def test_key_length_checked(self):
         cfg = build_two_way_independence(2, 2)
         with pytest.raises(MixedFiberError):
@@ -282,6 +289,107 @@ class TestConformalDecompose:
             conformal_decompose(Table((1, 0, 0, 1)), Table((0, 1, 1, 0)), b0)
 
 
+def brute_generalized_crossing(b, b0):
+    """Reference: the per-move loop over ``b0`` and, for each member z
+    outside ``b``, over the square-free members of ``b`` in both signs."""
+    bvecs = {z.vec for z in b.moves}
+    if not bvecs <= {z.vec for z in b0.moves}:
+        raise ZeroOneError("b must be a subset of b0")
+    # the +1 and the -1 cells of each square-free member of b, in both signs
+    signed = [
+        ([k for k, v in enumerate(zp.vec) if v * sgn > 0],
+         [k for k, v in enumerate(zp.vec) if v * sgn < 0])
+        for zp in b.moves if zp.square_free for sgn in (1, -1)
+    ]
+
+    def crosses(z, pos, neg):
+        if any(z[k] <= 0 for k in neg) or any(z[k] > 0 for k in pos):
+            return False
+        return sum(1 for k in pos if z[k] < 0) >= len(pos) - 1
+
+    for z in b0.moves:
+        if z.vec in bvecs:
+            continue
+        if not any(crosses(z.vec, pos, neg) for pos, neg in signed):
+            return False, z
+    return True, None
+
+
+def brute_conformal_decompose(x, y, b0):
+    """Reference: recursive depth-first search over b0's members in order,
+    each before its negation; None when there is no decomposition."""
+
+    def fits(g, s):
+        return all((a <= 0 or b >= a) and (a >= 0 or b <= a) for a, b in zip(g, s))
+
+    def rec(d, acc):
+        if not any(d):
+            return list(acc)
+        for z in b0.moves:
+            for v in (z.vec, tuple(-w for w in z.vec)):
+                if fits(v, d):
+                    res = rec(tuple(a - bb for a, bb in zip(d, v)), acc + [Move(v)])
+                    if res is not None:
+                        return res
+        return None
+
+    return rec(tuple(b - a for a, b in zip(x.values, y.values)), [])
+
+
+class TestMoveSetChecksAgainstBruteForce:
+    """The array forms of the generalized crossing check and of the
+    conformal decomposition against their per-move references, on random
+    subsets of square-free Graver sets."""
+
+    MODELS = [
+        build_complete_independence((2, 2, 3)),
+        build_complete_independence((2, 3, 3)),
+        build_two_way_independence(3, 4),
+        build_many_facet_rasch((2, 2, 3)),
+    ]
+    IDS = ["complete-2x2x3", "complete-2x3x3", "two-way-3x4", "rating-2x2x3"]
+
+    @staticmethod
+    def subset(rng, b0, also=None):
+        keep = rng.random(len(b0)) < rng.uniform(0.05, 1.0)
+        if also is not None:
+            keep |= also
+        return MoveSet.build(b0.matrix[keep], "subset", b0.source_config)
+
+    @pytest.mark.parametrize("cfg", MODELS, ids=IDS)
+    def test_generalized_crossing(self, cfg):
+        rng = np.random.Generator(np.random.PCG64(11))
+        b0 = square_free_graver(cfg, 4)
+        # every other subset holds all members of degree <= 2, which cross the rest
+        low = np.maximum(b0.matrix, 0).sum(axis=1) <= 2
+        verdicts = set()
+        for i in range(30):
+            b = self.subset(rng, b0, low if i % 2 else None)
+            got = check_generalized_crossing(b, b0)
+            assert got == brute_generalized_crossing(b, b0)
+            verdicts.add(got[0])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("cfg", MODELS, ids=IDS)
+    def test_conformal_decompose(self, cfg):
+        rng = np.random.Generator(np.random.PCG64(12))
+        b0 = square_free_graver(cfg, 4)
+        found = set()
+        for _ in range(40):
+            x = Table(rng.integers(0, 2, size=cfg.n_cells))
+            fiber = enumerate_zero_one_fiber(cfg, cfg.sufficient_stat(x))
+            y = fiber[rng.integers(len(fiber))]
+            b = self.subset(rng, b0)
+            want = brute_conformal_decompose(x, y, b)
+            if want is None:
+                with pytest.raises(NoDecompositionError):
+                    conformal_decompose(x, y, b)
+            else:
+                assert conformal_decompose(x, y, b) == want
+            found.add(want is None)
+        assert found == {True, False}
+
+
 class TestSweep:
     def test_three_by_three_basic_connected(self):
         b = basic_moves_two_way(3, 3)
@@ -306,6 +414,16 @@ class TestSweep:
             sweep_connectivity(cfg, b, max_cells=9)
         with pytest.raises(CapExceededError):
             next(iter_fibers(cfg, max_cells=9))
+
+    @pytest.mark.parametrize("max_cells", [0, -1])
+    def test_non_positive_cell_limit_refused(self, max_cells):
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
+        for call in (lambda: sweep_connectivity(cfg, b, max_cells=max_cells),
+                     lambda: next(iter_fibers(cfg, max_cells=max_cells))):
+            with pytest.raises(ZeroOneError, match="max_cells must be positive") as e:
+                call()
+            assert not isinstance(e.value, CapExceededError)
 
     def test_signed_matrix(self):
         cfg = Configuration(CellSpace((3,)), ((1, -1, 0), (0, 0, 1)))

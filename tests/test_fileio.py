@@ -1,7 +1,12 @@
+import numpy as np
 import pytest
 
 from zeroone import fileio
-from zeroone.cells import Move, Table
+from zeroone.cells import CellSpace, Table
+from zeroone.graver import MoveSet
+from zeroone.models import Configuration
+
+ALL_ONES_4 = Configuration(CellSpace((4,)), ((1, 1, 1, 1),))
 
 
 class TestMatrixFormat:
@@ -37,10 +42,11 @@ class TestTableAndVector:
 
 class TestMoves:
     def test_round_trip_canonicalises(self, tmp_path):
+        # a move file is a plain matrix; binding it to a model canonicalises
         p = tmp_path / "b.txt"
-        fileio.write_moves(p, [Move((0, -1, 1, 0)), Move((1, -1, -1, 1))])
-        back = fileio.read_moves(p)
-        assert [z.vec for z in back] == [(0, 1, -1, 0), (1, -1, -1, 1)]
+        fileio.write_matrix(p, np.array([(0, -1, 1, 0), (1, -1, -1, 1)]))
+        back = MoveSet.build(fileio.read_matrix(p), "file", ALL_ONES_4)
+        assert [z.vec for z in back.moves] == [(0, 1, -1, 0), (1, -1, -1, 1)]
         # sign canonical: first nonzero entry positive
         for z in back:
             assert next(v for v in z.vec if v) > 0

@@ -55,7 +55,7 @@ def brute_square_free(cfg, max_degree):
                     for b in itertools.combinations(v, k)
                 ):
                     continue
-                found.append(Move.from_cells(cfg.n_cells, u, v))
+                found.append([int(k in u) - int(k in v) for k in range(cfg.n_cells)])
     return MoveSet.build(found, "square-free", cfg)
 
 

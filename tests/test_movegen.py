@@ -145,7 +145,7 @@ class TestDegree8Moves:
         b = deg8_444
         assert len(b) == 1296
         assert {z.degree for z in b.moves} == {8}
-        assert {z.l1_norm for z in b.moves} == {16}
+        assert set(np.abs(b.matrix).sum(axis=1).tolist()) == {16}
 
     def test_all_are_moves(self, deg8_444):
         cfg = build_ntfi(4)
