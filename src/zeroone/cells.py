@@ -49,6 +49,42 @@ def find_rows(X, Y) -> np.ndarray:
     return np.where((X[pos] == Y).all(axis=1), pos, -1)
 
 
+def _components(m: int, src: np.ndarray, dst: np.ndarray):
+    """``(count, labels, rounds)``: connected components of the undirected
+    graph on nodes ``0 .. m-1`` with edges ``(src[e], dst[e])``.
+
+    Hook and compress (Shiloach & Vishkin, 1982).  Each round hooks the
+    larger root of every edge under the smaller one (``np.minimum.at``
+    keeps the smallest), jumps pointers until every node points at its
+    root, and replaces each edge by the pair of its roots, dropping the
+    pairs within one root; the rounds end when no edge is left.  A node is
+    only ever hooked under a smaller node, so ``labels[v]`` is the
+    smallest node of v's component.  Labels and edges are int32 while
+    ``m < 2**31``.
+    """
+    itype = np.int32 if m < 2**31 else np.int64
+    labels = np.arange(m, dtype=itype)
+    lo, hi = src.astype(itype, copy=False), dst.astype(itype, copy=False)  # not written
+    rounds = 0
+    while True:
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        del keep
+        if not len(lo):
+            break
+        rounds += 1
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+        np.minimum.at(labels, hi, lo)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        lo = labels[lo]
+        hi = labels[hi]
+    return int(np.count_nonzero(labels == np.arange(m, dtype=itype))), labels, rounds
+
+
 @dataclass(frozen=True)
 class CellSpace:
     """A box of cells ``I_1 x ... x I_V`` with an optional structural-zero mask.
@@ -109,7 +145,7 @@ class Table:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
 
     @property
     def zero_one(self) -> bool:
@@ -140,7 +176,7 @@ class Move:
     vec: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vec", tuple(int(v) for v in self.vec))
+        object.__setattr__(self, "vec", tuple(map(int, self.vec)))
 
     @classmethod
     def canonical(cls, vec) -> "Move":

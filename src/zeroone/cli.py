@@ -308,6 +308,8 @@ def _trace_text(stats) -> str:
 
 
 def cmd_sample(args) -> int:
+    if args.cap <= 0:  # refused before the walk, not after its lines are printed
+        raise ZeroOneError(f"cap must be positive, got {args.cap}")
     cfg = build_model(args)
     b = resolve_moves(args.moves, cfg, args)
     x0 = fileio.read_table(args.start)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Move, Table, find_rows, pack_bits
+from .cells import Move, Table, _components, find_rows, pack_bits
 from .errors import (
     CapExceededError,
     LengthMismatchError,
@@ -177,42 +177,6 @@ def _fiber_moves(X: np.ndarray, P: np.ndarray, M: np.ndarray):
     j = find_rows(X, targets)
     keep = (j >= 0) & (j != i)
     return i[keep], k[keep], j[keep]
-
-
-def _components(m: int, src: np.ndarray, dst: np.ndarray):
-    """``(count, labels, rounds)``: connected components of the undirected
-    graph on nodes ``0 .. m-1`` with edges ``(src[e], dst[e])``.
-
-    Hook and compress (Shiloach & Vishkin, 1982).  Each round hooks the
-    larger root of every edge under the smaller one (``np.minimum.at``
-    keeps the smallest), jumps pointers until every node points at its
-    root, and replaces each edge by the pair of its roots, dropping the
-    pairs within one root; the rounds end when no edge is left.  A node is
-    only ever hooked under a smaller node, so ``labels[v]`` is the
-    smallest node of v's component.  Labels and edges are int32 while
-    ``m < 2**31``.
-    """
-    itype = np.int32 if m < 2**31 else np.int64
-    labels = np.arange(m, dtype=itype)
-    lo, hi = src.astype(itype), dst.astype(itype)
-    rounds = 0
-    while True:
-        keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-        del keep
-        if not len(lo):
-            break
-        rounds += 1
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
-        np.minimum.at(labels, hi, lo)
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        lo = labels[lo]
-        hi = labels[hi]
-    return int(np.count_nonzero(labels == np.arange(m, dtype=itype))), labels, rounds
 
 
 @dataclass(frozen=True)

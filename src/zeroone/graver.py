@@ -10,12 +10,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cells import Move, find_rows, pack_bits, unpack_bits
+from .cells import Move, _components, find_rows, pack_bits, unpack_bits
 from .errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from .models import Configuration
 
@@ -335,6 +336,15 @@ def square_free_graver(
     and v' of v share a statistic, so do u - u' and v - v', of size d - k.
     The test is an AND of per-fiber bitsets of the subsets' codes.
 
+    The model's symmetries (:attr:`Configuration.symmetry`) map fibers,
+    disjointness and primitivity onto themselves, so the moves are a union
+    of orbits.  Only the pairs (u, v) whose u is the smallest d-set of its
+    orbit (its representative) are screened, v ranging over u's fiber but
+    for the representatives below u, whose pairs with u are screened from
+    their side; the moves found are then expanded to their orbits by
+    :func:`symmetry_orbit`.  With the trivial group every d-set is a
+    representative and each pair of a fiber is screened once.
+
     Requires a homogeneous configuration (positive and negative parts of
     every move then have equal weight, so the pairing is exhaustive).
     """
@@ -343,31 +353,38 @@ def square_free_graver(
     n = cfg.n_cells
     origin, steps = cfg.key_terms
     bits = pack_bits(np.eye(n, dtype=np.uint8))
-    # level k: the k-sets of cells in lexicographic order, as masks, key
-    # sums and first cells; level 0 is the empty set
-    masks, sums, first = np.zeros_like(bits[:1]), origin[None], np.array([n])
+    # level d: the d-sets of cells in lexicographic order, as masks, key
+    # sums and ascending cell lists
+    masks, sums = bits, origin + steps
+    cells = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
     found = [np.zeros((0, n), dtype=np.int8)]
-    for d in range(1, max_degree + 1):
-        masks, sums, first = _next_level(masks, sums, first, bits, steps)
-        if not len(masks):
-            break
+    for d in range(1, min(max_degree, n) + 1):
+        if d > 1:
+            masks, sums, cells = _next_level(masks, sums, cells, bits, steps)
         if d >= min_degree:
-            found.append(_pair_screen(cfg, masks, cfg.key_codes_of_sums(sums), d))
-    return MoveSet.build(np.concatenate(found), "square-free", cfg)
+            found.append(_pair_screen(cfg, masks, cells, cfg.key_codes_of_sums(sums)))
+    found = np.concatenate(found)
+    V = symmetry_orbit(found, cfg)
+    _LOG.debug("%d primitive pairs expanded to %d moves by %d symmetry generators",
+               len(found), len(V), len(cfg.symmetry))
+    return MoveSet.build(V, "square-free", cfg)
 
 
-def _next_level(masks, sums, first, bits, steps):
+def _next_level(masks, sums, cells, bits, steps):
     """The (k+1)-sets of cells from the k-sets, all in lexicographic order.
 
     The (k+1)-sets whose first cell is i are cell i joined to the k-sets
     whose first cell is above i, which form a suffix of the k-sets.
     """
     n = len(bits)
-    start = np.searchsorted(first, np.arange(n), side="right")
+    start = np.searchsorted(cells[:, 0], np.arange(n), side="right")
     count = len(masks) - start
     head = np.repeat(np.arange(n), count)
     tail = _ranges(start, count)
-    return masks[tail] | bits[head], sums[tail] + steps[head], head
+    joined = np.empty((len(tail), cells.shape[1] + 1), dtype=cells.dtype)
+    joined[:, 0] = head
+    np.take(cells, tail, axis=0, out=joined[:, 1:], mode="clip")  # clip: no index check
+    return masks[tail] | bits[head], sums[tail] + steps[head], joined
 
 
 def _ranges(start, count) -> np.ndarray:
@@ -375,19 +392,73 @@ def _ranges(start, count) -> np.ndarray:
     return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
-def _pair_screen(cfg: Configuration, masks: np.ndarray, codes: np.ndarray, d: int) -> np.ndarray:
-    """The square-free primitive moves between the d-sets ``masks`` whose key
-    ``codes`` agree, as +1/-1 rows.
+def _orbit_representatives(cells: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Whether each d-set, the ascending rows of ``cells`` (all the d-sets
+    of n cells, in lexicographic order), is the smallest of its orbit under
+    the cell permutations ``gens``.
 
-    The fibers are screened in chunks of whole fibers of one size, and
-    their pairs in slices, each holding about :data:`_BUDGET` elements; a
-    chunk takes at least one fiber.
+    A generator maps a d-set to the d-set of its images, sorted by a
+    network of elementwise minima and maxima and found by its
+    lexicographic rank; the orbits are the connected components of these
+    edges, labelled with their smallest member by
+    :func:`~zeroone.cells._components`.  The generators are merged a batch
+    of about :data:`_BUDGET` edges at a time, and the images are found in
+    blocks of d-sets, so that no working array outgrows the edges.
+    """
+    N, d = cells.shape
+    if not len(gens):
+        return np.ones(N, dtype=bool)
+    n = gens.shape[1]
+    itype = np.int32 if N < 2**31 else np.int64
+    labels = np.arange(N, dtype=itype)
+    # the lexicographic rank of c_1 < ... < c_d among the d-sets of n cells
+    # is N - 1 - sum_j C(n - 1 - c_j, d - j + 1) (j from 1)
+    binom = np.array([[math.comb(n - 1 - c, d - j) for c in range(n)] for j in range(d)],
+                     dtype=itype)
+    gens = gens.astype(cells.dtype)
+    step, block = max(1, _BUDGET // N), _BUDGET // 8
+    for k in range(0, len(gens), step):
+        g = gens[k:k + step]
+        edges = np.empty((len(g), N), dtype=itype)
+        for b in range(0, N, block):
+            image = [g[:, c] for c in cells[b:b + block].T]  # (generators, d-sets) each
+            for i in range(1, d):
+                for j in range(i, 0, -1):
+                    image[j - 1], image[j] = (np.minimum(image[j - 1], image[j]),
+                                              np.maximum(image[j - 1], image[j]))
+            rank = np.full(image[0].shape, N - 1, dtype=itype)
+            for j in range(d):
+                rank -= binom[j][image[j]]
+            edges[:, b:b + block] = labels[rank]
+            del image, rank
+        src = np.broadcast_to(labels, edges.shape).ravel()
+        labels = _components(N, src, edges.ravel())[1][labels]
+        del edges, src
+    return labels == np.arange(N)
+
+
+def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
+    """The square-free primitive moves ``u - v`` between the d-sets ``masks``
+    (with ascending ``cells``) whose key ``codes`` agree and whose ``u`` is
+    the representative of its orbit, as +1/-1 rows.
+
+    Within a fiber the representatives come first, so the partners of a
+    representative are the members after it.  Only fibers holding a
+    representative are screened, in chunks of whole fibers of one size,
+    and their pairs in slices, each holding about :data:`_BUDGET`
+    elements; a chunk takes at least one fiber.
     """
     n = cfg.n_cells
-    order = np.argsort(codes, kind="stable")
-    start = np.flatnonzero(np.r_[True, codes[order][1:] != codes[order][:-1]])
+    d = cells.shape[1]
+    order = np.argsort(codes, kind="stable").astype(np.int32 if len(codes) < 2**31 else np.int64)
+    ordered = codes[order]
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    del ordered
     size = np.diff(np.r_[start, len(codes)])
     multi = np.flatnonzero(size >= 2)
+    groups = len(multi)
+    rep = _orbit_representatives(cells, cfg.symmetry)
+    multi = multi[np.logical_or.reduceat(rep[order], start)[multi]]  # fibers holding one
     multi = multi[np.argsort(size[multi], kind="stable")]  # a chunk holds fibers of one size
     start, size = start[multi], size[multi]
     patterns = [
@@ -403,11 +474,11 @@ def _pair_screen(cfg: Configuration, masks: np.ndarray, codes: np.ndarray, d: in
         g1 = min(int(np.searchsorted(size, s, "right")), g0 + max(1, _BUDGET // (s * per_member)))
         sz = size[g0:g1]
         mem = order[_ranges(start[g0:g1], sz)]  # members, fiber by fiber
+        mem = mem[np.lexsort((~rep[mem], np.repeat(np.arange(len(sz)), sz)))]
         M = masks[mem]
-        cells = np.nonzero(unpack_bits(M, n))[1].reshape(len(mem), d)
-        B = _shared_subset_bits(cfg, cells, s, patterns)
-        # the later members of its fiber are the partners of a member
-        partners = np.repeat(np.cumsum(sz), sz) - np.arange(len(mem)) - 1
+        B = _shared_subset_bits(cfg, cells[mem], s, patterns)
+        # the later members of its fiber are the partners of a representative
+        partners = np.where(rep[mem], np.repeat(np.cumsum(sz), sz) - np.arange(len(mem)) - 1, 0)
         cum = np.cumsum(partners)
         step = max(1, _BUDGET // max(M.shape[1], B.shape[1]))
         j0 = 0
@@ -427,12 +498,28 @@ def _pair_screen(cfg: Configuration, masks: np.ndarray, codes: np.ndarray, d: in
     plus = np.concatenate(plus) if plus else np.zeros(0, dtype=np.int64)
     minus = np.concatenate(minus) if minus else np.zeros(0, dtype=np.int64)
     _LOG.debug(
-        "degree %d: %d d-sets, %d multi-member groups, %d pairs screened, "
-        "%d disjoint pairs, %d moves found",
-        d, len(codes), len(size), pairs, disjoint, len(plus),
+        "degree %d: %d d-sets in %d orbits, %d multi-member groups, %d pairs screened, "
+        "%d disjoint pairs, %d primitive pairs",
+        d, len(codes), np.count_nonzero(rep), groups, pairs, disjoint, len(plus),
     )
     V = unpack_bits(masks[plus], n).astype(np.int8)
     return V - unpack_bits(masks[minus], n).astype(np.int8)
+
+
+def symmetry_orbit(V: np.ndarray, cfg: Configuration) -> np.ndarray:
+    """The orbits of the rows ``V`` under :attr:`Configuration.symmetry`,
+    up to sign: each move once, with its first nonzero entry positive.
+
+    The closure of the canonical rows under the generators, one frontier
+    of new rows at a time; works in ``V``'s dtype.
+    """
+    gens = cfg.symmetry
+    orbit = new = _canonical_rows(V)[0]
+    while len(new) and len(gens):
+        images = _canonical_rows(new[:, gens].reshape(-1, V.shape[1]))[0]
+        new = images[find_rows(orbit, images) < 0]
+        orbit = np.concatenate([orbit, new])
+    return orbit
 
 
 def _shared_subset_bits(cfg: Configuration, cells: np.ndarray, s: int, patterns) -> np.ndarray:

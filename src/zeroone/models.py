@@ -159,6 +159,46 @@ class Configuration:
         c = self.key_codes(unit)[:, None]
         return c[0], c[1:] - c[0]
 
+    @cached_property
+    def symmetry(self) -> np.ndarray:
+        """Generators of a group of cell permutations that map fibers onto
+        fibers, as the rows ``g`` of an (m, n) array: the table ``x[g]``.
+
+        The candidates come from the cell space: the level transposition
+        (0 1) and the level cycle of each axis, and the swap of each pair
+        of equal-size axes.  A candidate is kept iff it maps the non-masked
+        cells onto themselves and ``A[:, g]`` is ``A`` with its rows
+        permuted, so that the statistic of ``x[g]`` is a fixed row
+        permutation of the statistic of ``x``.  A refused candidate only
+        makes the group smaller; with none kept it is trivial (m = 0).
+        """
+        space = self.cell_space
+        dims = space.dims
+        box = np.arange(np.prod(dims)).reshape(dims)
+        candidates = []
+        for ax, d in enumerate(dims):
+            if d > 1:
+                candidates.append(np.take(box, [1, 0, *range(2, d)], axis=ax))
+            if d > 2:
+                candidates.append(np.take(box, [*range(1, d), 0], axis=ax))
+        for a, b in itertools.combinations(range(len(dims)), 2):
+            if dims[a] == dims[b]:
+                candidates.append(np.swapaxes(box, a, b))
+        live = np.ravel_multi_index(np.reshape(space.cells, (-1, len(dims))).T, dims)
+        cell_of = np.full(box.size, -1)
+        cell_of[live] = np.arange(len(live))
+        A = self.array
+        rows = A[np.lexsort(A.T[::-1])]
+        kept = []
+        for image in candidates:
+            g = cell_of[image.ravel()[live]]
+            if (g < 0).any():
+                continue
+            B = A[:, g]
+            if np.array_equal(B[np.lexsort(B.T[::-1])], rows):
+                kept.append(g)
+        return np.array(kept, dtype=np.int64).reshape(len(kept), self.n_cells)
+
     def key_codes_of_sums(self, S) -> np.ndarray:
         """Key codes of sums of :attr:`key_terms`, the terms along the last axis.
 

@@ -12,9 +12,8 @@ import numpy as np
 
 from .cells import CellSpace
 from .errors import DimensionError, StructuralZeroError
-from .graver import MoveSet, _canonical_rows
+from .graver import MoveSet, symmetry_orbit
 from .models import (
-    Configuration,
     build_complete_independence,
     build_ntfi,
     build_quasi_independence,
@@ -102,26 +101,9 @@ _NTFI_DEG9 = [
 ]
 
 
-def _symmetry_orbit(rep: np.ndarray, tag: str, cfg: Configuration) -> MoveSet:
-    """Full orbit of a cubical move under per-axis level permutations and
-    axis permutations.  Per axis permutation, the (n!)^3 images
-    ``base[p0][:, p1][:, :, p2]`` are gathered at once, in int8, and reduced
-    to their distinct moves."""
-    n = rep.shape[0]
-    P = np.array(list(itertools.permutations(range(n))))
-    # image (p0, p1, p2) holds base[p0[a], p1[b], p2[c]] at (a, b, c)
-    i = P[:, None, None, :, None, None]
-    j = P[None, :, None, None, :, None]
-    k = P[None, None, :, None, None, :]
-    chunks = [
-        _canonical_rows(np.transpose(rep, axes).astype(np.int8)[i, j, k].reshape(-1, n**3))[0]
-        for axes in itertools.permutations(range(3))
-    ]
-    return MoveSet.build(np.concatenate(chunks), tag, cfg)
-
-
 def ntfi_333_moves(level: str = "basic+deg6+deg9") -> MoveSet:
-    """Symmetry orbits of the 3x3x3 no-three-factor-interaction families.
+    """Symmetry orbits of the 3x3x3 no-three-factor-interaction families,
+    under the model's per-axis level permutations and axis permutations.
 
     ``level`` selects the cumulative set: ``basic``, ``basic+deg6`` or
     ``basic+deg6+deg9``.
@@ -133,7 +115,8 @@ def ntfi_333_moves(level: str = "basic+deg6+deg9") -> MoveSet:
     cfg = build_ntfi(3)
     out = None
     for w in wanted:
-        orbit = _symmetry_orbit(np.array(families[w], dtype=np.int64), w, cfg)
+        rep = np.array(families[w], dtype=np.int8).reshape(1, -1)
+        orbit = MoveSet.build(symmetry_orbit(rep, cfg), w, cfg)
         out = orbit if out is None else out.union(orbit)
     return out
 
@@ -147,8 +130,11 @@ _DEG8_REP = [
 
 
 def degree8_moves_4x4() -> MoveSet:
-    """Orbit of the 4x4x4 two-level-transposition move (degree 8)."""
-    return _symmetry_orbit(np.array(_DEG8_REP, dtype=np.int64), "deg8", build_ntfi(4))
+    """Orbit of the 4x4x4 two-level-transposition move (degree 8) under the
+    model's per-axis level permutations and axis permutations."""
+    cfg = build_ntfi(4)
+    rep = np.array(_DEG8_REP, dtype=np.int8).reshape(1, -1)
+    return MoveSet.build(symmetry_orbit(rep, cfg), "deg8", cfg)
 
 
 def degree2_threeway_patterns(dims) -> MoveSet:

@@ -146,8 +146,9 @@ def test_non_positive_cap_exits_two(capsys, tmp_path, cmd, cap):
         "sample": ("sample", *model, "--start", str(x), "--steps", "100", "--seed", "1",
                    "--verify-exact"),
     }[cmd]
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and "cap must be" in err and "budget exhausted" not in err
+    assert out == ""  # refused before any result is printed
 
 
 def test_sweep_cap_of_one_table_exits_two(capsys):
@@ -234,7 +235,6 @@ class TestSample:
         )
         assert code == 0
         assert "verify-exact: ok" in out
-
 
     def test_verify_exact_false_fail_rate(self, capsys, tmp_path):
         # an unbiased walk (mean p-hat 0.3335 against the exact 1/3 over seeds

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from zeroone.cells import CellSpace, Move, Table
+from zeroone.cells import CellSpace, Move, Table, _components
 from zeroone.errors import (
     CapExceededError,
     MixedFiberError,
@@ -19,7 +19,6 @@ from zeroone.fiber import (
     check_weak_crossing,
     conformal_decompose,
     enumerate_zero_one_fiber,
-    _components,
     iter_fibers,
     sweep_connectivity,
 )

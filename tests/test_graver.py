@@ -11,6 +11,7 @@ from zeroone.cells import CellSpace, Move
 from zeroone.errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from zeroone.graver import (
     MoveSet,
+    _orbit_representatives,
     degree_histogram,
     graver_basis,
     integer_kernel_basis,
@@ -18,6 +19,7 @@ from zeroone.graver import (
     prune_by_one_cancellation,
     square_free_graver,
     square_free_subset,
+    symmetry_orbit,
 )
 from zeroone.models import (
     Configuration,
@@ -29,6 +31,8 @@ from zeroone.models import (
     lawrence_lift,
 )
 from zeroone.movegen import basic_moves_two_way, loops_degree_r
+
+from conftest import box_models
 
 
 def brute_square_free(cfg, max_degree):
@@ -306,13 +310,24 @@ class TestSquareFreeGraver:
         with caplog.at_level(logging.DEBUG, logger="zeroone.graver"):
             square_free_graver(build_two_way_independence(3, 3), 3, min_degree=2)
         lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.graver"]
+        # the symmetries are the row and column permutations and the
+        # transpose, 5 generators; cells are numbered 3i + j
         assert lines == [
-            "degree 2: 36 d-sets, 9 multi-member groups, 9 pairs screened, "
-            "9 disjoint pairs, 9 moves found",
-            # the six 3x3 permutation tables form one fiber; 6 of its 15
-            # pairs are disjoint
-            "degree 3: 84 d-sets, 13 multi-member groups, 51 pairs screened, "
-            "6 disjoint pairs, 6 moves found",
+            # the 2-sets in one line and those in two lines and columns; the
+            # 9 two-member fibers are the diagonals of the 2x2 boxes, whose
+            # representative {0, 4} has the partner {1, 3}
+            "degree 2: 36 d-sets in 2 orbits, 9 multi-member groups, "
+            "1 pairs screened, 1 disjoint pairs, 1 primitive pairs",
+            # a line, an L in a 2x2 box, two in a line and one apart, a
+            # permutation table; one fiber holds the 6 permutation tables,
+            # representative {0, 4, 8}, which is disjoint from the 2
+            # derangements; the 12 fibers with margins (2, 1, 0) and
+            # (1, 1, 1) in either order hold 3 members each, one orbit with
+            # representative {0, 1, 5}, which meets both of its partners
+            "degree 3: 84 d-sets in 4 orbits, 13 multi-member groups, "
+            "7 pairs screened, 2 disjoint pairs, 2 primitive pairs",
+            # 9 basic swaps and 6 degree-3 loops
+            "3 primitive pairs expanded to 15 moves by 5 symmetry generators",
         ]
 
     def test_requires_homogeneous(self):
@@ -330,6 +345,98 @@ class TestSquareFreeGraver:
         b = square_free_graver(cfg, 3)
         for z in b.moves:
             assert z.square_free and cfg.is_move(z)
+
+
+def quasi_off_diagonal(n):
+    return build_quasi_independence(n, n, {(i, j) for i in range(n) for j in range(n) if i != j})
+
+
+# every model the tests screen, at the largest degree they screen it to;
+# 3x3x3 complete independence is the shared b0_333
+SCREENED = [
+    ("two-way-2x2", build_two_way_independence(2, 2), 2),
+    ("two-way-2x3", build_two_way_independence(2, 3), 2),
+    ("two-way-2x4", build_two_way_independence(2, 4), 2),
+    ("two-way-3x3", build_two_way_independence(3, 3), 3),
+    ("two-way-3x4", build_two_way_independence(3, 4), 4),
+    ("two-way-4x4", build_two_way_independence(4, 4), 4),
+    ("two-way-2x33", build_two_way_independence(2, 33), 3),
+    ("complete-2x2x2", build_complete_independence((2, 2, 2)), 3),
+    ("complete-2x2x3", build_complete_independence((2, 2, 3)), 4),
+    ("complete-2x2x4", build_complete_independence((2, 2, 4)), 5),
+    ("complete-2x2x5", build_complete_independence((2, 2, 5)), 5),
+    ("complete-2x3x3", build_complete_independence((2, 3, 3)), 5),
+    ("complete-2x3x4", build_complete_independence((2, 3, 4)), 6),
+    ("quasi-3x3", quasi_off_diagonal(3), 3),
+    ("quasi-4x4", quasi_off_diagonal(4), 4),
+    ("rating-2x2x2", build_many_facet_rasch((2, 2, 2)), 6),
+    ("rating-2x2x2-const", build_many_facet_rasch((2, 2, 2), True), 6),
+    ("rating-2x2x3", build_many_facet_rasch((2, 2, 3)), 4),
+    ("rating-2x2x3-const", build_many_facet_rasch((2, 2, 3), True), 4),
+    ("ntfi-2", build_ntfi(2), 4),
+    ("ntfi-4", build_ntfi(4), 2),
+    ("signed-6", Configuration(CellSpace((6,)), ((1, 1, 1, 1, 1, 1), (2, -1, 0, 1, -2, 1))), 4),
+]
+
+
+def with_trivial_group(cfg):
+    """A copy of ``cfg`` whose symmetry group is forced to the identity."""
+    copy = Configuration(cfg.cell_space, cfg.matrix, cfg.row_labels)
+    vars(copy)["symmetry"] = np.zeros((0, cfg.n_cells), dtype=np.int64)
+    return copy
+
+
+class TestSymmetryReducedScreen:
+    @pytest.mark.parametrize("cfg,max_degree", [c[1:] for c in SCREENED],
+                             ids=[c[0] for c in SCREENED])
+    def test_equals_the_trivial_group(self, cfg, max_degree):
+        full = square_free_graver(cfg, max_degree)
+        trivial = square_free_graver(with_trivial_group(cfg), max_degree)
+        assert full.matrix.tolist() == trivial.matrix.tolist()
+        assert full.provenance == trivial.provenance and full.source_config == cfg
+
+    def test_equals_the_trivial_group_333(self, b0_333):
+        trivial = square_free_graver(with_trivial_group(b0_333.source_config), 6)
+        assert b0_333.matrix.tolist() == trivial.matrix.tolist()
+        assert b0_333.provenance == trivial.provenance
+
+    @settings(max_examples=40, deadline=None)
+    @given(box_models())
+    def test_equals_the_trivial_group_on_random_box_models(self, model):
+        cfg = model[0]
+        full = square_free_graver(cfg, 3)
+        assert full == square_free_graver(with_trivial_group(cfg), 3)
+
+    def test_trivial_group_screens_every_pair(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="zeroone.graver"):
+            square_free_graver(with_trivial_group(build_two_way_independence(3, 3)), 3,
+                               min_degree=3)
+        # the six 3x3 permutation tables form one fiber; 6 of its 15 pairs
+        # are disjoint
+        assert caplog.records[0].getMessage() == (
+            "degree 3: 84 d-sets in 84 orbits, 13 multi-member groups, "
+            "51 pairs screened, 6 disjoint pairs, 6 primitive pairs")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "cfg",
+        [build_two_way_independence(3, 4), build_complete_independence((2, 2, 3)),
+         build_complete_independence((3, 3, 3)), quasi_off_diagonal(4),
+         build_many_facet_rasch((2, 2, 3))],
+        ids=["two-way-3x4", "complete-2x2x3", "complete-3x3x3", "quasi-4x4", "rating-2x2x3"],
+    )
+    def test_representatives_are_orbit_minima(self, cfg, d):
+        # the least image of each d-set over every element of the group,
+        # the d-sets identified by their bitmasks
+        n = cfg.n_cells
+        group = symmetry_orbit(np.arange(n)[None], cfg)
+        cells = np.array(list(itertools.combinations(range(n), d)), dtype=np.uint8)
+        masks = (1 << cells.astype(np.int64)).sum(axis=1)
+        order = np.argsort(masks)
+        images = (1 << group[:, cells].astype(np.int64)).sum(axis=2)
+        least = order[np.searchsorted(masks[order], images)].min(axis=0)
+        rep = _orbit_representatives(cells, cfg.symmetry)
+        assert rep.tolist() == (least == np.arange(len(cells))).tolist()
 
 
 class TestSquareFreeSubset:

@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from zeroone.cells import CellSpace, Move, Table
 from zeroone.errors import DimensionError, LengthMismatchError, ZeroOneError
+from zeroone.graver import symmetry_orbit
 from zeroone.models import (
     Configuration,
     build_complete_independence,
@@ -17,6 +20,8 @@ from zeroone.models import (
     build_two_way_independence,
     lawrence_lift,
 )
+
+from conftest import box_models
 
 
 def sympy_rank(cfg):
@@ -275,3 +280,77 @@ class TestKeyCodes:
         cfg = build_two_way_independence(2, 2)
         with pytest.raises(ZeroOneError):
             cfg.key_codes([[3, 0, 0, 0]])
+
+
+def row_permutation(cfg, g) -> bool:
+    """Whether ``g`` permutes the cells and ``A[:, g]`` has the rows of A."""
+    rows = Counter(map(tuple, cfg.array.tolist()))
+    return sorted(g.tolist()) == list(range(cfg.n_cells)) and \
+        Counter(map(tuple, cfg.array[:, g].tolist())) == rows
+
+
+def group_order(cfg) -> int:
+    # the images of the row 0, 1, ..., n-1 are the group's elements
+    return len(symmetry_orbit(np.arange(cfg.n_cells)[None], cfg))
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize(
+        "cfg,order",
+        [
+            (build_two_way_independence(3, 3), 72),  # S3 x S3, transpose
+            (build_two_way_independence(2, 3), 12),
+            (build_complete_independence((2, 3, 4)), 288),
+            (build_complete_independence((3, 3, 3)), 1296),  # S3^3 x S3
+            (build_ntfi(3), 1296),
+            (build_ntfi(2), 48),
+            # facet levels and the swap of the two facets; not the grades
+            (build_many_facet_rasch((2, 2, 3)), 8),
+            (build_many_facet_rasch((2, 2, 3), True), 8),
+            # the transpose only: a level permutation of one axis moves
+            # the zero diagonal
+            (build_quasi_independence(4, 4, {(i, j) for i in range(4) for j in range(4) if i != j}), 2),
+            # the base model's symmetries on both copies; not the copy axis
+            (lawrence_lift(build_two_way_independence(2, 2)), 8),
+            # structural zeros that no candidate keeps in place
+            (build_quasi_independence(3, 3, {(0, 1), (0, 2), (1, 0), (1, 1), (2, 2)}), 1),
+        ],
+        ids=["two-way-3x3", "two-way-2x3", "complete-2x3x4", "complete-3x3x3", "ntfi-3",
+             "ntfi-2", "rating-2x2x3", "rating-2x2x3-const", "quasi-4x4-off-diagonal",
+             "lawrence-2x2", "quasi-3x3-irregular"],
+    )
+    def test_named_models(self, cfg, order):
+        assert all(row_permutation(cfg, g) for g in cfg.symmetry)
+        assert group_order(cfg) == order
+
+    def test_refused_candidates_leave_the_refused_axis_alone(self):
+        cells = np.array(build_many_facet_rasch((2, 2, 3)).cell_space.cells)
+        for g in build_many_facet_rasch((2, 2, 3)).symmetry:
+            assert (cells[g, 2] == cells[:, 2]).all()  # the grade of every cell
+        lift = lawrence_lift(build_two_way_independence(3, 3))
+        cells = np.array(lift.cell_space.cells)
+        assert len(lift.symmetry) == 5
+        for g in lift.symmetry:
+            assert (cells[g, 0] == cells[:, 0]).all()  # the copy of every cell
+
+    def test_trivial_for_a_generic_matrix(self):
+        cfg = Configuration(CellSpace((4,)), ((1, 1, 1, 1), (1, -1, 1, -1)))
+        assert cfg.symmetry.shape == (0, 4)
+        assert group_order(cfg) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(box_models())
+    def test_generators_permute_the_rows(self, model):
+        cfg, margins = model
+        assert all(row_permutation(cfg, g) for g in cfg.symmetry)
+        if margins is not None:
+            # without zeros, each axis gives its transposition and (with
+            # three levels) its cycle, each equal-size pair its swap iff
+            # the swap maps the margins onto themselves
+            dims = cfg.cell_space.dims
+            swaps = sum(
+                {frozenset({a: b, b: a}.get(x, x) for x in m) for m in margins} == margins
+                for a, b in itertools.combinations(range(len(dims)), 2)
+                if dims[a] == dims[b]
+            )
+            assert len(cfg.symmetry) == sum(1 + (d > 2) for d in dims) + swaps

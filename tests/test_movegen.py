@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from zeroone.cells import CellSpace, Move
 from zeroone.errors import CellIndexError, DimensionError
-from zeroone.graver import MoveSet, degree_histogram, square_free_graver
+from zeroone.graver import MoveSet, degree_histogram, square_free_graver, symmetry_orbit
 from zeroone.models import (
     build_complete_independence,
     build_ntfi,
@@ -20,7 +21,6 @@ from zeroone.movegen import (
     _NTFI_DEG6,
     _NTFI_DEG9,
     _loop_vec,
-    _symmetry_orbit,
     basic_moves_two_way,
     degree2_threeway_patterns,
     df1_loops,
@@ -112,7 +112,8 @@ class TestNtfi333Orbits:
     def test_orbit_matches_brute_force(self, rep):
         cfg = build_ntfi(3)
         rep = np.array(rep, dtype=np.int64)
-        got, want = _symmetry_orbit(rep, "t", cfg), brute_orbit(rep, "t", cfg)
+        got = MoveSet.build(symmetry_orbit(rep.reshape(1, -1), cfg), "t", cfg)
+        want = brute_orbit(rep, "t", cfg)
         assert [z.vec for z in got.moves] == [z.vec for z in want.moves]
         assert got.provenance == want.provenance and got.source_config == cfg
 
@@ -151,6 +152,12 @@ class TestDegree8Moves:
         cfg = build_ntfi(4)
         for z in deg8_444:
             assert cfg.is_move(z)
+
+    def test_pinned(self, deg8_444):
+        # the orbit as the (4!)^3 * 3! images of the representative gave it
+        digest = hashlib.sha256(repr([z.vec for z in deg8_444.moves]).encode()).hexdigest()
+        assert digest == "a1db41e2dd4954cdc9455795febd84e88392cea1b26772fc1dc946e7d8626da8"
+        assert deg8_444.provenance == ("deg8",) * 1296
 
 
 class TestDegree2ThreewayPatterns:
