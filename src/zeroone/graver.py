@@ -421,15 +421,15 @@ def _orbit_representatives(cells: np.ndarray, gens: np.ndarray) -> np.ndarray:
         g = gens[k:k + step]
         edges = np.empty((len(g), N), dtype=itype)
         for b in range(0, N, block):
-            image = [g[:, c] for c in cells[b:b + block].T]  # (generators, d-sets) each
+            image = [np.take(g, c, axis=1) for c in cells[b:b + block].T]  # (generators, d-sets)
             for i in range(1, d):
                 for j in range(i, 0, -1):
                     image[j - 1], image[j] = (np.minimum(image[j - 1], image[j]),
                                               np.maximum(image[j - 1], image[j]))
             rank = np.full(image[0].shape, N - 1, dtype=itype)
             for j in range(d):
-                rank -= binom[j][image[j]]
-            edges[:, b:b + block] = labels[rank]
+                rank -= np.take(binom[j], image[j])
+            edges[:, b:b + block] = np.take(labels, rank)
             del image, rank
         src = np.broadcast_to(labels, edges.shape).ravel()
         labels = _components(N, src, edges.ravel())[1][labels]
