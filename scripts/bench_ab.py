@@ -37,7 +37,10 @@ def load(directory: Path) -> dict[tuple[str, int], dict]:
 
 
 def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if len(values) < 2:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -94,8 +97,8 @@ def main(argv=None) -> int:
             }
         for op in A[0]["op_times"]:
             entry["op_medians"][op] = {
-                name: statistics.median(statistics.median(t for t in r["op_times"][op] if t is not None)
-                                        for r in runs)
+                name: statistics.median(
+                    statistics.median(t for t in r["op_times"][op] if t is not None) for r in runs)
                 for name, runs in (("parent", A), ("change", B))
             }
         report["workloads"][workload] = entry

@@ -363,6 +363,7 @@ def square_free_graver(
             masks, sums, cells = _next_level(masks, sums, cells, bits, steps)
         if d >= min_degree:
             found.append(_pair_screen(cfg, masks, cells, cfg.key_codes_of_sums(sums)))
+    del masks, sums, cells  # so that the expansion and the build reuse their memory
     found = np.concatenate(found)
     V = symmetry_orbit(found, cfg)
     _LOG.debug("%d primitive pairs expanded to %d moves by %d symmetry generators",
@@ -383,7 +384,8 @@ def _next_level(masks, sums, cells, bits, steps):
     tail = _ranges(start, count)
     joined = np.empty((len(tail), cells.shape[1] + 1), dtype=cells.dtype)
     joined[:, 0] = head
-    np.take(cells, tail, axis=0, out=joined[:, 1:], mode="clip")  # clip: no index check
+    # with mode "clip" take writes into out without a buffer; no index is out of range
+    np.take(cells, tail, axis=0, out=joined[:, 1:], mode="clip")
     return masks[tail] | bits[head], sums[tail] + steps[head], joined
 
 
@@ -450,6 +452,7 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
     """
     n = cfg.n_cells
     d = cells.shape[1]
+    # held while the orbits are labelled: int32 keeps the peak down
     order = np.argsort(codes, kind="stable").astype(np.int32 if len(codes) < 2**31 else np.int64)
     ordered = codes[order]
     start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])

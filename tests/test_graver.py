@@ -313,17 +313,19 @@ class TestSquareFreeGraver:
         # the symmetries are the row and column permutations and the
         # transpose, 5 generators; cells are numbered 3i + j
         assert lines == [
-            # the 2-sets in one line and those in two lines and columns; the
-            # 9 two-member fibers are the diagonals of the 2x2 boxes, whose
-            # representative {0, 4} has the partner {1, 3}
+            # two orbits, the 2-sets within one row or column and those
+            # across two of each; the 9 two-member fibers are the diagonals
+            # of the 2x2 boxes, whose representative {0, 4} has the
+            # partner {1, 3}
             "degree 2: 36 d-sets in 2 orbits, 9 multi-member groups, "
             "1 pairs screened, 1 disjoint pairs, 1 primitive pairs",
-            # a line, an L in a 2x2 box, two in a line and one apart, a
-            # permutation table; one fiber holds the 6 permutation tables,
-            # representative {0, 4, 8}, which is disjoint from the 2
-            # derangements; the 12 fibers with margins (2, 1, 0) and
-            # (1, 1, 1) in either order hold 3 members each, one orbit with
-            # representative {0, 1, 5}, which meets both of its partners
+            # four orbits: a row or column, an L in a 2x2 box, two in a
+            # line and one apart, a permutation table; one fiber holds the
+            # 6 permutation tables, representative {0, 4, 8}, which is
+            # disjoint from the 2 derangements; the 12 fibers with margins
+            # (2, 1, 0) and (1, 1, 1) in either order hold 3 members each,
+            # one orbit with representative {0, 1, 5}, which meets both of
+            # its partners
             "degree 3: 84 d-sets in 4 orbits, 13 multi-member groups, "
             "7 pairs screened, 2 disjoint pairs, 2 primitive pairs",
             # 9 basic swaps and 6 degree-3 loops

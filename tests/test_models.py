@@ -309,7 +309,7 @@ class TestSymmetry:
             (build_many_facet_rasch((2, 2, 3), True), 8),
             # the transpose only: a level permutation of one axis moves
             # the zero diagonal
-            (build_quasi_independence(4, 4, {(i, j) for i in range(4) for j in range(4) if i != j}), 2),
+            (build_quasi_independence(4, 4, {(i, j) for i, j in np.ndindex(4, 4) if i != j}), 2),
             # the base model's symmetries on both copies; not the copy axis
             (lawrence_lift(build_two_way_independence(2, 2)), 8),
             # structural zeros that no candidate keeps in place
