@@ -339,11 +339,13 @@ def square_free_graver(
     The model's symmetries (:attr:`Configuration.symmetry`) map fibers,
     disjointness and primitivity onto themselves, so the moves are a union
     of orbits.  Only the pairs (u, v) whose u is the smallest d-set of its
-    orbit (its representative) are screened, v ranging over u's fiber but
-    for the representatives below u, whose pairs with u are screened from
-    their side; the moves found are then expanded to their orbits by
-    :func:`symmetry_orbit`.  With the trivial group every d-set is a
-    representative and each pair of a fiber is screened once.
+    orbit (its representative) are screened, v ranging over the members
+    after u in its fiber; the moves found are then expanded to their
+    orbits by :func:`symmetry_orbit`.  No orbit of pairs is missed: if the
+    representative m of a's orbit is at most that of b's, and g maps a to
+    m, then g(b) is a member after m in m's fiber.  With the trivial group
+    every d-set is a representative and each pair of a fiber is screened
+    once.
 
     Requires a homogeneous configuration (positive and negative parts of
     every move then have equal weight, so the pairing is exhaustive).
@@ -444,11 +446,10 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
     (with ascending ``cells``) whose key ``codes`` agree and whose ``u`` is
     the representative of its orbit, as +1/-1 rows.
 
-    Within a fiber the representatives come first, so the partners of a
-    representative are the members after it.  Only fibers holding a
-    representative are screened, in chunks of whole fibers of one size,
-    and their pairs in slices, each holding about :data:`_BUDGET`
-    elements; a chunk takes at least one fiber.
+    The partners of a representative are the members after it in its
+    fiber.  Only fibers holding a representative are screened, in chunks
+    of whole fibers of one size, and their pairs in slices, each holding
+    about :data:`_BUDGET` elements; a chunk takes at least one fiber.
     """
     n = cfg.n_cells
     d = cells.shape[1]
@@ -477,7 +478,6 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
         g1 = min(int(np.searchsorted(size, s, "right")), g0 + max(1, _BUDGET // (s * per_member)))
         sz = size[g0:g1]
         mem = order[_ranges(start[g0:g1], sz)]  # members, fiber by fiber
-        mem = mem[np.lexsort((~rep[mem], np.repeat(np.arange(len(sz)), sz)))]
         M = masks[mem]
         B = _shared_subset_bits(cfg, cells[mem], s, patterns)
         # the later members of its fiber are the partners of a representative
