@@ -23,6 +23,7 @@ from .fiber import (
     check_strong_crossing,
     enumerate_zero_one_fiber,
     iter_fibers,
+    sweep_distance_reducing,
 )
 from .graver import (
     MoveSet,
@@ -234,19 +235,16 @@ def cmd_check(args) -> int:
         # every table of the model: 2^n of them (n >= 1), within the --cap budget
         if args.cap < 2:
             raise ZeroOneError(f"cap must be at least 2 with --sweep, got {args.cap}")
-        for key, members in iter_fibers(cfg, max_cells=args.cap.bit_length() - 1):
-            if args.condition == "distance-reducing":
-                ok, _ = check_distance_reducing(b, members, strong=args.strong)
-                if not ok:
-                    print(f"fails on key {key}")
-                    return EXIT_FAIL
-            elif _uncrossed_pair([Table(x) for x in members.tolist()], cfg, checker):
+        max_cells = args.cap.bit_length() - 1
+        if args.condition == "distance-reducing":
+            ok, key = sweep_distance_reducing(cfg, b, args.strong, max_cells)
+            print("distance reducing on every fiber" if ok else f"fails on key {key}")
+            return EXIT_PASS if ok else EXIT_FAIL
+        for key, members in iter_fibers(cfg, max_cells=max_cells):
+            if _uncrossed_pair([Table(x) for x in members.tolist()], cfg, checker):
                 print(f"no {args.condition} crossing for a pair in key {key}")
                 return EXIT_FAIL
-        if args.condition == "distance-reducing":
-            print("distance reducing on every fiber")
-        else:
-            print(f"{args.condition} crossing pattern exists for every pair")
+        print(f"{args.condition} crossing pattern exists for every pair")
         return EXIT_PASS
 
     t = _get_key(args, cfg)

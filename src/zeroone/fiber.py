@@ -1,7 +1,8 @@
 """Zero-one fiber enumeration, connectivity and distance-reduction checks.
 
-Fiber graphs, distance reduction and whole-model sweeps share one bitmask
-kernel (:func:`_apply_moves`): zero-one tables are rows of uint64 words
+Fiber graphs and distance reduction share one bitmask kernel
+(:func:`_distances`), and sweeps generate its applicable pairs directly
+(:func:`_sweep_edges`): zero-one tables are rows of uint64 words
 (:func:`~zeroone.cells.pack_bits`) and square-free moves are the packed
 masks of their +1 and -1 cells (:attr:`~zeroone.graver.MoveSet.masks`).
 """
@@ -24,7 +25,7 @@ from .graver import MoveSet
 from .models import Configuration, FiberKey
 
 DEFAULT_CAP = 5_000_000
-_CHUNK = 1 << 20  # words in one temporary of the bitmask kernel
+_CHUNK = 1 << 16  # elements in one temporary of a kernel: 512 KB of words stays in cache
 _LOG = logging.getLogger("zeroone.fiber")
 
 
@@ -143,40 +144,54 @@ def _check_single_key(cfg: Configuration, X: np.ndarray) -> None:
         raise MixedFiberError("fiber members have differing sufficient statistics")
 
 
-def _apply_moves(X: np.ndarray, P: np.ndarray, M: np.ndarray):
-    """Every (table, move) pair where the move applies, and where it leads.
-
-    ``X`` holds packed zero-one tables and ``P``, ``M`` the packed +1 and
-    -1 cells of K square-free moves.  Move k applies to row x iff
-    ``x & P[k] == 0`` and ``x & M[k] == M[k]``, that is (P and M being
-    disjoint) iff ``x & S[k] == M[k]`` with ``S = P | M``; it leads to
-    ``x ^ S[k]``.  Returns the flat indices ``row * K + k`` of the
-    applicable pairs, increasing, and their target rows.  Rows go in
-    chunks that keep each temporary near ``_CHUNK`` words.
+def _distances(B: np.ndarray, P: np.ndarray, M: np.ndarray):
+    """``(a, D)`` per chunk of ``_CHUNK`` words from row ``a`` of the packed
+    tables ``B``: ``D[t, k] = popcount((B[a + t] ^ M[k]) & S[k])`` for the
+    moves with +1 cells ``P``, -1 cells ``M`` and ``S = P | M``.  Move k
+    applies to x iff ``D[x, k] == 0``, -k iff ``D[x, k] == |S[k]|``.
     """
-    K, W = P.shape
     S = P | M
-    step = max(1, _CHUNK // max(1, K * W))
-    flat, targets = [np.zeros(0, dtype=np.int64)], [np.zeros((0, W), dtype=np.uint64)]
-    for a in range(0, len(X), step):
-        x = X[a:a + step, None, :]
-        f = np.flatnonzero(((x & S) == M).all(axis=2))
-        flat.append(f + a * K)
-        targets.append(X[a + f // K] ^ S[f % K])
-    return np.concatenate(flat), np.concatenate(targets)
+    step = max(1, _CHUNK // max(1, S.size))
+    for a in range(0, len(B), step):
+        d = B[a:a + step, None, :] ^ M
+        d &= S
+        ones = np.bitwise_count(d)
+        # at most 64 per word: uint8 holds D and 2 * D for one-word tables
+        yield a, ones[..., 0] if ones.shape[2] == 1 else ones.sum(axis=2, dtype=np.int32)
 
 
-def _fiber_moves(X: np.ndarray, P: np.ndarray, M: np.ndarray):
-    """Applicable pairs of :func:`_apply_moves` that stay in the fiber ``X``.
+def _far_pair(B: np.ndarray, P: np.ndarray, M: np.ndarray, F: int, strong: bool,
+              closed: bool = True):
+    """The first ``(f, x, y)``, x < y, of F fibers of m tables each, packed
+    one after another in ``B``, such that no move takes x strictly closer to
+    y or (strong: and) none takes y closer to x; None if there is none.
 
-    Returns ``(i, k, j)``: table, move and target table; targets outside
-    the fiber are dropped.
+    Over the moves, then their negations: ``A[x, c]`` iff c applies to x,
+    ``G[y, c]`` iff c takes the tables it applies to closer to y, as move k
+    turns S from M to P and the distance to y from ``D[y, k]`` to
+    ``|S| - D[y, k]``.  ``closed=False`` drops the moves leading outside
+    ``B``.  ``closer = A @ G^T`` goes in tiles of ``_CHUNK`` elements.
     """
-    flat, targets = _apply_moves(X, P, M)
-    i, k = np.divmod(flat, max(1, len(P)))
-    j = find_rows(X, targets)
-    keep = (j >= 0) & (j != i)
-    return i[keep], k[keep], j[keep]
+    D = np.concatenate([D for _, D in _distances(B, P, M)]).reshape(F, len(B) // F, -1)
+    F, m, _ = D.shape
+    size = np.bitwise_count(P | M).sum(axis=1, dtype=np.int32)
+    A = np.concatenate([D == 0, D == size], axis=2, dtype=np.float32)
+    G = np.concatenate([2 * D > size, 2 * D < size], axis=2, dtype=np.float32)
+    if not closed:
+        f, x, c = np.nonzero(A)
+        A[f, x, c] = find_rows(B, B[f * m + x] ^ np.vstack([P | M] * 2)[c]) >= 0
+    step = max(1, _CHUNK // (F * m))
+    for a in range(0, m, step):
+        to = A[:, a:a + step] @ G.transpose(0, 2, 1) > 0  # closer[f, x, y]
+        # closer[f, y, x]: the transpose when the tile holds every row
+        back = to.transpose(0, 2, 1) if step >= m else G[:, a:a + step] @ A.transpose(0, 2, 1) > 0
+        bad = ~(to & back) if strong else ~(to | back)
+        bad &= np.arange(m) > np.arange(a, a + bad.shape[1])[:, None]
+        hit = np.flatnonzero(bad.any(axis=(1, 2)))
+        if len(hit):
+            x, y = divmod(int(bad[hit[0]].argmax()), m)
+            return int(hit[0]), a + x, y
+    return None
 
 
 @dataclass(frozen=True)
@@ -211,7 +226,13 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     if m <= 1:
         return FiberGraph(nodes, (), ((0,),) if m else ())
     P, M, index = b.masks
-    i, k, j = _fiber_moves(pack_bits(X), P, M)
+    B = pack_bits(X)
+    K = max(1, len(P))
+    flat = [np.flatnonzero(D == 0) + a * K for a, D in _distances(B, P, M)]
+    i, k = np.divmod(np.concatenate(flat), K)
+    j = find_rows(B, B[i] ^ (P | M)[k])  # the target, if in the fiber
+    keep = (j >= 0) & (j != i)
+    i, k, j = i[keep], k[keep], j[keep]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     first = np.sort(np.unique(lo * m + hi, return_index=True)[1])
     moves = [b.moves[t] for t in index[k[first]].tolist()]
@@ -228,36 +249,56 @@ def check_distance_reducing(b: MoveSet, fiber, strong: bool = False):
 
     Some applicable move must take x strictly closer to y (weak: or y
     closer to x; strong: and y closer to x) for every pair.  A move with
-    support s does so iff ``2 * popcount(s & (x ^ y)) > popcount(s)``.
+    support s does so iff ``2 * popcount(s & (x ^ y)) > popcount(s)``, and
+    counts only if it leads to one of the given tables.
     ``fiber`` is a sequence of zero-one Tables or an (m, n) 0/1 array.
     Returns ``(True, None)`` or ``(False, (x, y))`` with the first failing
     pair in node order.
     """
     X = _fiber_bits(fiber)
     _check_single_key(b.source_config, X)
-    m = len(X)
-    if m <= 1:
+    if len(X) <= 1:
         return True, None
     P, M, _ = b.masks
-    B = pack_bits(X)
-    # both signs of every move
-    i, _, j = _fiber_moves(B, np.vstack([P, M]), np.vstack([M, P]))
-    supp = B[i] ^ B[j]
-    size = np.bitwise_count(supp).sum(axis=1)
-    # closer[i, j]: some applicable move takes node i strictly closer to node j
-    closer = np.zeros((m, m), dtype=bool)
-    step = max(1, _CHUNK // (m * B.shape[1]))
-    for a in range(0, len(i), step):
-        r, s = i[a:a + step], supp[a:a + step, None, :]
-        shared = np.bitwise_count((B[r][:, None, :] ^ B) & s).sum(axis=2)
-        rows, start = np.unique(r, return_index=True)
-        closer[rows] |= np.logical_or.reduceat(2 * shared > size[a:a + step, None], start)
-    ok = closer & closer.T if strong else closer | closer.T
-    bad = np.triu(~ok, 1)
-    if not bad.any():
+    pair = _far_pair(pack_bits(X), P, M, 1, strong, closed=False)
+    if pair is None:
         return True, None
-    x, y = divmod(int(bad.argmax()), m)
-    return False, (_member(fiber, X, x), _member(fiber, X, y))
+    return False, (_member(fiber, X, pair[1]), _member(fiber, X, pair[2]))
+
+
+def sweep_distance_reducing(
+    cfg: Configuration, b: MoveSet, strong: bool = False, max_cells: int = 24
+):
+    """:func:`check_distance_reducing` on every fiber of the 2^n tables of
+    ``cfg`` (as :func:`iter_fibers` groups them), the fibers of each size
+    in batches of about ``_CHUNK`` elements of ``closer``.  Returns
+    ``(True, None)`` or ``(False, key)`` of the first failing fiber in key
+    order.  A set bound to another model, or ``max_cells <= 0``, is refused.
+    """
+    if b.source_config != cfg:
+        raise ZeroOneError("the move set is bound to another model")
+    codes = _cube_codes(cfg, max_cells)
+    order = np.argsort(codes, kind="stable")
+    start = np.r_[0, np.flatnonzero(np.diff(codes[order])) + 1]
+    size = np.diff(np.r_[start, len(order)])
+    P, M, _ = b.masks
+    first = len(start)  # the first failing fiber so far
+    for m in np.unique(size[size > 1]).tolist():
+        fibers = np.flatnonzero(size[:first] == m)
+        step = max(1, _CHUNK // (m * max(m, 2 * len(P))))
+        for a in range(0, len(fibers), step):
+            batch = fibers[a:a + step]
+            tables = order[start[batch, None] + np.arange(m)].reshape(-1, 1)
+            pair = _far_pair(tables.astype(np.uint64), P, M, len(batch), strong)
+            if pair is not None:
+                first = int(batch[pair[0]])
+                break
+    _LOG.debug("distance-reduction sweep: %d tables, %d fibers, first failing fiber %s",
+               len(order), len(start), first if first < len(start) else None)
+    if first == len(start):
+        return True, None
+    x = (int(order[start[first]]) >> np.arange(cfg.n_cells)) & 1
+    return False, tuple((cfg.array @ x).tolist())
 
 
 @dataclass(frozen=True)
@@ -426,6 +467,27 @@ def iter_fibers(cfg: Configuration, max_cells: int = 24):
         yield tuple((cfg.array @ X[0]).tolist()), X
 
 
+def _sweep_edges(n: int, P: np.ndarray, M: np.ndarray):
+    """``(src, dst)``, int32 while ``n < 31``: each pair of sweep table
+    ``src`` and move k that applies to it, move by move.  The sources are
+    ``M[k]`` plus every subset of the cells outside ``S = P[k] | M[k]``,
+    built by doubling over those cells, and ``dst = src ^ S``.
+    """
+    itype = np.int32 if n < 31 else np.int64
+    S, M = (P | M)[:, 0].astype(itype), M[:, 0].astype(itype)
+    free = [[f for f in range(n) if not s >> f & 1] for s in S.tolist()]
+    counts = [1 << len(cells) for cells in free]
+    src = np.empty(sum(counts), dtype=itype)
+    for m, cells, end in zip(M.tolist(), free, np.cumsum(counts).tolist()):
+        out = src[end - (1 << len(cells)):end]
+        out[0] = m
+        for w, f in enumerate(cells):
+            out[1 << w:2 << w] = out[:1 << w] | (1 << f)
+    dst = np.repeat(S, counts)
+    dst ^= src
+    return src, dst
+
+
 def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> SweepReport:
     """Partition all 2^n zero-one tables by key and count move components.
 
@@ -442,10 +504,8 @@ def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> S
     n_fibers = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
     del codes
     P, M, _ = b.masks
-    flat, targets = _apply_moves(np.arange(N, dtype=np.uint64)[:, None], P, M)
-    src = flat // max(1, len(P))
-    del flat
-    n_comp, _, rounds = _components(N, src, targets[:, 0].view(np.int64))
+    src, dst = _sweep_edges(cfg.n_cells, P, M)
+    n_comp, _, rounds = _components(N, src, dst)
     _LOG.debug(
         "connectivity sweep: %d tables, %d fibers, %d edges, %d components, %d hook rounds",
         N, n_fibers, len(src), n_comp, rounds,

@@ -461,8 +461,9 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
     size = np.diff(np.r_[start, len(codes)])
     multi = np.flatnonzero(size >= 2)
     groups = len(multi)
-    rep = _orbit_representatives(cells, cfg.symmetry)
-    multi = multi[np.logical_or.reduceat(rep[order], start)[multi]]  # fibers holding one
+    if groups:  # a level without one screens nothing, so its orbits are not labelled
+        rep = _orbit_representatives(cells, cfg.symmetry)
+        multi = multi[np.logical_or.reduceat(rep[order], start)[multi]]  # fibers holding one
     multi = multi[np.argsort(size[multi], kind="stable")]  # a chunk holds fibers of one size
     start, size = start[multi], size[multi]
     patterns = [
@@ -501,9 +502,10 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
     plus = np.concatenate(plus) if plus else np.zeros(0, dtype=np.int64)
     minus = np.concatenate(minus) if minus else np.zeros(0, dtype=np.int64)
     _LOG.debug(
-        "degree %d: %d d-sets in %d orbits, %d multi-member groups, %d pairs screened, "
+        "degree %d: %d d-sets%s, %d multi-member groups, %d pairs screened, "
         "%d disjoint pairs, %d primitive pairs",
-        d, len(codes), np.count_nonzero(rep), groups, pairs, disjoint, len(plus),
+        d, len(codes), f" in {np.count_nonzero(rep)} orbits" if groups else ", no orbits labelled",
+        groups, pairs, disjoint, len(plus),
     )
     V = unpack_bits(masks[plus], n).astype(np.int8)
     return V - unpack_bits(masks[minus], n).astype(np.int8)

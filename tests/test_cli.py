@@ -168,6 +168,32 @@ class TestCheck:
         assert code == 0
         assert "distance reducing" in out
 
+    @pytest.mark.parametrize(
+        "flags,code,stdout",
+        [
+            ((), 0, "distance reducing on every fiber\n"),
+            (("--strong",), 0, "distance reducing on every fiber\n"),
+            (("--half",), 1, "fails on key (0, 1, 1, 0, 1, 1, 0)\n"),
+            (("--half", "--strong"), 1, "fails on key (0, 1, 1, 0, 1, 1, 0)\n"),
+        ],
+        ids=["weak", "strong", "half-weak", "half-strong"],
+    )
+    def test_distance_reducing_sweep_output(self, capsys, tmp_path, flags, code, stdout):
+        # every other square-free move of degree <= 3 leaves a fiber without
+        # a reducing move; the pinned output is the per-fiber loop's
+        moves = ["--moves", "square-free-graver", "--max-degree", "3"]
+        if "--half" in flags:
+            half = tmp_path / "half.txt"
+            b = square_free_graver(build_two_way_independence(3, 4), 3)
+            fileio.write_matrix(half, b.matrix[::2].tolist())
+            moves = ["--moves", str(half)]
+        got = run(
+            capsys,
+            "check", "--model", "two-way-indep", "--dims", "3,4", "--condition",
+            "distance-reducing", "--sweep", *moves, *(f for f in flags if f != "--half"),
+        )
+        assert got == (code, stdout, "")
+
     @pytest.mark.parametrize("condition", ["distance-reducing", "strong"])
     def test_sweep_cap_exit_three(self, capsys, condition):
         # 2^8 tables exceed a budget of 100; 2^36 exceed the default

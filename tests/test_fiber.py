@@ -4,7 +4,8 @@ import logging
 import numpy as np
 import pytest
 
-from zeroone.cells import CellSpace, Move, Table, _components
+from zeroone import fiber as fiber_module
+from zeroone.cells import CellSpace, Move, Table, _components, find_rows, pack_bits
 from zeroone.errors import (
     CapExceededError,
     MixedFiberError,
@@ -19,8 +20,10 @@ from zeroone.fiber import (
     check_weak_crossing,
     conformal_decompose,
     enumerate_zero_one_fiber,
+    _sweep_edges,
     iter_fibers,
     sweep_connectivity,
+    sweep_distance_reducing,
 )
 from zeroone.graver import MoveSet, square_free_graver
 from zeroone.models import (
@@ -596,6 +599,18 @@ class TestKernelAgainstBruteForce:
             for _, X in iter_fibers(cfg):
                 assert_kernel_matches_brute_force([Table(x) for x in X.tolist()], b)
 
+    def test_partial_fibers_in_tiny_chunks(self, monkeypatch):
+        # the kernel in chunks of one or two tables; moves leading outside
+        # the given tables make no edge and take no table closer
+        monkeypatch.setattr(fiber_module, "_CHUNK", 50)
+        cfg = build_complete_independence((2, 2, 3))
+        fiber = max((X for _, X in iter_fibers(cfg)), key=len)
+        tables = [Table(x) for x in fiber.tolist()]
+        b0 = square_free_graver(cfg, 3)
+        for b in (b0, MoveSet.build(b0.moves[::2], b0.provenance[::2], cfg)):
+            for part in (tables, tables[::2], tables[1::3]):
+                assert_kernel_matches_brute_force(part, b)
+
     def test_tables_wider_than_one_word(self):
         # 2 x 33 = 66 cells; the busy columns 30..32 put cells 63..65 astride two words
         cfg = build_two_way_independence(2, 33)
@@ -605,3 +620,166 @@ class TestKernelAgainstBruteForce:
         swaps = basic_moves_two_way(2, 33)
         for b in (swaps, MoveSet.build(swaps.moves[::3], swaps.provenance[::3], cfg)):
             assert_kernel_matches_brute_force(fiber, b)
+
+
+def off_diagonal(n):
+    return {(i, j) for i in range(n) for j in range(n) if i != j}
+
+
+def reference_closer(b, X):
+    """Reference ``closer[i, j]``: some applicable move takes node i of the
+    0/1 rows ``X`` strictly closer to node j.  The (table, signed move,
+    target) triples come from the N x K test ``x & S == M``, targets
+    outside ``X`` dropped, and a move of support s does so iff
+    ``2 * popcount(s & (x ^ y)) > popcount(s)``; one dense m x m array."""
+    m = len(X)
+    P, M, _ = b.masks
+    B = pack_bits(X)
+    pos, neg = np.vstack([P, M]), np.vstack([M, P])
+    i, k = np.nonzero(((B[:, None, :] & (pos | neg)) == neg).all(axis=2))
+    j = find_rows(B, B[i] ^ (pos | neg)[k])
+    keep = (j >= 0) & (j != i)
+    i, j = i[keep], j[keep]
+    supp = B[i] ^ B[j]
+    size = np.bitwise_count(supp).sum(axis=1)
+    shared = np.bitwise_count((B[i][:, None, :] ^ B) & supp[:, None, :]).sum(axis=2)
+    closer = np.zeros((m, m), dtype=bool)
+    np.logical_or.at(closer, i, 2 * shared > size[:, None])
+    return closer
+
+
+def reference_far_pair(closer, strong):
+    """The first pair (x, y), x < y, in node order that fails, or None."""
+    ok = closer & closer.T if strong else closer | closer.T
+    bad = np.triu(~ok, 1)
+    return divmod(int(bad.argmax()), len(bad)) if bad.any() else None
+
+
+def reference_sweep(cfg, b):
+    """The per-fiber loop over :func:`iter_fibers`: the first failing key,
+    strong and weak (None when there is none).  Checks on the way that
+    the single-fiber entry reports each fiber's first failing pair."""
+    first = {True: None, False: None}
+    for key, X in iter_fibers(cfg):
+        if len(X) < 2:
+            continue
+        closer = reference_closer(b, X)
+        for strong in (True, False):
+            pair = reference_far_pair(closer, strong)
+            want = (True, None) if pair is None else (False, (Table(X[pair[0]]), Table(X[pair[1]])))
+            assert check_distance_reducing(b, X, strong) == want
+            if pair is not None and first[strong] is None:
+                first[strong] = key
+    return first
+
+
+def halved(b):
+    return MoveSet.build(b.matrix[::2], b.provenance[::2], b.source_config)
+
+
+class TestDistanceSweepAgainstReference:
+    """The whole-model sweep and the single-fiber entry against the
+    per-fiber reference, on the strong-reduction models of up to 2^12
+    tables, with full and halved move sets."""
+
+    MODELS = [
+        (build_two_way_independence(2, 2), 2),
+        (build_two_way_independence(2, 3), 2),
+        (build_two_way_independence(2, 4), 2),
+        (build_two_way_independence(3, 3), 3),
+        (build_two_way_independence(3, 4), 3),
+        (build_complete_independence((2, 2, 2)), 2),
+        (build_complete_independence((2, 2, 3)), 3),
+        (build_quasi_independence(3, 3, off_diagonal(3)), 3),
+        (build_quasi_independence(4, 4, off_diagonal(4)), 4),
+        (build_ntfi(2), 4),
+        (build_many_facet_rasch((2, 2, 2)), 6),
+        (build_many_facet_rasch((2, 2, 2), True), 6),
+    ]
+    IDS = ["two-way-2x2", "two-way-2x3", "two-way-2x4", "two-way-3x3", "two-way-3x4",
+           "complete-2x2x2", "complete-2x2x3", "quasi-3x3", "quasi-4x4", "line-sums-2x2x2",
+           "rating-2x2x2", "rating-2x2x2-const"]
+
+    @staticmethod
+    def check(cfg, b):
+        first = reference_sweep(cfg, b)
+        for strong, key in first.items():
+            want = (True, None) if key is None else (False, key)
+            assert sweep_distance_reducing(cfg, b, strong) == want
+        return first
+
+    @pytest.mark.parametrize("cfg,max_degree", MODELS, ids=IDS)
+    def test_first_failing_key(self, cfg, max_degree):
+        b0 = square_free_graver(cfg, max_degree)
+        assert self.check(cfg, b0) == {True: None, False: None}
+        self.check(cfg, halved(b0))
+
+    def test_halved_sets_fail_somewhere(self):
+        cfg = build_two_way_independence(3, 3)
+        first = self.check(cfg, halved(square_free_graver(cfg, 3)))
+        assert first[True] is not None and first[False] is not None
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_tiny_chunks(self, monkeypatch, chunk):
+        # batches of one fiber, and closer in tiles of a few rows
+        monkeypatch.setattr(fiber_module, "_CHUNK", chunk)
+        cfg = build_two_way_independence(3, 3)
+        b0 = square_free_graver(cfg, 3)
+        for b in (b0, halved(b0), MoveSet.build([], "t", cfg)):
+            self.check(cfg, b)
+
+    def test_refusals(self):
+        b = basic_moves_two_way(3, 3)
+        cfg = b.source_config
+        rows = Configuration(cfg.cell_space, cfg.matrix[:3])
+        with pytest.raises(ZeroOneError, match="another model"):
+            sweep_distance_reducing(cfg, MoveSet.build(b.moves, b.provenance, rows))
+        with pytest.raises(CapExceededError):
+            sweep_distance_reducing(cfg, b, max_cells=8)
+        with pytest.raises(ZeroOneError, match="max_cells must be positive"):
+            sweep_distance_reducing(cfg, b, max_cells=0)
+
+    def test_debug_record_per_call(self, caplog):
+        b = basic_moves_two_way(2, 2)
+        cfg = b.source_config
+        index = [key for key, _ in iter_fibers(cfg)].index((1, 1, 1, 1))
+        with caplog.at_level(logging.DEBUG, logger="zeroone.fiber"):
+            sweep_distance_reducing(cfg, b, strong=True)
+            sweep_distance_reducing(cfg, MoveSet.build([], "t", cfg))
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.fiber"]
+        # one fiber has two tables, 0110 and 1001, which only the swap joins
+        assert lines == [
+            "distance-reduction sweep: 16 tables, 15 fibers, first failing fiber None",
+            f"distance-reduction sweep: 16 tables, 15 fibers, first failing fiber {index}",
+        ]
+
+
+def reference_edges(cfg, b):
+    """The sweep's edges by the N x K test ``x & S == M`` over its 2^n
+    tables, as sorted (source, target) pairs."""
+    P, M, _ = b.masks
+    S = P | M
+    X = np.arange(1 << cfg.n_cells, dtype=np.uint64)[:, None]
+    src, k = np.nonzero(((X[:, None, :] & S) == M).all(axis=2))
+    return sorted(zip(src.tolist(), (X[src, 0] ^ S[k, 0]).tolist()))
+
+
+class TestSweepEdges:
+    @pytest.mark.parametrize(
+        "b",
+        [
+            square_free_graver(build_two_way_independence(3, 3), 3),
+            square_free_graver(build_quasi_independence(3, 3, off_diagonal(3)), 3),
+            square_free_graver(build_complete_independence((2, 2, 2)), 3),
+            MoveSet.build(
+                [Move((1, 1, 0))], "t", Configuration(CellSpace((3,)), ((1, -1, 0), (0, 0, 1)))
+            ),
+        ],
+        ids=["two-way-3x3", "quasi-3x3", "complete-2x2x2", "signed-3"],
+    )
+    def test_edges_match_the_applicability_test(self, b):
+        cfg = b.source_config
+        src, dst = _sweep_edges(cfg.n_cells, *b.masks[:2])
+        got = sorted(zip(src.tolist(), dst.tolist()))
+        assert got == reference_edges(cfg, b)
+        assert len(got) == len(set(got))

@@ -332,6 +332,18 @@ class TestSquareFreeGraver:
             "3 primitive pairs expanded to 15 moves by 5 symmetry generators",
         ]
 
+    def test_debug_record_without_groups(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="zeroone.graver"):
+            square_free_graver(build_two_way_independence(3, 3), 2)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.graver"]
+        # the 9 cells have 9 distinct margins: nothing to screen at degree 1,
+        # so its orbits are not labelled
+        assert lines[0] == (
+            "degree 1: 9 d-sets, no orbits labelled, 0 multi-member groups, "
+            "0 pairs screened, 0 disjoint pairs, 0 primitive pairs"
+        )
+        assert lines[1].startswith("degree 2: 36 d-sets in 2 orbits, 9 multi-member groups")
+
     def test_requires_homogeneous(self):
         cfg = Configuration(CellSpace((2,)), ((1, 2),))
         with pytest.raises(NotAMoveError):
