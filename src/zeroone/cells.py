@@ -138,7 +138,7 @@ class CellSpace:
         return self.cells[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Table:
     """An integer frequency vector over the non-masked cells of a space."""
 
@@ -164,7 +164,7 @@ class Table:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """A signed integer vector over cells, stored dense in cell order.
 

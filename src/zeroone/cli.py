@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .cells import Table
+from .cells import CellSpace, Table
 from .errors import BudgetExhaustedError, CapExceededError, ZeroOneError
 from .fiber import (
     build_fiber_graph,
@@ -91,9 +91,8 @@ def build_model(args):
             raise ZeroOneError("quasi-indep needs --dims I,J")
         if not args.zeros:
             raise ZeroOneError("quasi-indep needs --zeros MASKFILE")
-        zeros = fileio.read_mask(args.zeros)
-        box = {(i, j) for i in range(dims[0]) for j in range(dims[1])}
-        return build_quasi_independence(dims[0], dims[1], box - set(zeros))
+        space = CellSpace(dims, fileio.read_mask(args.zeros))  # refuses cells outside dims
+        return build_quasi_independence(dims[0], dims[1], space.cells)
     if name == "ntfi":
         if dims is not None and len(dims) != 1:
             raise ZeroOneError("ntfi needs --dims N (one value)")
@@ -350,6 +349,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_latin(args) -> int:
+    if args.count <= 0:  # refused before the move set is built
+        raise ZeroOneError(f"count must be positive, got {args.count}")
     b = latin_move_set(args.n)
     for k in range(args.count):
         table, symbols = sample_latin_square(args.n, args.steps, args.seed + k, b)

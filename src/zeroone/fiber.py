@@ -199,7 +199,7 @@ class FiberGraph:
     """Zero-one fiber members as nodes, applicable-move edges, components."""
 
     nodes: tuple[Table, ...]
-    edges: tuple[tuple[int, int, Move], ...]
+    edges: tuple[tuple[int, int, int], ...]
     components: tuple[tuple[int, ...], ...]
 
     @property
@@ -215,9 +215,10 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     """Graph with an edge (x, y) iff y - x is (plus or minus) a move of ``b``.
 
     ``fiber`` is a sequence of zero-one Tables or an (m, n) 0/1 array.
-    Each edge ``(i, j, z)`` has ``i < j`` and the move ``z`` of the first
-    (node, move) pair, in node then move order, with ``node + z`` in the
-    fiber.  Components are sorted tuples, ordered by smallest member.
+    Each edge ``(i, j, k)`` has ``i < j`` and the row k of ``b.matrix``
+    of the first (node, move) pair, in node then move order, with the node
+    plus that row in the fiber.  Components are sorted tuples, ordered by
+    smallest member.
     """
     X = _fiber_bits(fiber)
     _check_single_key(b.source_config, X)
@@ -235,8 +236,7 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     i, k, j = i[keep], k[keep], j[keep]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     first = np.sort(np.unique(lo * m + hi, return_index=True)[1])
-    moves = [b.moves[t] for t in index[k[first]].tolist()]
-    edges = tuple(zip(lo[first].tolist(), hi[first].tolist(), moves))
+    edges = tuple(zip(lo[first].tolist(), hi[first].tolist(), index[k[first]].tolist()))
     labels = _components(m, lo, hi)[1]
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
@@ -379,7 +379,7 @@ def check_generalized_crossing(b: MoveSet, b0: MoveSet):
         )
         lonely = np.flatnonzero(~crossing.any(axis=1))
         if len(lonely):
-            return False, b0.moves[uncovered[a + lonely[0]]]
+            return False, Move(V[a + lonely[0]])
     return True, None
 
 

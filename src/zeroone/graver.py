@@ -22,20 +22,28 @@ from .models import Configuration
 
 _LOG = logging.getLogger("zeroone.graver")
 _BUDGET = 1 << 18  # elements in one working array of the square-free pair screen
+_VERIFY_SAMPLE = 200  # members of a completed Graver basis checked by brute force
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoveSet:
     """Ordered, deduplicated collection of canonical moves with provenance
-    tags, bound to the configuration whose kernel they lie in.
+    tags, bound to the configuration whose kernel they lie in, stored as
+    the rows of ``matrix`` (int64, read-only).
 
-    :meth:`build` is the one checked way to bind moves to a model, also to
-    rebind a set to another one: ``MoveSet.build(ms.matrix, ms.provenance, cfg)``.
+    The constructor takes rows, moves or vectors as given; :meth:`build` is
+    the one checked way to bind moves to a model, also to rebind a set to
+    another one: ``MoveSet.build(ms.matrix, ms.provenance, cfg)``.
     """
 
-    moves: tuple[Move, ...]
+    matrix: np.ndarray
     provenance: tuple[str, ...]
     source_config: Configuration
+
+    def __post_init__(self):
+        V = _as_rows(self.matrix, self.source_config.n_cells).astype(np.int64, copy=False).view()
+        V.flags.writeable = False
+        object.__setattr__(self, "matrix", V)
 
     @classmethod
     def build(cls, moves, tag, cfg: Configuration) -> "MoveSet":
@@ -45,15 +53,7 @@ class MoveSet:
         :class:`LengthMismatchError` for a vector or a tag count of the wrong
         length and :class:`NotAMoveError` for a move outside ker A.
         """
-        n = cfg.n_cells
-        if not isinstance(moves, np.ndarray):
-            moves = [z.vec if isinstance(z, Move) else z for z in moves]
-            lengths = {len(v) for v in moves} - {n}
-            if lengths:
-                raise LengthMismatchError(f"move length {min(lengths)} != {n} cells")
-            moves = np.array(moves, dtype=np.int64).reshape(len(moves), n)
-        elif moves.ndim != 2 or moves.shape[1] != n:
-            raise LengthMismatchError(f"moves of shape {moves.shape} for {n} cells")
+        moves = _as_rows(moves, cfg.n_cells)
         tags = (tag,) * len(moves) if isinstance(tag, str) else tuple(tag)
         if len(tags) != len(moves):
             raise LengthMismatchError(f"{len(tags)} tags for {len(moves)} moves")
@@ -62,10 +62,24 @@ class MoveSet:
         if len(bad):
             raise NotAMoveError(f"{tuple(V[bad[0]].tolist())} is not a move of the model")
         provenance = tuple(tags[i] for i in first.tolist())
-        return cls(tuple(Move(v) for v in V.tolist()), provenance, cfg)
+        return cls(V, provenance, cfg)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MoveSet) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.matrix.shape, self.matrix.tobytes(), self.provenance, self.source_config
+
+    @cached_property
+    def moves(self) -> tuple[Move, ...]:
+        """The rows as :class:`~zeroone.cells.Move` objects, built on first use."""
+        return tuple(Move(v) for v in self.matrix.tolist())
 
     def __len__(self) -> int:
-        return len(self.moves)
+        return len(self.matrix)
 
     def __iter__(self):
         return iter(self.moves)
@@ -77,7 +91,7 @@ class MoveSet:
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(P, M, index)``: the +1 and the -1 cells of the square-free moves
-        as :func:`~zeroone.cells.pack_bits` rows, and their positions in ``moves``.
+        as :func:`~zeroone.cells.pack_bits` rows, and their rows in ``matrix``.
 
         A square-free move applies to a zero-one table ``x`` iff
         ``x & P == 0`` and ``x & M == M``, and it leads to ``x ^ (P | M)``;
@@ -87,25 +101,29 @@ class MoveSet:
         index = np.flatnonzero((np.abs(V) <= 1).all(axis=1))
         return pack_bits(V[index] == 1), pack_bits(V[index] == -1), index
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The moves as the rows of an int64 matrix."""
-        shape = (len(self.moves), self.source_config.n_cells)
-        return np.array([z.vec for z in self.moves], dtype=np.int64).reshape(shape)
-
     def union(self, other: "MoveSet") -> "MoveSet":
         """Both sets, bound to (and ``other`` checked against) this set's model."""
-        n = self.source_config.n_cells
-        if other.matrix.shape[1] != n:
-            raise LengthMismatchError(f"moves of {other.matrix.shape[1]} cells for {n} cells")
         return MoveSet.build(
-            np.concatenate([self.matrix, other.matrix]),
+            np.concatenate([self.matrix, _as_rows(other.matrix, self.source_config.n_cells)]),
             self.provenance + other.provenance,
             self.source_config,
         )
 
     def retag(self, tag: str) -> "MoveSet":
         return MoveSet.build(self.matrix, tag, self.source_config)
+
+
+def _as_rows(moves, n: int) -> np.ndarray:
+    """Moves or vectors as an int64 array, an (m, n) integer array as it is."""
+    if isinstance(moves, np.ndarray):
+        if moves.ndim != 2 or moves.shape[1] != n:
+            raise LengthMismatchError(f"moves of shape {moves.shape} for {n} cells")
+        return moves
+    moves = [z.vec if isinstance(z, Move) else z for z in moves]
+    lengths = {len(v) for v in moves} - {n}
+    if lengths:
+        raise LengthMismatchError(f"move length {min(lengths)} != {n} cells")
+    return np.array(moves, dtype=np.int64).reshape(len(moves), n)
 
 
 def _canonical_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,11 +209,7 @@ def _reducer(v: tuple) -> tuple:
     return v, p, m, support, tuple((i, abs(x)) for i, x in support if abs(x) > 1)
 
 
-def graver_basis(
-    cfg: Configuration,
-    max_candidates: int = 2_000_000,
-    verify_sample: int = 200,
-) -> MoveSet:
+def graver_basis(cfg: Configuration, max_candidates: int = 2_000_000) -> MoveSet:
     """Full Graver basis by conformal completion of a lattice kernel basis.
 
     Candidates are processed in increasing L1 order, which makes the run
@@ -207,8 +221,9 @@ def graver_basis(
     reduces to zero (Pottier's and Hemmecke's criterion).
     ``max_candidates`` counts the candidates popped.  On budget exhaustion
     a :class:`BudgetExhaustedError` carrying the partial set is raised,
-    never a silent truncation.  One DEBUG record per run reports the
-    counters.
+    never a silent truncation.  The first :data:`_VERIFY_SAMPLE` members
+    are checked by :func:`is_primitive`.  One DEBUG record per run reports
+    the counters.
     """
     if max_candidates <= 0:
         raise ZeroOneError(f"max_candidates must be positive, got {max_candidates}")
@@ -270,10 +285,9 @@ def graver_basis(
     )
     if heap:
         raise BudgetExhaustedError(result)
-    sample = result.moves[:verify_sample] if verify_sample else ()
-    for z in sample:
-        if not is_primitive(cfg, z):
-            raise NotAMoveError(f"completion produced non-primitive vector {z.vec}")
+    for v in result.matrix[:_VERIFY_SAMPLE].tolist():
+        if not is_primitive(cfg, Move(v)):
+            raise NotAMoveError(f"completion produced non-primitive vector {tuple(v)}")
     return result
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import CellSpace, Move, MultiIndex, Table
+from .cells import CellSpace, Move, Table
 from .errors import DimensionError, LengthMismatchError, ZeroOneError
 
 FiberKey = tuple[int, ...]
@@ -268,25 +268,25 @@ def _exact_ratio(x, y):
     return q.numerator if q.denominator == 1 else q
 
 
-def _indicator_row(cells: tuple[MultiIndex, ...], pred) -> tuple[int, ...]:
-    return tuple(1 if pred(c) else 0 for c in cells)
+def _margin_model(space: CellSpace, margins, rows=(), labels=()) -> Configuration:
+    """``rows`` and ``labels``, then the indicator rows of the ``(label,
+    axes)`` margins of ``space``: per margin one row for each level
+    combination of its axes, in row-major order, labelled ``label[i,j,...]``
+    (the margin of no axes, the grand total, just ``label``)."""
+    rows, labels = list(rows), list(labels)
+    for label, axes in margins:
+        key = [tuple(c[a] for a in axes) for c in space.cells]
+        for levels in itertools.product(*(range(space.dims[a]) for a in axes)):
+            rows.append(tuple(int(k == levels) for k in key))
+            labels.append(f"{label}[{','.join(map(str, levels))}]" if axes else label)
+    return Configuration(space, tuple(rows), tuple(labels))
 
 
 def build_two_way_independence(I: int, J: int) -> Configuration:
     """Row-sum and column-sum statistics of an I x J table."""
     if I < 2 or J < 2:
         raise DimensionError(f"need I, J >= 2, got {I}x{J}")
-    space = CellSpace((I, J))
-    cells = space.cells
-    rows = []
-    labels = []
-    for i in range(I):
-        rows.append(_indicator_row(cells, lambda c, i=i: c[0] == i))
-        labels.append(f"row_sum[{i}]")
-    for j in range(J):
-        rows.append(_indicator_row(cells, lambda c, j=j: c[1] == j))
-        labels.append(f"col_sum[{j}]")
-    return Configuration(space, tuple(rows), tuple(labels))
+    return build_quasi_independence(I, J, itertools.product(range(I), range(J)))
 
 
 def build_complete_independence(dims) -> Configuration:
@@ -296,15 +296,7 @@ def build_complete_independence(dims) -> Configuration:
         raise DimensionError("dims must be nonempty")
     if any(d < 2 for d in dims):
         raise DimensionError(f"each dim must be >= 2, got {dims}")
-    space = CellSpace(dims)
-    cells = space.cells
-    rows = []
-    labels = []
-    for ax, d in enumerate(dims):
-        for lvl in range(d):
-            rows.append(_indicator_row(cells, lambda c, ax=ax, lvl=lvl: c[ax] == lvl))
-            labels.append(f"axis{ax}_sum[{lvl}]")
-    return Configuration(space, tuple(rows), tuple(labels))
+    return _margin_model(CellSpace(dims), [(f"axis{ax}_sum", (ax,)) for ax in range(len(dims))])
 
 
 def build_quasi_independence(I: int, J: int, S) -> Configuration:
@@ -319,16 +311,7 @@ def build_quasi_independence(I: int, J: int, S) -> Configuration:
     if not S <= box:
         raise DimensionError(f"S contains cells outside the {I}x{J} box")
     space = CellSpace((I, J), frozenset(box - S))
-    cells = space.cells
-    rows = []
-    labels = []
-    for i in range(I):
-        rows.append(_indicator_row(cells, lambda c, i=i: c[0] == i))
-        labels.append(f"row_sum[{i}]")
-    for j in range(J):
-        rows.append(_indicator_row(cells, lambda c, j=j: c[1] == j))
-        labels.append(f"col_sum[{j}]")
-    return Configuration(space, tuple(rows), tuple(labels))
+    return _margin_model(space, (("row_sum", (0,)), ("col_sum", (1,))))
 
 
 def build_ntfi(n: int) -> Configuration:
@@ -339,20 +322,8 @@ def build_ntfi(n: int) -> Configuration:
     """
     if n < 2:
         raise DimensionError("need n >= 2")
-    space = CellSpace((n, n, n))
-    cells = space.cells
-    rows = []
-    labels = []
-    for i, j in itertools.product(range(n), range(n)):
-        rows.append(_indicator_row(cells, lambda c, i=i, j=j: c[0] == i and c[1] == j))
-        labels.append(f"sum_ij[{i},{j}]")
-    for i, k in itertools.product(range(n), range(n)):
-        rows.append(_indicator_row(cells, lambda c, i=i, k=k: c[0] == i and c[2] == k))
-        labels.append(f"sum_ik[{i},{k}]")
-    for j, k in itertools.product(range(n), range(n)):
-        rows.append(_indicator_row(cells, lambda c, j=j, k=k: c[1] == j and c[2] == k))
-        labels.append(f"sum_jk[{j},{k}]")
-    return Configuration(space, tuple(rows), tuple(labels))
+    margins = (("sum_ij", (0, 1)), ("sum_ik", (0, 2)), ("sum_jk", (1, 2)))
+    return _margin_model(CellSpace((n, n, n)), margins)
 
 
 def build_many_facet_rasch(dims, constant_item_param: bool = False) -> Configuration:
@@ -369,21 +340,14 @@ def build_many_facet_rasch(dims, constant_item_param: bool = False) -> Configura
         raise DimensionError(f"each dim must be >= 2, got {dims}")
     V = len(dims) - 1
     space = CellSpace(dims)
-    cells = space.cells
     rows = []
     labels = []
     for v in range(V):
         for lvl in range(dims[v]):
-            rows.append(tuple(c[V] if c[v] == lvl else 0 for c in cells))
+            rows.append(tuple(c[V] if c[v] == lvl else 0 for c in space.cells))
             labels.append(f"grade_weighted_facet{v}[{lvl}]")
-    if constant_item_param:
-        rows.append(tuple(1 for _ in cells))
-        labels.append("grand_total")
-    else:
-        for g in range(dims[V]):
-            rows.append(_indicator_row(cells, lambda c, g=g: c[V] == g))
-            labels.append(f"grade_count[{g}]")
-    return Configuration(space, tuple(rows), tuple(labels))
+    counts = ("grand_total", ()) if constant_item_param else ("grade_count", (V,))
+    return _margin_model(space, (counts,), rows, labels)
 
 
 def lawrence_lift(cfg: Configuration) -> Configuration:

@@ -21,6 +21,8 @@ from .models import Configuration, build_ntfi
 from .movegen import degree8_moves_4x4, ntfi_333_moves, ntfi_basic_moves
 
 _CHUNK = 1 << 16
+_IPF_TOL = 1e-10
+_IPF_MAX_CYCLES = 10_000
 
 
 def _as_int(words) -> int:
@@ -154,11 +156,11 @@ class SampleRun:
     final_state: Table
 
 
-def ipf_fit(cfg: Configuration, t, tol: float = 1e-10, max_cycles: int = 10_000):
+def ipf_fit(cfg: Configuration, t):
     """Expected cell counts by iterative proportional fitting of the key.
 
     Requires a 0/1 constraint matrix (marginal-sum rows); raises
-    :class:`IpfError` otherwise or on non-convergence.
+    :class:`IpfError` otherwise or after :data:`_IPF_MAX_CYCLES` cycles.
     """
     A = cfg.array
     if not np.isin(A, (0, 1)).all():
@@ -166,7 +168,7 @@ def ipf_fit(cfg: Configuration, t, tol: float = 1e-10, max_cycles: int = 10_000)
     t = np.asarray(t, dtype=float)
     m = np.ones(cfg.n_cells, dtype=float)
     supports = [np.flatnonzero(A[r]) for r in range(cfg.n_rows)]
-    for _ in range(max_cycles):
+    for _ in range(_IPF_MAX_CYCLES):
         delta = 0.0
         for r, supp in enumerate(supports):
             cur = m[supp].sum()
@@ -180,9 +182,9 @@ def ipf_fit(cfg: Configuration, t, tol: float = 1e-10, max_cycles: int = 10_000)
             f = t[r] / cur
             m[supp] *= f
             delta = max(delta, abs(f - 1.0))
-        if delta < tol:
+        if delta < _IPF_TOL:
             return m
-    raise IpfError(f"IPF did not converge within {max_cycles} cycles")
+    raise IpfError(f"IPF did not converge within {_IPF_MAX_CYCLES} cycles")
 
 
 def chi_square_stat(cfg: Configuration, expected: np.ndarray):

@@ -122,6 +122,19 @@ class TestConnect:
         assert code == 0
         assert "fiber size: 2" in out and "components: 1" in out
 
+    # a cell outside the 2 x 2 box, and a cell of three indices
+    @pytest.mark.parametrize("mask", [[(0, 0), (7, 7)], [(0, 0, 0)]])
+    def test_mask_cell_outside_dims_exits_two(self, capsys, tmp_path, mask):
+        zeros, t = tmp_path / "zeros.txt", tmp_path / "t.txt"
+        fileio.write_mask(zeros, mask)
+        fileio.write_vector(t, (1, 1, 1, 1))
+        code, out, err = run(
+            capsys,
+            "connect", "--model", "quasi-indep", "--dims", "2,2", "--zeros", str(zeros),
+            "--moves", "df1", "--t", str(t),
+        )
+        assert code == 2 and "outside dims" in err and out == ""
+
     def test_cap_exit_three(self, capsys, tmp_path):
         t = tmp_path / "t.txt"
         fileio.write_vector(t, (1,) * 8)
@@ -386,6 +399,15 @@ class TestLatin:
     def test_negative_steps_exit_two(self, capsys):
         code, out, err = run(capsys, "latin", "3", "--steps", "-2", "--seed", "1")
         assert code == 2 and "error" in err and out == ""
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_count_exits_two_before_the_build(self, capsys, monkeypatch, count):
+        def refuse(n):
+            raise AssertionError("move set built")
+
+        monkeypatch.setattr(zeroone.cli, "latin_move_set", refuse)
+        code, out, err = run(capsys, "latin", "3", "--seed", "1", "--count", count)
+        assert code == 2 and "count must be positive" in err and out == ""
 
 
 def test_package_imports_neither_scipy_nor_sympy():

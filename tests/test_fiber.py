@@ -140,6 +140,22 @@ class TestFiberGraph:
         assert g.connected and g.n_components == 1
         assert len(g.edges) == 1
 
+    @pytest.mark.parametrize("cfg,max_degree", [
+        (build_two_way_independence(3, 3), 3),
+        (build_complete_independence((2, 2, 3)), 3),
+    ])
+    def test_edge_is_a_row_of_the_matrix(self, cfg, max_degree):
+        b = square_free_graver(cfg, max_degree)
+        edges = 0
+        for _, X in iter_fibers(cfg):
+            g = build_fiber_graph(X, b)
+            for i, j, k in g.edges:
+                diff = np.subtract(g.nodes[j].values, g.nodes[i].values)
+                assert i < j and (np.array_equal(diff, b.matrix[k])
+                                  or np.array_equal(diff, -b.matrix[k]))
+            edges += len(g.edges)
+        assert edges > 0
+
     def test_mixed_fiber_rejected(self):
         b = basic_moves_two_way(2, 2)
         with pytest.raises(MixedFiberError):
@@ -540,21 +556,21 @@ class TestIterFibers:
 def brute_force(fiber, moves):
     """Reference for the bitmask kernel, one table, move and sign at a time.
 
-    Returns the edges (first (node, move) hit of ``node + move``), the
-    components, and the first pair failing strong and weak distance
-    reduction (None when there is none).
+    Returns the edges (the index in ``moves`` of the first (node, move) hit
+    of ``node + move``), the components, and the first pair failing strong
+    and weak distance reduction (None when there is none).
     """
     index = {x.values: i for i, x in enumerate(fiber)}
     nbrs = [set() for _ in fiber]
     edges = {}
     for i, x in enumerate(fiber):
-        for z in moves:
+        for k, z in enumerate(moves):
             for sign in (1, -1):
                 j = index.get(tuple(a + sign * v for a, v in zip(x.values, z.vec)))
                 if j is not None and j != i:
                     nbrs[i].add(j)
                     if sign == 1:
-                        edges.setdefault((min(i, j), max(i, j)), z)
+                        edges.setdefault((min(i, j), max(i, j)), k)
     label = bfs_labels(len(fiber), [(i, j) for i, js in enumerate(nbrs) for j in js])
     comps = sorted(tuple(i for i in range(len(fiber)) if label[i] == c) for c in set(label))
 
@@ -565,7 +581,7 @@ def brute_force(fiber, moves):
     pairs = [(i, j) for i in range(len(fiber)) for j in range(i + 1, len(fiber))]
     strong = next((p for p in pairs if not (closer(*p) and closer(*p[::-1]))), None)
     weak = next((p for p in pairs if not (closer(*p) or closer(*p[::-1]))), None)
-    return [(i, j, z) for (i, j), z in edges.items()], comps, strong, weak
+    return [(i, j, k) for (i, j), k in edges.items()], comps, strong, weak
 
 
 def assert_kernel_matches_brute_force(fiber, b):

@@ -124,6 +124,57 @@ class TestMoveSet:
         with pytest.raises(NotAMoveError):
             basic_moves_two_way(2, 2).union(MoveSet.build([Move((0, 1, -1, 0))], "b", ALL_ONES_4))
 
+    def test_matrix_is_read_only_int64(self):
+        for moves in input_forms([(1, -1, -1, 1), (0, 1, -1, 0)]):
+            for ms in (MoveSet.build(moves, "t", ALL_ONES_4),
+                       MoveSet(moves, ("t",) * len(moves), ALL_ONES_4)):
+                assert ms.matrix.dtype == np.int64
+                with pytest.raises(ValueError):
+                    ms.matrix[0, 0] = 5
+        rows = np.array([[1, -1, 0, 0]])
+        MoveSet(rows, ("t",), ALL_ONES_4)
+        rows[0, 0] = 1  # the caller's array stays writable
+
+    def test_constructor_from_moves_equals_build(self):
+        b = square_free_graver(build_complete_independence((2, 2, 3)), 4)
+        same = MoveSet(b.moves, b.provenance, b.source_config)
+        assert same == b and hash(same) == hash(b)
+        assert MoveSet(b.moves, ("other",) * len(b), b.source_config) != b
+        assert b.retag("other") != b
+        assert MoveSet.build(b.matrix, b.provenance, build_complete_independence((2, 2, 3))) == b
+
+    def test_array_paths_build_no_move_view(self):
+        # the functions under src/ read a set as rows, never as Move objects
+        from zeroone.fiber import (
+            build_fiber_graph,
+            check_distance_reducing,
+            check_generalized_crossing,
+            enumerate_zero_one_fiber,
+            sweep_connectivity,
+            sweep_distance_reducing,
+        )
+        from zeroone.sampler import exact_test
+
+        cfg = build_two_way_independence(3, 3)
+        b0 = square_free_graver(cfg, 3)
+        b = MoveSet.build(basic_moves_two_way(3, 3).matrix, "basic", cfg)
+        fiber = enumerate_zero_one_fiber(cfg, (1,) * 6)
+        len(b)
+        b.masks
+        b.union(b0)
+        b0.retag("other")
+        degree_histogram(b0)
+        square_free_subset(b0)
+        build_fiber_graph(fiber, b)
+        check_distance_reducing(b, fiber)
+        sweep_connectivity(cfg, b)
+        sweep_distance_reducing(cfg, b)
+        check_generalized_crossing(b, b0)
+        check_generalized_crossing(MoveSet.build(b0.matrix[:1], "one", cfg), b0)
+        prune_by_one_cancellation(b0)
+        exact_test(cfg, fiber[0], b, ("linear", [1.0] * 9), steps=100, seed=1)
+        assert "moves" not in vars(b) and "moves" not in vars(b0)
+
 
 class TestIntegerKernelBasis:
     @pytest.mark.parametrize(

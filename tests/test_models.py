@@ -134,6 +134,91 @@ class TestManyFacetRasch:
             build_many_facet_rasch((2, 2))
 
 
+def indicator_row(cells, pred):
+    return tuple(1 if pred(c) else 0 for c in cells)
+
+
+def reference_two_way(space):
+    """Row and column sums, one indicator row at a time."""
+    I, J = space.dims
+    rows, labels = [], []
+    for i in range(I):
+        rows.append(indicator_row(space.cells, lambda c, i=i: c[0] == i))
+        labels.append(f"row_sum[{i}]")
+    for j in range(J):
+        rows.append(indicator_row(space.cells, lambda c, j=j: c[1] == j))
+        labels.append(f"col_sum[{j}]")
+    return Configuration(space, tuple(rows), tuple(labels))
+
+
+def reference_complete(dims):
+    space = CellSpace(dims)
+    rows, labels = [], []
+    for ax, d in enumerate(dims):
+        for lvl in range(d):
+            rows.append(indicator_row(space.cells, lambda c, ax=ax, lvl=lvl: c[ax] == lvl))
+            labels.append(f"axis{ax}_sum[{lvl}]")
+    return Configuration(space, tuple(rows), tuple(labels))
+
+
+def reference_ntfi(n):
+    space = CellSpace((n, n, n))
+    rows, labels = [], []
+    for name, (a, b) in (("ij", (0, 1)), ("ik", (0, 2)), ("jk", (1, 2))):
+        for u, v in itertools.product(range(n), range(n)):
+            rows.append(indicator_row(space.cells, lambda c, u=u, v=v: c[a] == u and c[b] == v))
+            labels.append(f"sum_{name}[{u},{v}]")
+    return Configuration(space, tuple(rows), tuple(labels))
+
+
+def reference_rasch(dims, constant_item_param):
+    space = CellSpace(dims)
+    V = len(dims) - 1
+    rows, labels = [], []
+    for v in range(V):
+        for lvl in range(dims[v]):
+            rows.append(tuple(c[V] if c[v] == lvl else 0 for c in space.cells))
+            labels.append(f"grade_weighted_facet{v}[{lvl}]")
+    if constant_item_param:
+        rows.append(tuple(1 for _ in space.cells))
+        labels.append("grand_total")
+    else:
+        for g in range(dims[V]):
+            rows.append(indicator_row(space.cells, lambda c, g=g: c[V] == g))
+            labels.append(f"grade_count[{g}]")
+    return Configuration(space, tuple(rows), tuple(labels))
+
+
+SIZES = list(itertools.product(range(2, 6), repeat=2))
+
+
+class TestMarginBuilder:
+    """The builders against one indicator row at a time: the same matrix,
+    row order, labels and cell space."""
+
+    @pytest.mark.parametrize("I,J", SIZES)
+    def test_two_way_and_off_diagonal_quasi(self, I, J):
+        assert build_two_way_independence(I, J) == reference_two_way(CellSpace((I, J)))
+        support = {(i, j) for i in range(I) for j in range(J) if i != j}
+        zeros = frozenset((i, i) for i in range(min(I, J)))
+        want = reference_two_way(CellSpace((I, J), zeros))
+        assert build_quasi_independence(I, J, support) == want
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)])
+    def test_complete_independence(self, dims):
+        assert build_complete_independence(dims) == reference_complete(dims)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ntfi(self, n):
+        assert build_ntfi(n) == reference_ntfi(n)
+
+    @pytest.mark.parametrize("constant_item_param", [False, True])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 3), (3, 2, 4), (2, 3, 2, 2)])
+    def test_rating_model(self, dims, constant_item_param):
+        want = reference_rasch(dims, constant_item_param)
+        assert build_many_facet_rasch(dims, constant_item_param) == want
+
+
 class TestHomogeneity:
     @pytest.mark.parametrize(
         "cfg",
