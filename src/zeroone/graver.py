@@ -71,7 +71,7 @@ class MoveSet:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        return self.matrix.shape, self.matrix.tobytes(), self.provenance, self.source_config
+        return self.matrix.tobytes(), self.provenance, self.source_config  # the model fixes n
 
     @cached_property
     def moves(self) -> tuple[Move, ...]:

@@ -340,11 +340,12 @@ def build_many_facet_rasch(dims, constant_item_param: bool = False) -> Configura
         raise DimensionError(f"each dim must be >= 2, got {dims}")
     V = len(dims) - 1
     space = CellSpace(dims)
+    cells = space.cells
     rows = []
     labels = []
     for v in range(V):
         for lvl in range(dims[v]):
-            rows.append(tuple(c[V] if c[v] == lvl else 0 for c in space.cells))
+            rows.append(tuple(c[V] if c[v] == lvl else 0 for c in cells))
             labels.append(f"grade_weighted_facet{v}[{lvl}]")
     counts = ("grand_total", ()) if constant_item_param else ("grade_count", (V,))
     return _margin_model(space, (counts,), rows, labels)
