@@ -7,7 +7,6 @@ to the desk-size models used throughout.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 import math
@@ -21,7 +20,7 @@ from .errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, Ze
 from .models import Configuration
 
 _LOG = logging.getLogger("zeroone.graver")
-_BUDGET = 1 << 18  # elements in one working array of the square-free pair screen
+_BUDGET = 1 << 18  # elements in one working array of the pair screen and the fit tests
 _VERIFY_SAMPLE = 200  # members of a completed Graver basis checked by brute force
 
 
@@ -72,6 +71,10 @@ class MoveSet:
 
     def _key(self) -> tuple:
         return self.matrix.tobytes(), self.provenance, self.source_config  # the model fixes n
+
+    def __reduce__(self):
+        # through the constructor, which makes the restored matrix read-only
+        return MoveSet, (self.matrix, self.provenance, self.source_config)
 
     @cached_property
     def moves(self) -> tuple[Move, ...]:
@@ -157,73 +160,35 @@ def integer_kernel_basis(A: np.ndarray) -> list[tuple[int, ...]]:
     ker(A) over the integers, not merely over the rationals.
     """
     nr, nc = A.shape
-    M = [[int(A[r][c]) for c in range(nc)] for r in range(nr)]
-    U = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    # column c of A over column c of the unimodular transform, which starts as I
+    cols = [[int(x) for x in A[:, c]] + [int(c == k) for k in range(nc)] for c in range(nc)]
     active = list(range(nc))
-
-    def col_op_sub(dst, src, q):
-        # column dst -= q * column src
-        for r in range(nr):
-            M[r][dst] -= q * M[r][src]
-        for r in range(nc):
-            U[r][dst] -= q * U[r][src]
-
     for row in range(nr):
-        while True:
-            nz = [c for c in active if M[row][c] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda c: abs(M[row][c]))
-            done = True
+        while nz := [c for c in active if cols[c][row]]:
+            piv = min(nz, key=lambda c: abs(cols[c][row]))
             for c in nz:
-                if c == piv:
-                    continue
-                q = M[row][c] // M[row][piv]
-                col_op_sub(c, piv, q)
-                if M[row][c] != 0:
-                    done = False
-            if done:
+                if c != piv:
+                    q = cols[c][row] // cols[piv][row]
+                    cols[c] = [x - q * y for x, y in zip(cols[c], cols[piv])]
+            if not any(cols[c][row] for c in nz if c != piv):
                 active.remove(piv)
                 break
-    return [tuple(U[r][c] for r in range(nc)) for c in active]
-
-
-def _sign_masks(v) -> tuple[int, int]:
-    """The positive and the negative cells of ``v`` as Python-int bitmasks."""
-    p = m = 0
-    for i, x in enumerate(v):
-        if x > 0:
-            p |= 1 << i
-        elif x < 0:
-            m |= 1 << i
-    return p, m
-
-
-def _reducer(v: tuple) -> tuple:
-    """``(v, P, M, support, big)`` for a nonzero vector ``v``: its sign masks,
-    its ``(cell, entry)`` pairs and its ``(cell, |entry|)`` pairs with
-    ``|entry| > 1``.  ``v`` fits conformally inside ``s`` iff ``P`` and ``M``
-    lie in the sign masks of ``s`` and ``|s|`` covers every pair of ``big``."""
-    p, m = _sign_masks(v)
-    support = tuple((i, x) for i, x in enumerate(v) if x)
-    return v, p, m, support, tuple((i, abs(x)) for i, x in support if abs(x) > 1)
+    return [tuple(cols[c][nr:]) for c in active]
 
 
 def graver_basis(cfg: Configuration, max_candidates: int = 2_000_000) -> MoveSet:
     """Full Graver basis by conformal completion of a lattice kernel basis.
 
-    Candidates are processed in increasing L1 order, which makes the run
-    deterministic.  Each member g is kept with -g, both with their sign
-    masks; a candidate is reduced by the members in order, each tested on
-    the masks before the magnitudes.  When a member s is accepted, s + h
-    is pushed only for the h (members and negations) that are not
-    sign-compatible with s: a sign-compatible sum is a conformal sum and
-    reduces to zero (Pottier's and Hemmecke's criterion).
-    ``max_candidates`` counts the candidates popped.  On budget exhaustion
-    a :class:`BudgetExhaustedError` carrying the partial set is raised,
-    never a silent truncation.  The first :data:`_VERIFY_SAMPLE` members
-    are checked by :func:`is_primitive`.  One DEBUG record per run reports
-    the counters.
+    All pending candidates of the least L1 norm are taken at once, made
+    unique up to sign and reduced by the members and their negations
+    (:func:`_reduce`); the survivors are accepted by norm, each norm
+    reducing the rest.  For a new member s, s + h is pushed only for the
+    earlier members and negations h not sign-compatible with s (Pottier's
+    and Hemmecke's criterion: a conformal sum reduces to zero).
+    ``max_candidates`` counts the candidates popped and cuts the last
+    batch; running out raises :class:`BudgetExhaustedError` carrying the
+    partial set.  The first :data:`_VERIFY_SAMPLE` members are checked by
+    :func:`is_primitive`.  One DEBUG record per run gives the counters.
     """
     if max_candidates <= 0:
         raise ZeroOneError(f"max_candidates must be positive, got {max_candidates}")
@@ -231,98 +196,132 @@ def graver_basis(cfg: Configuration, max_candidates: int = 2_000_000) -> MoveSet
     if not basis:
         return MoveSet.build([], "graver", cfg)
 
-    R: list[tuple] = []  # the reducers of g and -g for each member g, in order
+    R = np.zeros((0, cfg.n_cells), dtype=np.int64)  # each member g, then -g, as accepted
+    pending: dict[int, list[np.ndarray]] = {}  # candidates by L1 norm, in push order
 
-    def norm_form(s):
-        # a reducer that does not fit s does not fit s minus a conformal
-        # part of s either, so one pass over R finds the normal form
-        s = list(s)
-        p, m = _sign_masks(s)
-        for _, rp, rm, support, big in R:
-            while not (rp & ~p or rm & ~m) and all(abs(s[i]) >= a for i, a in big):
-                zeroed = 0
-                for i, x in support:
-                    s[i] -= x
-                    if not s[i]:
-                        zeroed |= 1 << i
-                p &= ~zeroed
-                m &= ~zeroed
-                if not (p or m):
-                    return None
-        return tuple(s)
+    def push(V):
+        norm = np.abs(V).sum(axis=1)
+        for level in np.unique(norm).tolist():
+            pending.setdefault(level, []).append(V[norm == level])
 
-    heap: list = []
-    counter = itertools.count()
+    push(np.array(basis, dtype=np.int64))
+    popped = 0
+    while pending and popped < max_candidates:
+        level, room = min(pending), max_candidates - popped
+        batch = np.concatenate(pending.pop(level))
+        if len(batch) > room:
+            pending[level], batch = [batch[room:]], batch[:room]
+        popped += len(batch)
+        S = _reduce(_canonical_rows(batch)[0], R)  # a copy of a member reduces by itself
+        while len(S):
+            norm = np.abs(S).sum(axis=1)
+            low = norm == norm.min()
+            new, m0 = _canonical_rows(S[low])[0], len(R)
+            R = np.concatenate([R, np.stack([new, -new], axis=1).reshape(-1, cfg.n_cells)])
+            push(_incompatible_sums(R, m0))
+            S = _reduce(S[~low], R[m0:])
 
-    def push(v):
-        heapq.heappush(heap, (sum(abs(x) for x in v), next(counter), v))
-
-    for b in basis:
-        push(b)
-    popped = zero = pushed = skipped = 0
-    while heap and popped < max_candidates:
-        popped += 1
-        s = norm_form(heapq.heappop(heap)[2])
-        if s is None:  # also every copy of a member: it reduces by itself
-            zero += 1
-            continue
-        new = _reducer(s)
-        sp, sm = new[1], new[2]
-        for h, hp, hm, _, _ in R:
-            if sp & hm or sm & hp:
-                push(tuple(a + b for a, b in zip(s, h)))
-                pushed += 1
-            else:
-                skipped += 1
-        R += (new, _reducer(tuple(-x for x in s)))
-
-    result = _finalize_graver(R, cfg)
+    # the members that no other member or negation fits inside
+    masks, m = _levels(R, int(np.abs(R).max())), len(R) // 2
+    result = MoveSet.build(R[0::2][_first_fit(masks, masks[0::2], own=np.arange(m)) < 0],
+                           "graver", cfg)
+    # every sum pushed was popped or is pending; a member meets 2 per earlier member
+    pushed = popped + sum(len(c) for chunks in pending.values() for c in chunks) - len(basis)
     _LOG.debug(
         "graver basis: %d candidates popped, %d reduced to zero, %d sums pushed, "
         "%d sign-compatible sums skipped, %d members before and %d after finalizing%s",
-        popped, zero, pushed, skipped, len(R) // 2, len(result),
-        ", budget exhausted" if heap else "",
+        popped, popped - m, pushed, m * (m - 1) - pushed, m, len(result),
+        ", budget exhausted" if pending else "",
     )
-    if heap:
-        raise BudgetExhaustedError(result)
+    if pending:
+        raise BudgetExhaustedError(result, f"graver completion popped {popped} candidates, "
+                                   f"max_candidates={max_candidates}, with {m} members so far")
     for v in result.matrix[:_VERIFY_SAMPLE].tolist():
         if not is_primitive(cfg, Move(v)):
             raise NotAMoveError(f"completion produced non-primitive vector {tuple(v)}")
     return result
 
 
-def _finalize_graver(R, cfg) -> MoveSet:
-    """The members, R's even entries, that no other member or negation
-    (R's other entries) fits conformally inside."""
-    keep = []
-    for i in range(0, len(R), 2):
-        g, p, m, _, _ = R[i]
-        if not any(
-            j // 2 != i // 2 and not (hp & ~p or hm & ~m) and all(abs(g[c]) >= a for c, a in big)
-            for j, (_, hp, hm, _, big) in enumerate(R)
-        ):
-            keep.append(g)
-    return MoveSet.build(keep, "graver", cfg)
+def _levels(V: np.ndarray, T: int) -> np.ndarray:
+    """The cells with entry >= t, then those with entry <= -t, for t = 1..T,
+    one after another in each row's :func:`~zeroone.cells.pack_bits` words:
+    a row r with entries in -T..T fits conformally inside a row s
+    (``min(s, 0) <= r <= max(s, 0)``) iff each mask of r lies inside s's."""
+    t = np.arange(1, T + 1)[:, None]
+    X = np.concatenate([V[:, None] >= t, V[:, None] <= -t], axis=1)
+    return pack_bits(X.reshape(len(V), -1))
+
+
+def _first_fit(R: np.ndarray, S: np.ndarray, own=None) -> np.ndarray:
+    """For each row of ``S``, the first row of ``R`` whose :func:`_levels`
+    masks lie inside it, or -1; with ``own``, row i skips rows ``2 own[i]``
+    and ``2 own[i] + 1``.  Tiled by rows of ``S``, :data:`_BUDGET` pairs."""
+    first = np.full(len(S), -1, dtype=np.int64)
+    step = max(1, _BUDGET // max(1, len(R)))
+    for i in range(0, len(S), step):
+        out = R[:, 0] & ~S[i:i + step, 0, None]  # R's cells outside S's
+        for w in range(1, R.shape[1]):
+            out |= R[:, w] & ~S[i:i + step, w, None]
+        fit = out == 0
+        if own is not None:
+            rows, pair = np.arange(len(fit)), 2 * own[i:i + step]
+            fit[rows, pair] = fit[rows, pair + 1] = False
+        first[i:i + step] = np.where(fit.any(axis=1), fit.argmax(axis=1), -1)
+    return first
+
+
+def _reduce(S: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The nonzero rows of ``S`` (changed in place) after each pass has taken
+    from each row its first fitting row of ``R``, until none fits.  A row
+    of R that does not fit s does not fit s minus a conformal part of s."""
+    if len(R):
+        T = int(np.abs(R).max())
+        masks, rows = _levels(R, T), np.arange(len(S))
+        while len(rows):
+            first = _first_fit(masks, _levels(S[rows], T))
+            rows, first = rows[first >= 0], first[first >= 0]
+            S[rows] -= R[first]
+    return S[S.any(axis=1)]
+
+
+def _incompatible_sums(R: np.ndarray, m0: int) -> np.ndarray:
+    """s + h for each new member s (an even row of ``R`` from ``m0`` on) and
+    each earlier row h with a cell of sign opposite to s's.  s shares a
+    sign cell with row j iff it has one of opposite sign with row j ^ 1,
+    the negation of row j."""
+    signs = _levels(R, 1)
+    new = np.arange(m0, len(R), 2)
+    step = max(1, _BUDGET // max(1, signs.size))
+    sums = []
+    for i in range(0, len(new), step):
+        s = new[i:i + step]
+        share = (signs[s, None] & signs[None, :s[-1]]).any(axis=2)
+        a, j = np.nonzero(share & (np.arange(s[-1]) < s[:, None]))
+        sums.append(R[s[a]] + R[j ^ 1])
+    return np.concatenate(sums)
 
 
 def is_primitive(cfg: Configuration, z: Move) -> bool:
-    """Brute-force primitivity: no proper nonzero move fits conformally inside z."""
+    """Brute-force primitivity: no proper nonzero move fits conformally inside z.
+
+    Tries every a with a_k between 0 and z_k, about :data:`_BUDGET` entries
+    at a time (:func:`numpy.unravel_index`, which refuses 2^63 a's or more):
+    0 and z have A a = 0, and a third such a is a proper part."""
     if not cfg.is_move(z):
         raise NotAMoveError("is_primitive requires a move")
-    supp = [k for k, v in enumerate(z.vec) if v]
-    if not supp:
+    v = np.array(z.vec, dtype=np.int64)
+    supp = np.flatnonzero(v)
+    if not len(supp):
         return False
-    A = cfg.array
-    ranges = []
-    for k in supp:
-        v = z.vec[k]
-        ranges.append(range(0, v + 1) if v > 0 else range(v, 1))
-    cols = A[:, supp]
-    full = tuple(z.vec[k] for k in supp)
-    for assign in itertools.product(*ranges):
-        if not any(assign) or assign == full:
-            continue
-        if not (cols @ np.array(assign, dtype=np.int64)).any():
+    cols = cfg.array[:, supp] * np.sign(v[supp])  # a's entries counted 0..|z_k|
+    sizes = (np.abs(v[supp]) + 1).tolist()
+    total = math.prod(sizes)
+    step = max(1, _BUDGET // max(cfg.n_rows, len(supp)))
+    zeros = 0
+    for i in range(0, total, step):
+        a = np.array(np.unravel_index(np.arange(i, min(i + step, total)), sizes))
+        zeros += np.count_nonzero(~(cols @ a).any(axis=0))
+        if zeros > 2:
             return False
     return True
 

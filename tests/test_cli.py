@@ -57,6 +57,14 @@ class TestGraver:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_message_says_what_ran_out(self, capsys):
+        code, out, err = run(
+            capsys, "graver", "--model", "complete-indep", "--dims", "2,2,3", "--budget", "100",
+        )
+        assert code == 3 and out == ""
+        assert "popped 100 candidates" in err and "max_candidates=100" in err
+        assert "members so far" in err
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_non_positive_budget_exits_two(self, capsys, budget):
         code, out, err = run(capsys, "graver", "--model", "ntfi", "--dims", "3", "--budget", budget)

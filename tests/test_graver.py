@@ -1,16 +1,20 @@
 import hashlib
 import itertools
 import logging
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeroone import graver
 from zeroone.cells import CellSpace, Move
 from zeroone.errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from zeroone.graver import (
     MoveSet,
+    _first_fit,
+    _levels,
     _orbit_representatives,
     degree_histogram,
     graver_basis,
@@ -75,6 +79,29 @@ def input_forms(vecs):
     ]
 
 
+def brute_first_fit(R, S, own=None):
+    """Per row s of ``S``, the first row r of ``R`` with min(s, 0) <= r <=
+    max(s, 0) in every cell, or -1; row i skips rows 2 own[i] and 2 own[i] + 1."""
+    out = []
+    for i, s in enumerate(S):
+        skip = () if own is None else (2 * own[i], 2 * own[i] + 1)
+        lo, hi = np.minimum(s, 0), np.maximum(s, 0)
+        fits = [j for j, r in enumerate(R) if j not in skip and (lo <= r).all() and (r <= hi).all()]
+        out.append(fits[0] if fits else -1)
+    return out
+
+
+def brute_is_primitive(cfg, z):
+    """Every conformal assignment in turn: no proper nonzero one in ker A."""
+    supp = [k for k, v in enumerate(z.vec) if v]
+    ranges = [range(0, z.vec[k] + 1) if z.vec[k] > 0 else range(z.vec[k], 1) for k in supp]
+    full, cols = tuple(z.vec[k] for k in supp), cfg.array[:, supp]
+    for assign in itertools.product(*ranges):
+        if any(assign) and assign != full and not (cols @ np.array(assign)).any():
+            return False
+    return bool(supp)
+
+
 class TestMoveSet:
     def test_dedup_and_canonical_order(self):
         z2 = Move((0, -1, 1, 0))  # the same move as (0, 1, -1, 0), opposite sign
@@ -134,6 +161,12 @@ class TestMoveSet:
         rows = np.array([[1, -1, 0, 0]])
         MoveSet(rows, ("t",), ALL_ONES_4)
         rows[0, 0] = 1  # the caller's array stays writable
+
+    def test_pickle_keeps_matrix_read_only(self):
+        b = basic_moves_two_way(3, 3)
+        restored = pickle.loads(pickle.dumps(b))
+        assert restored == b and hash(restored) == hash(b)
+        assert not restored.matrix.flags.writeable
 
     def test_constructor_from_moves_equals_build(self):
         b = square_free_graver(build_complete_independence((2, 2, 3)), 4)
@@ -278,7 +311,54 @@ class TestGraverBasis:
         ]
 
 
+class TestFitKernel:
+    @pytest.mark.parametrize("n", [12, 70])
+    def test_packed_fit_equals_elementwise(self, monkeypatch, n):
+        monkeypatch.setattr(graver, "_BUDGET", 40)  # tiles of a few rows
+        rng = np.random.default_rng(n)
+        S = rng.integers(-3, 4, size=(60, n))
+        # conformal parts of most rows of S, the same one step outside in one
+        # cell, and random rows
+        parts = np.sign(S[:40]) * np.minimum(np.abs(S[:40]), rng.integers(0, 4, size=(40, n)))
+        bumped = parts.copy()
+        bumped[np.arange(40), rng.integers(0, n, 40)] += rng.choice([-1, 1], 40)
+        R = np.concatenate([parts, bumped, rng.integers(-3, 4, size=(20, n))])
+        R = R[rng.permutation(len(R))]
+        R = R[R.any(axis=1)]
+        T = int(np.abs(R).max())
+        got = _first_fit(_levels(R, T), _levels(S, T))
+        want = brute_first_fit(R, S)
+        assert got.tolist() == want
+        assert -1 in want and sum(w >= 0 for w in want) > 20
+
+    def test_own_pair_skipped(self, monkeypatch):
+        monkeypatch.setattr(graver, "_BUDGET", 40)
+        rng = np.random.default_rng(5)
+        G = rng.integers(-2, 3, size=(20, 12))
+        G = np.concatenate([G, np.sign(G) * np.minimum(np.abs(G), rng.integers(0, 3, G.shape))])
+        G = G[G.any(axis=1)]
+        R = np.stack([G, -G], axis=1).reshape(-1, 12)  # members and negations
+        masks = _levels(R, 2)
+        got = _first_fit(masks, masks[0::2], own=np.arange(len(G)))
+        want = brute_first_fit(R, G, own=np.arange(len(G)))
+        assert got.tolist() == want and -1 in want and max(want) >= 0
+
+
 class TestIsPrimitive:
+    def test_tiled_equals_brute_force(self, monkeypatch):
+        c223 = build_complete_independence((2, 2, 3))
+        lifted = lawrence_lift(build_two_way_independence(3, 4))
+        cases = [(cfg, z) for cfg in (c223, lifted) for z in graver_basis(cfg).moves]
+        V = graver_basis(c223).matrix
+        rng = np.random.default_rng(0)
+        pairs = [rng.choice(len(V), 2, replace=False) for _ in range(40)]
+        cases += [(c223, Move(V[i] + V[j])) for i, j in pairs]
+        verdicts = [is_primitive(cfg, z) for cfg, z in cases]
+        assert verdicts == [brute_is_primitive(cfg, z) for cfg, z in cases]
+        assert not all(verdicts[-40:]) and any(verdicts[-40:])
+        monkeypatch.setattr(graver, "_BUDGET", 16)  # blocks of a few assignments
+        assert [is_primitive(cfg, z) for cfg, z in cases] == verdicts
+
     def test_basic_move_primitive(self):
         cfg = build_two_way_independence(2, 2)
         assert is_primitive(cfg, Move((1, -1, -1, 1)))
