@@ -313,41 +313,53 @@ class CrossingReport:
         return self.witness is not None
 
 
-def _crossing_search(x: Table, y: Table, cfg: Configuration, weak: bool) -> CrossingReport:
+def _first_crossings(U: np.ndarray, V: np.ndarray, Q: np.ndarray, weak: bool) -> np.ndarray:
+    """Per row pair (u, v) of ``U`` and ``V``: the first c such that the swap
+    ``Q[c]`` crosses from u to v, else ``len(Q) + c`` for the first from v to
+    u, else ``2 * len(Q)``.  (i1, i2, i3, i4) crosses from u to v iff u > v at
+    i1 and i2, u < v at i3 and (strong) u <= v at i4, so any integer tables do."""
+    gt, lt = np.ascontiguousarray((U > V).T), np.ascontiguousarray((U < V).T)  # cells x pairs
+    hit = [g[Q[:, 0]] & g[Q[:, 1]] & l[Q[:, 2]] & (weak | ~g[Q[:, 3]])
+           for g, l in ((gt, lt), (lt, gt))]
+    return np.vstack(hit + [np.ones((1, len(U)), dtype=bool)]).argmax(axis=0)
+
+
+def _crossing(x: Table, y: Table, cfg: Configuration, weak: bool) -> CrossingReport:
     if x.values == y.values:
         raise ZeroOneError("crossing patterns are defined for distinct tables")
-    cond = "weak" if weak else "strong"
-    # cells i1, i2 and i3, i4 swap along a move iff their pair codes are equal
-    pair = cfg.pair_codes
-    n = cfg.n_cells
-    for direction, (u, v) in ((1, (x, y)), (-1, (y, x))):
-        gt = [i for i in range(n) if u[i] > v[i]]
-        lt = [i for i in range(n) if u[i] < v[i]]
-        if weak:
-            fourth = list(range(n))
-        else:
-            fourth = [i for i in range(n) if u[i] <= v[i]]
-        for a in range(len(gt)):
-            for bidx in range(a + 1, len(gt)):
-                i1, i2 = gt[a], gt[bidx]
-                lhs = pair[i1][i2]
-                for i3 in lt:
-                    for i4 in fourth:
-                        if i4 in (i1, i2, i3):
-                            continue
-                        if pair[i3][i4] == lhs:
-                            return CrossingReport(cond, ((i1, i2, i3, i4), direction))
-    return CrossingReport(cond, None)
+    Q = cfg.swaps
+    c = int(_first_crossings(np.array([x.values]), np.array([y.values]), Q, weak)[0])
+    witness = (tuple(Q[c % len(Q)].tolist()), 1 if c < len(Q) else -1) if c < 2 * len(Q) else None
+    return CrossingReport("weak" if weak else "strong", witness)
 
 
 def check_strong_crossing(x: Table, y: Table, cfg: Configuration) -> CrossingReport:
-    """Condition: distinct cells with x>y, x>y, x<y, x<=y (or the mirror),
-    such that swapping along them is a move."""
-    return _crossing_search(x, y, cfg, weak=False)
+    """Distinct cells i1 < i2 with x > y, i3 with x < y and i4 with x <= y (weak
+    crossing: any i4), or the mirror, forming a swap; the witness is the first
+    such row of :attr:`Configuration.swaps`, x to y (direction 1) before y to x (-1)."""
+    return _crossing(x, y, cfg, weak=False)
 
 
 def check_weak_crossing(x: Table, y: Table, cfg: Configuration) -> CrossingReport:
-    return _crossing_search(x, y, cfg, weak=True)
+    return _crossing(x, y, cfg, weak=True)
+
+
+def uncrossed_pair(fiber, cfg: Configuration, weak: bool = False):
+    """The first pair ``(x, y)`` of ``fiber``, zero-one Tables or an (m, n)
+    0/1 array of one key, in node order with no strong (``weak``: weak)
+    crossing pattern, or None.  Tiles of at most ``_CHUNK`` pairs x swaps."""
+    X = _fiber_bits(fiber)
+    _check_single_key(cfg, X)
+    Q, m = cfg.swaps, len(X)
+    step = max(1, _CHUNK // max(1, 2 * len(Q)))
+    for k in range(0, m * (m - 1), step):  # the last pair a < b is a * m + b = m * (m - 1) - 1
+        a, b = np.divmod(np.arange(k, min(k + step, m * (m - 1))), m)
+        a, b = a[a < b], b[a < b]
+        for r in np.flatnonzero(_first_crossings(X[a], X[b], Q, weak) == 2 * len(Q))[:1]:
+            if (X[a[r]] == X[b[r]]).all():
+                raise ZeroOneError("crossing patterns are defined for distinct tables")
+            return _member(fiber, X, int(a[r])), _member(fiber, X, int(b[r]))
+    return None
 
 
 def check_generalized_crossing(b: MoveSet, b0: MoveSet):

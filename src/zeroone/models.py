@@ -211,12 +211,20 @@ class Configuration:
         return self.key_codes(S.reshape(-1, S.shape[-1])).reshape(S.shape[:-1])
 
     @cached_property
-    def pair_codes(self) -> list[list[int]]:
-        """``pair_codes[i][j]``: the key code of the zero-one table with
-        cells i and j set, for i != j (the diagonal is not a zero-one
-        table).  Codes are compared within this table only."""
+    def swaps(self) -> np.ndarray:
+        """(Q, 4) rows (i1, i2, i3, i4) of distinct cells, i1 < i2, in
+        lexicographic order, such that trading cells {i1, i2} of a zero-one
+        table for {i3, i4} keeps its key: a move.  Pairs meet by key code."""
         origin, steps = self.key_terms
-        return self.key_codes_of_sums(origin + steps[:, None] + steps[None, :]).tolist()
+        i, j = np.nonzero(~np.eye(self.n_cells, dtype=bool))  # ordered pairs, lexicographic
+        codes = self.key_codes_of_sums(origin + steps[i] + steps[j])
+        order = np.argsort(codes, kind="stable")
+        lo, hi = (np.searchsorted(codes[order], codes[i < j], side=s) for s in ("left", "right"))
+        # each {i1, i2} against every (i3, i4) of its code, both in lexicographic order
+        left = np.repeat(np.flatnonzero(i < j), hi - lo)
+        right = order[np.arange(len(left)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+        R = np.stack([i[left], j[left], i[right], j[right]], axis=1)
+        return R[(R[:, 2:, None] != R[:, None, :2]).all(axis=(1, 2))]
 
     @cached_property
     def fiber_plan(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:

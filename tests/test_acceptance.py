@@ -71,7 +71,6 @@ class TestSquareFreeDegreeHistograms:
     def test_histogram_333(self, b0_333):
         assert degree_histogram(b0_333) == {2: 243, 3: 3438, 4: 19008, 5: 12312}
 
-    @pytest.mark.long
     def test_histogram_235(self):
         b0 = square_free_graver(build_complete_independence((2, 3, 5)), 7)
         assert degree_histogram(b0) == {2: 285, 3: 3840, 4: 23220, 5: 33120, 6: 720}

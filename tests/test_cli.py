@@ -234,6 +234,55 @@ class TestCheck:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("condition", ["strong", "weak"])
+    @pytest.mark.parametrize(
+        "argv,code,stdout",
+        [
+            (("quasi-indep", "3,3", "--zeros", "z3.txt", "--moves", "df1", "--sweep"), 1,
+             "no {} crossing for a pair in key (1, 1, 1, 1, 1, 1)\n"),
+            (("quasi-indep", "4,4", "--zeros", "z4.txt", "--moves", "df1", "--sweep"), 1,
+             "no {} crossing for a pair in key (0, 1, 1, 1, 0, 1, 1, 1)\n"),
+            (("many-facet-rasch", "2,2,3", "--moves", "square-free-graver", "--max-degree", "3",
+              "--sweep"), 1, "no {} crossing for a pair in key (0, 0, 0, 0, 1, 0, 0)\n"),
+            (("two-way-indep", "3,4", "--moves", "basic", "--sweep"), 0,
+             "{} crossing pattern exists for every pair\n"),
+            (("quasi-indep", "3,3", "--zeros", "z3.txt", "--moves", "df1", "--from-table", "x.txt"),
+             1, "pair without crossing pattern:\n0 1 1 0 0 1\n1 0 0 1 1 0\n"),
+            (("two-way-indep", "3,3", "--moves", "basic", "--from-table", "x9.txt"), 0,
+             "{} crossing pattern exists for every pair\n"),
+        ],
+        ids=["quasi-3x3-sweep", "quasi-4x4-sweep", "rating-2x2x3-sweep", "two-way-3x4-sweep",
+             "quasi-3x3-fiber", "two-way-3x3-fiber"],
+    )
+    def test_crossing_output(self, capsys, tmp_path, monkeypatch, condition, argv, code, stdout):
+        # the verdicts and first failing keys of the per-pair loop the kernel replaced
+        monkeypatch.chdir(tmp_path)
+        fileio.write_mask("z3.txt", [(i, i) for i in range(3)])
+        fileio.write_mask("z4.txt", [(i, i) for i in range(4)])
+        fileio.write_table("x.txt", Table((1, 0, 0, 1, 1, 0)))
+        fileio.write_table("x9.txt", Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
+        model, dims, *rest = argv
+        got = run(capsys, "check", "--model", model, "--dims", dims, "--condition", condition,
+                  *rest)
+        assert got == (code, stdout.format(condition), "")
+
+    @pytest.mark.parametrize(
+        "moves,code,stdout",
+        [
+            ("basic", 0, "distance reducing on this fiber\n"),
+            ("loop-3", 1, "counterexample pair:\n0 0 1 0 1 0 1 0 0\n0 0 1 1 0 0 0 1 0\n"),
+        ],
+    )
+    def test_distance_reducing_fiber_output(self, capsys, tmp_path, moves, code, stdout):
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
+        got = run(
+            capsys,
+            "check", "--model", "two-way-indep", "--dims", "3,3", "--condition",
+            "distance-reducing", "--moves", moves, "--from-table", str(x),
+        )
+        assert got == (code, stdout, "")
+
     def test_strong_on_single_fiber(self, capsys, tmp_path):
         x = tmp_path / "x.txt"
         fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))

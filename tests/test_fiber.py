@@ -24,6 +24,7 @@ from zeroone.fiber import (
     iter_fibers,
     sweep_connectivity,
     sweep_distance_reducing,
+    uncrossed_pair,
 )
 from zeroone.graver import MoveSet, square_free_graver
 from zeroone.models import (
@@ -216,6 +217,22 @@ class TestCrossing:
         with pytest.raises(ZeroOneError):
             check_strong_crossing(Table((1, 0, 0, 1)), Table((1, 0, 0, 1)), cfg)
 
+    def test_uncrossed_pair_returns_members(self):
+        cfg = build_quasi_independence(3, 3, off_diagonal(3))
+        fiber = enumerate_zero_one_fiber(cfg, (1,) * 6)
+        X = np.array([x.values for x in fiber], dtype=np.uint8)
+        pair = uncrossed_pair(fiber, cfg)
+        assert pair[0] is fiber[0] and pair[1] is fiber[1]
+        assert uncrossed_pair(X, cfg, weak=True) == pair
+        assert uncrossed_pair(X[:1], cfg) is None and uncrossed_pair(X[:0], cfg) is None
+
+    def test_uncrossed_pair_refusals(self):
+        cfg = build_two_way_independence(2, 2)
+        with pytest.raises(ZeroOneError):  # the same table twice
+            uncrossed_pair([Table((1, 0, 0, 1))] * 2, cfg)
+        with pytest.raises(MixedFiberError):
+            uncrossed_pair([Table((1, 0, 0, 1)), Table((1, 1, 0, 0))], cfg)
+
     def test_generalized_full_set_trivially_covered(self):
         cfg = build_complete_independence((2, 2, 2))
         b0 = square_free_graver(cfg, 2)
@@ -289,6 +306,90 @@ class TestCrossingAgainstBruteForce:
                 assert check(x, y, cfg).witness == want
                 found.add(want is not None)
         assert found == outcomes
+
+
+def off_diagonal(n):
+    return {(i, j) for i in range(n) for j in range(n) if i != j}
+
+
+SIGNED_6 = Configuration(CellSpace((6,)), ((1, 1, 1, 1, 1, 1), (2, -1, 0, 1, -2, 1)))
+
+
+def brute_uncrossed(tables, cfg, weak):
+    """Reference per-fiber loop: the first pair a < b in node order with no
+    crossing by :func:`brute_crossing`, or None."""
+    for a, b in itertools.combinations(range(len(tables)), 2):
+        if brute_crossing(tables[a], tables[b], cfg, weak) is None:
+            return tables[a], tables[b]
+    return None
+
+
+class TestSweepAgainstPerFiberLoop:
+    """The first uncrossed pair of every fiber of ``iter_fibers``, and with
+    it the sweep's verdict and first failing key, against the per-fiber
+    loop; ``_CHUNK`` is small, so a fiber spans many tiles."""
+
+    @pytest.mark.parametrize(
+        "cfg,first_failing",
+        [
+            (build_quasi_independence(3, 3, off_diagonal(3)), (1, 1, 1, 1, 1, 1)),
+            (build_quasi_independence(4, 4, off_diagonal(4)), (0, 1, 1, 1, 0, 1, 1, 1)),
+            (build_many_facet_rasch((2, 2, 3)), (0, 0, 0, 0, 1, 0, 0)),
+            (SIGNED_6, (1, 1)),
+            (build_two_way_independence(2, 5), None),
+            (build_two_way_independence(3, 4), None),
+            (build_complete_independence((2, 2, 3)), None),
+        ],
+        ids=["quasi-3x3", "quasi-4x4", "rating-2x2x3", "signed-6", "two-way-2x5",
+             "two-way-3x4", "complete-2x2x3"],
+    )
+    @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+    def test_first_uncrossed_pair(self, cfg, first_failing, weak, monkeypatch):
+        monkeypatch.setattr(fiber_module, "_CHUNK", 7 * max(1, len(cfg.swaps)))
+        step = 3 if len(cfg.swaps) else 7  # pairs per tile: 3 of 6 = 2 * 3 grid cells of m^2
+        tiles, fibers = [], 0
+        kernel = fiber_module._first_crossings
+        monkeypatch.setattr(fiber_module, "_first_crossings",
+                            lambda U, *rest: tiles.append(len(U)) or kernel(U, *rest))
+        first = None
+        for key, X in iter_fibers(cfg):
+            want = brute_uncrossed([Table(x) for x in X.tolist()], cfg, weak)
+            assert uncrossed_pair(X, cfg, weak) == want
+            fibers += len(X) > 1
+            if want is not None and first is None:
+                first = key
+        assert first == first_failing
+        # no tile holds more than its budget of pairs, and some fiber spans
+        # several (without swaps, each fiber stops at its first pair)
+        assert max(tiles) <= step and (len(tiles) > fibers or len(cfg.swaps) == 0)
+
+
+class TestCrossingBeyondZeroOne:
+    """Comparisons, not bits: on distinct tables with entries 0..3 the
+    witnesses are the reference search's."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [build_two_way_independence(3, 4), build_complete_independence((2, 2, 3)),
+         build_many_facet_rasch((2, 2, 3)), SIGNED_6],
+        ids=["two-way-3x4", "complete-2x2x3", "rating-2x2x3", "signed-6"],
+    )
+    def test_witnesses_match(self, cfg):
+        rng = np.random.Generator(np.random.PCG64(11))
+        found = set()
+        for _ in range(60):
+            x = rng.integers(0, 4, size=cfg.n_cells)
+            y = x.copy()  # redrawn in a few cells, so that some pairs have no crossing
+            cells = rng.choice(cfg.n_cells, size=rng.integers(1, cfg.n_cells + 1), replace=False)
+            y[cells] = rng.integers(0, 4, size=len(cells))
+            if (x == y).all():
+                continue
+            x, y = Table(x), Table(y)
+            for weak, check in ((False, check_strong_crossing), (True, check_weak_crossing)):
+                want = brute_crossing(x, y, cfg, weak)
+                assert check(x, y, cfg).witness == want
+                found.add(want is not None)
+        assert found == {True, False}
 
 
 class TestConformalDecompose:
@@ -636,10 +737,6 @@ class TestKernelAgainstBruteForce:
         swaps = basic_moves_two_way(2, 33)
         for b in (swaps, MoveSet.build(swaps.moves[::3], swaps.provenance[::3], cfg)):
             assert_kernel_matches_brute_force(fiber, b)
-
-
-def off_diagonal(n):
-    return {(i, j) for i in range(n) for j in range(n) if i != j}
 
 
 def reference_closer(b, X):

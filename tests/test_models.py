@@ -367,6 +367,47 @@ class TestKeyCodes:
             cfg.key_codes([[3, 0, 0, 0]])
 
 
+# key spans beyond 2^64: ranked codes, not mixed-radix ones
+NO_RADIX = Configuration(CellSpace((5,)), ((1, 2, 0, 1, 2), (1 << 40,) * 5, (1 << 40,) * 5))
+
+
+class TestSwaps:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            build_two_way_independence(3, 4),
+            build_complete_independence((2, 2, 3)),
+            build_many_facet_rasch((2, 2, 3)),
+            build_ntfi(2),
+            Configuration(CellSpace((6,)), ((1, 1, 1, 1, 1, 1), (2, -1, 0, 1, -2, 1))),
+            Configuration(CellSpace((5,)), ((1, 1, 1, 1, 1),)),  # every pair has one key
+            Configuration(CellSpace((4,)), ((1, 1, 1, 1), (1, 1, 0, 0))),  # equal columns
+            NO_RADIX,
+            Configuration(CellSpace((4,)), ()),  # no rows
+            Configuration(CellSpace((1,)), ((1,),)),  # no pair of cells
+        ],
+        ids=["two-way-3x4", "complete-2x2x3", "rating-2x2x3", "ntfi-2", "signed-6",
+             "one-row", "equal-columns", "no-radix", "zero-row", "one-cell"],
+    )
+    def test_every_swap_in_lexicographic_order(self, cfg):
+        # the rows (i1, i2, i3, i4), i1 < i2, of distinct cells whose column sums agree
+        A = cfg.array.T.tolist()
+        want = [
+            (i1, i2, i3, i4)
+            for i1, i2 in itertools.combinations(range(cfg.n_cells), 2)
+            for i3, i4 in itertools.permutations(range(cfg.n_cells), 2)
+            if not {i3, i4} & {i1, i2}
+            and [a + b for a, b in zip(A[i1], A[i2])] == [a + b for a, b in zip(A[i3], A[i4])]
+        ]
+        assert cfg.swaps.shape == (len(want), 4)
+        assert list(map(tuple, cfg.swaps.tolist())) == want
+
+    def test_without_radix(self):
+        assert NO_RADIX.key_radix is None
+        cfg = build_ntfi(4)  # 5^48 keys: line sums have no degree-2 move
+        assert cfg.key_radix is None and cfg.swaps.shape == (0, 4)
+
+
 def row_permutation(cfg, g) -> bool:
     """Whether ``g`` permutes the cells and ``A[:, g]`` has the rows of A."""
     rows = Counter(map(tuple, cfg.array.tolist()))
