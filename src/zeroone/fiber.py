@@ -442,8 +442,8 @@ class SweepReport:
 
 
 def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
-    """Fiber-key codes (:meth:`Configuration.key_codes`) of all 2^n zero-one
-    tables, table i having cell k equal to bit k of i.
+    """Fiber-key codes (:meth:`Configuration.key_codes_of_sums`) of all 2^n
+    zero-one tables, table i having cell k equal to bit k of i.
 
     The sums of :attr:`Configuration.key_terms` are built by doubling, one
     cell at a time.  A non-positive ``max_cells`` is refused.

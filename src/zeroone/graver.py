@@ -50,16 +50,26 @@ class MoveSet:
         ``cfg``, tagged ``tag`` or one tag per move: canonical signs, each
         move once with its first tag, in (L1 norm, vector) order.  Raises
         :class:`LengthMismatchError` for a vector or a tag count of the wrong
-        length and :class:`NotAMoveError` for a move outside ker A.
+        length and :class:`NotAMoveError` for a move outside ker A, or one
+        too large for the product ``A v`` to be exact in 64 bits.
         """
         moves = _as_rows(moves, cfg.n_cells)
         tags = (tag,) * len(moves) if isinstance(tag, str) else tuple(tag)
         if len(tags) != len(moves):
             raise LengthMismatchError(f"{len(tags)} tags for {len(moves)} moves")
         V, first = _canonical_rows(moves)
-        bad = np.flatnonzero((cfg.array @ V.T).any(axis=0))
+        # int64 A V wraps modulo 2^64: exact while |A| |v| and the uint64 L1
+        # norm are at most 2^63, checked for all rows at once, else in float64
+        top = max(int(V.max(initial=0)), -int(V.min(initial=0)))
+        wide = np.zeros(len(V), dtype=bool)
+        if top * max([cfg.n_cells] + [high - low for low, high in cfg.fiber_plan[0]]) > 1 << 63:
+            bound = np.abs(V.astype(np.float64)) @ np.abs(np.c_[np.ones(cfg.n_cells), cfg.array.T])
+            # -2^63 is its own int64 negation
+            wide = (bound > 2.0**63).any(axis=1) | (np.abs(V) < 0).any(axis=1)
+        bad = np.flatnonzero(wide | (cfg.array @ V.T).any(axis=0))
         if len(bad):
-            raise NotAMoveError(f"{tuple(V[bad[0]].tolist())} is not a move of the model")
+            why = "too large to check exactly in 64 bits" if wide[bad[0]] else "not a move of the model"
+            raise NotAMoveError(f"{tuple(V[bad[0]].tolist())} is {why}")
         provenance = tuple(tags[i] for i in first.tolist())
         return cls(V, provenance, cfg)
 
@@ -126,7 +136,10 @@ def _as_rows(moves, n: int) -> np.ndarray:
     lengths = {len(v) for v in moves} - {n}
     if lengths:
         raise LengthMismatchError(f"move length {min(lengths)} != {n} cells")
-    return np.array(moves, dtype=np.int64).reshape(len(moves), n)
+    try:
+        return np.array(moves, dtype=np.int64).reshape(len(moves), n)
+    except OverflowError:
+        raise NotAMoveError("a move entry does not fit in 64 bits") from None
 
 
 def _canonical_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +150,7 @@ def _canonical_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = np.flatnonzero(lead)
     V = V[keep]
     V[lead[keep] < 0] *= -1
-    order = np.lexsort((*V.T[::-1], np.abs(V).sum(axis=1)))
+    order = np.lexsort((*V.T[::-1], np.abs(V).sum(axis=1, dtype=np.uint64)))
     V, keep = V[order], keep[order]
     new = np.ones(len(V), dtype=bool)
     new[1:] = (V[1:] != V[:-1]).any(axis=1)  # the sort is stable: first occurrences lead
@@ -341,9 +354,10 @@ def square_free_graver(
     members (differences of cells with identical statistic columns) exist
     only when the configuration has duplicate columns.
 
-    Every weight-d table (d-set of cells) gets its exact fiber-key code
-    as a sum of per-cell terms (:attr:`Configuration.key_terms`); the
-    d-sets are grouped by a sort of the codes, disjointness is an AND of
+    Every weight-d table (d-set of cells) gets its exact fiber-key words
+    as a sum of per-cell terms (:attr:`Configuration.key_terms`) and a code
+    from them (:meth:`Configuration.key_codes_of_sums`); the d-sets are
+    grouped by a sort of the codes, disjointness is an AND of
     :func:`~zeroone.cells.pack_bits` masks, and primitivity of a pair
     (u, v) is tested on the subsets of size k <= d // 2 only: if u' of u
     and v' of v share a statistic, so do u - u' and v - v', of size d - k.
@@ -361,8 +375,11 @@ def square_free_graver(
     once.
 
     Requires a homogeneous configuration (positive and negative parts of
-    every move then have equal weight, so the pairing is exhaustive).
+    every move then have equal weight, so the pairing is exhaustive).  A
+    degree bound below 1 is refused.
     """
+    if min(max_degree, min_degree) < 1:
+        raise ZeroOneError(f"degrees must be positive, got {min_degree}..{max_degree}")
     if cfg.homogeneity_witness is None:
         raise NotAMoveError("square_free_graver requires a homogeneous configuration")
     n = cfg.n_cells

@@ -103,61 +103,38 @@ class Configuration:
         return tuple(map(Fraction, w))
 
     @cached_property
-    def key_radix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(low, span, place)`` of the mixed-radix fiber-key code, or None.
-
-        Row r of the statistic of a zero-one table lies in ``[low_r,
-        low_r + span_r)``, ``low_r`` being the sum of the row's negative
-        entries and ``span_r - 1`` the sum of its absolute values.  Offset
-        by ``low``, each row is one digit with its own radix ``span_r``, the
-        first row most significant, so codes sort as the keys do.  None when
-        codes would not fit in a uint64.
-        """
-        A = self.array
-        low = np.minimum(A, 0).sum(axis=1)
-        span = np.abs(A).sum(axis=1) + 1
-        place, total = [], 1
-        for s in reversed(span.tolist()):
-            place.append(total)
-            total *= s
-        if total > 1 << 64:
-            return None
-        return low, span, np.array(place[::-1], dtype=np.uint64)
-
-    def key_codes(self, T) -> np.ndarray:
-        """One exact uint64 code per row of zero-one statistics ``T`` (N x rows).
-
-        Codes are equal iff the rows are, and sort as the rows do
-        (lexicographically): mixed-radix codes by :attr:`key_radix` when
-        they fit, else the ranks of the rows within ``T`` from ``np.unique``.
-        """
-        T = np.atleast_2d(np.asarray(T, dtype=np.int64))
-        radix = self.key_radix
-        if radix is None:
-            return np.unique(T, axis=0, return_inverse=True)[1].reshape(-1).astype(np.uint64)
-        low, span, place = radix
-        D = T - low
-        if ((D < 0) | (D >= span)).any():
-            raise ZeroOneError("statistic outside the range of zero-one tables")
-        return (D.astype(np.uint64) * place).sum(axis=1, dtype=np.uint64)
-
-    @cached_property
     def key_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(origin, steps)``: a zero-one table x sums to ``origin`` plus
-        ``steps[c]`` for each cell c with x_c = 1, and
-        :meth:`key_codes_of_sums` turns that sum into its key code.
-
-        With :attr:`key_radix` the mixed-radix code is affine in the table,
-        so the terms are one-element uint64 vectors (``steps[c]`` being
-        ``A[:, c] · place`` modulo 2^64) and the sum, wrapping modulo 2^64,
-        is the code itself: exact, as every code is below 2^64.  Otherwise
-        the terms are the statistic rows, zero and the columns of A.
+        """``(origin, steps)``, uint64 arrays of shape (W,) and (n, W): the
+        key words of a zero-one table x are ``origin`` plus ``steps[c]`` for
+        each cell c with x_c = 1, wrapping modulo 2^64, and
+        :meth:`key_codes_of_sums` codes them.  Row r of the statistic, less
+        its least value ``low_r`` (:attr:`fiber_plan`), is a digit of radix
+        ``high_r - low_r + 1``; consecutive rows share a word while the
+        product of their radices is at most 2^64 (filled from the last row),
+        the first row most significant, so the words are exact and sort as
+        the keys do.  Built in Python ints; a row taking more than 2^64
+        values is refused.
         """
-        unit = np.vstack([np.zeros((1, self.n_rows), dtype=np.int64), self.array.T])
-        if self.key_radix is None:
-            return unit[0], unit[1:]
-        c = self.key_codes(unit)[:, None]
-        return c[0], c[1:] - c[0]
+        ranges, touched = self.fiber_plan
+        digit, words, total = [None] * len(ranges), 1, 1  # per row: (word from the end, place)
+        for r in reversed(range(len(ranges))):
+            s = ranges[r][1] - ranges[r][0] + 1
+            if s > 1 << 64:
+                raise ZeroOneError(f"row {r} ({self.row_labels[r]}) of the statistic takes "
+                                   f"{s} values on zero-one tables, more than 2^64")
+            if total * s > 1 << 64:
+                words, total = words + 1, 1
+            digit[r] = (words, total)
+            total *= s
+        origin, steps = [0] * words, [[0] * words for _ in touched]
+        for (k, place), (low, _) in zip(digit, ranges):
+            origin[-k] -= low * place
+        for c, entries in enumerate(touched):
+            for r, a, _, _ in entries:
+                k, place = digit[r]
+                steps[c][-k] = (steps[c][-k] + a * place) % (1 << 64)
+        return (np.array(origin, dtype=np.uint64),
+                np.array(steps, dtype=np.uint64).reshape(-1, words))
 
     @cached_property
     def symmetry(self) -> np.ndarray:
@@ -200,15 +177,14 @@ class Configuration:
         return np.array(kept, dtype=np.int64).reshape(len(kept), self.n_cells)
 
     def key_codes_of_sums(self, S) -> np.ndarray:
-        """Key codes of sums of :attr:`key_terms`, the terms along the last axis.
-
-        Without :attr:`key_radix` the sums are statistics, ranked by
-        :meth:`key_codes` in this one call: codes from different calls do
-        not compare.
-        """
-        if self.key_radix is not None:
+        """Key codes of sums of :attr:`key_terms`, the W words along the last
+        axis: equal iff the keys are, and sorting as they do.  With one word
+        the code is the word; with more, its rank among the words of ``S``
+        (``np.unique``), so codes from different calls do not compare."""
+        if S.shape[-1] == 1:
             return S[..., 0]
-        return self.key_codes(S.reshape(-1, S.shape[-1])).reshape(S.shape[:-1])
+        rank = np.unique(S.reshape(-1, S.shape[-1]), axis=0, return_inverse=True)[1]
+        return rank.reshape(S.shape[:-1]).astype(np.uint64)
 
     @cached_property
     def swaps(self) -> np.ndarray:
@@ -257,17 +233,21 @@ class Configuration:
     def sufficient_stat(self, x: Table) -> FiberKey:
         """``A x`` in Python ints, exact for any integer table."""
         x.check_length(self.cell_space)
+        return self._product(x.values)
+
+    def is_move(self, z: Move) -> bool:
+        """Whether ``A z = 0``, in Python ints, exact for any integer vector."""
+        if len(z.vec) != self.n_cells:
+            raise LengthMismatchError("move length does not match cell count")
+        return not any(self._product(z.vec))
+
+    def _product(self, values) -> FiberKey:
         stat = [0] * self.n_rows
-        for v, cells in zip(x.values, self.fiber_plan[1]):
+        for v, cells in zip(values, self.fiber_plan[1]):
             if v:
                 for r, a, _, _ in cells:
                     stat[r] += a * v
         return tuple(stat)
-
-    def is_move(self, z: Move) -> bool:
-        if len(z.vec) != self.n_cells:
-            raise LengthMismatchError("move length does not match cell count")
-        return not (self.array @ np.array(z.vec, dtype=np.int64)).any()
 
 
 def _exact_ratio(x, y):

@@ -9,28 +9,6 @@ from zeroone.models import Configuration, build_complete_independence
 from zeroone.movegen import degree8_moves_4x4
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-long",
-        action="store_true",
-        default=False,
-        help="run long optional checks (extra table rows, large sweeps)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "long: long optional check")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-long"):
-        return
-    skip = pytest.mark.skip(reason="needs --run-long")
-    for item in items:
-        if "long" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def b0_333():
     """Square-free Graver set of 3x3x3 complete independence (shared: expensive).

@@ -70,6 +70,17 @@ class TestGraver:
         code, out, err = run(capsys, "graver", "--model", "ntfi", "--dims", "3", "--budget", budget)
         assert code == 2 and "error" in err and "budget exhausted" not in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["graver", "--square-free", "--max-degree", "-2"],
+        ["connect", "--moves", "square-free-graver", "--max-degree", "0"],
+    ], ids=["graver", "connect"])
+    def test_non_positive_max_degree_exits_two(self, capsys, tmp_path, argv):
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
+        code, out, err = run(capsys, argv[0], "--model", "two-way-indep", "--dims", "3,3",
+                             *argv[1:], *(["--from-table", str(x)] if argv[0] == "connect" else []))
+        assert code == 2 and "degrees must be positive" in err and out == ""
+
     def test_prune_over_pair_budget_exits_three(self, capsys):
         # 8,394 square-free moves: 35M pairs exceed the default 10^7 before any is screened
         code, out, err = run(
@@ -129,6 +140,19 @@ class TestConnect:
         )
         assert code == 0
         assert "fiber size: 2" in out and "components: 1" in out
+
+    # A v wraps to 0 in int64; an entry beyond int64
+    @pytest.mark.parametrize("entry", [-2**63, 2**63])
+    def test_move_too_large_exits_two(self, capsys, tmp_path, entry):
+        moves, x = tmp_path / "moves.txt", tmp_path / "x.txt"
+        fileio.write_matrix(moves, [[entry] * 4])
+        fileio.write_table(x, Table((1, 0, 0, 1)))
+        code, out, err = run(
+            capsys,
+            "connect", "--model", "two-way-indep", "--dims", "2,2",
+            "--moves", str(moves), "--from-table", str(x),
+        )
+        assert code == 2 and "64 bits" in err and out == ""
 
     # a cell outside the 2 x 2 box, and a cell of three indices
     @pytest.mark.parametrize("mask", [[(0, 0), (7, 7)], [(0, 0, 0)]])

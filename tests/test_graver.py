@@ -121,6 +121,17 @@ class TestMoveSet:
             with pytest.raises(NotAMoveError):
                 MoveSet.build(moves, "t", cfg)
 
+    @pytest.mark.parametrize("v", [(2**62,) * 4, (-2**63, 0, 0, 0), (2**63, -1, 0, 0)],
+                             ids=["product-wraps-to-zero", "no-negation", "beyond-int64"])
+    def test_rejects_moves_too_large_to_check(self, v):
+        # (2^62, ...): A v = 2^64, which int64 wraps to 0
+        with pytest.raises(NotAMoveError, match="64 bits"):
+            MoveSet.build([v], "t", ALL_ONES_4)
+
+    def test_large_move_accepted(self):
+        ms = MoveSet.build([(2**62, -2**62, 0, 0), (0, 1, -1, 0)], "t", ALL_ONES_4)
+        assert ms.matrix.tolist() == [[0, 1, -1, 0], [2**62, -2**62, 0, 0]]  # L1 norm 2^63 last
+
     def test_rejects_length_mismatch(self):
         cfg = build_two_way_independence(2, 2)
         for moves in input_forms([(1, -1)]):
@@ -479,6 +490,11 @@ class TestSquareFreeGraver:
         cfg = Configuration(CellSpace((2,)), ((1, 2),))
         with pytest.raises(NotAMoveError):
             square_free_graver(cfg, 3)
+
+    @pytest.mark.parametrize("max_degree, min_degree", [(0, 1), (-2, 1), (3, 0)])
+    def test_non_positive_degree_refused(self, max_degree, min_degree):
+        with pytest.raises(ZeroOneError, match="degrees must be positive"):
+            square_free_graver(build_two_way_independence(3, 3), max_degree, min_degree)
 
     def test_degree_one_members_from_duplicate_columns(self):
         # grade-0 cells of the rating-scale model share identical columns

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -326,48 +327,88 @@ class TestConfiguration:
         with pytest.raises(LengthMismatchError):
             cfg.is_move(Move((1, -1)))
 
+    def test_is_move_exact(self):
+        cfg = Configuration(CellSpace((4,)), ((1, 1, 1, 1),))
+        assert not cfg.is_move(Move((2**62,) * 4))  # A z = 2^64, 0 modulo 2^64
+        assert cfg.is_move(Move((2**62, -2**62, 0, 0)))
+
+
+def table_keys(A, X):
+    """The statistic of each 0/1 row of ``X``, in Python ints."""
+    return [tuple(sum(a for a, x in zip(row, t) if x) for row in A) for t in X]
+
+
+def term_sums(cfg):
+    """The rows of all 2^n zero-one tables, and the sums of their key terms."""
+    n = cfg.n_cells
+    X = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    origin, steps = cfg.key_terms
+    return X.tolist(), origin + X.astype(np.uint64) @ steps  # wrapping modulo 2^64
+
+
+def signed_rows(rows, cells, bits):
+    return st.lists(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=cells, max_size=cells),
+                    min_size=rows, max_size=rows)
+
 
 class TestKeyCodes:
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 6), st.data())
-    def test_codes_equal_iff_keys_equal_and_sort_as_keys(self, rows, cells, data):
-        A = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells),
-                               min_size=rows, max_size=rows))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.sampled_from([2, 20, 40, 60]), st.data())
+    def test_codes_equal_iff_keys_equal_and_sort_as_keys(self, rows, cells, bits, data):
+        # entries up to 2^60: a row alone can fill a word, so W runs up to 5
+        A = data.draw(signed_rows(rows, cells, bits))
         cfg = Configuration(CellSpace((cells,)), A)
-        X = (np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1
-        T = X @ cfg.array.T
-        codes = cfg.key_codes(T)
-        keys = [tuple(t) for t in T.tolist()]
+        X, S = term_sums(cfg)
+        codes = cfg.key_codes_of_sums(S)
+        keys = table_keys(A, X)
         for i in range(len(keys)):
             assert ((codes[i] == codes) == [k == keys[i] for k in keys]).all()
             assert ((codes[i] < codes) == [keys[i] < k for k in keys]).all()
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 6), st.data())
-    def test_sums_of_terms_are_key_codes(self, rows, cells, data):
-        A = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells),
-                               min_size=rows, max_size=rows))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.sampled_from([2, 20, 40, 60]), st.data())
+    def test_sums_of_terms_are_key_codes(self, rows, cells, bits, data):
+        # one word exactly when the mixed-radix code fits it, and the sum is that code
+        A = data.draw(signed_rows(rows, cells, bits))
         cfg = Configuration(CellSpace((cells,)), A)
-        X = (np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1
-        origin, steps = cfg.key_terms
-        S = origin + X.astype(steps.dtype) @ steps
-        assert (cfg.key_codes_of_sums(S) == cfg.key_codes(X @ cfg.array.T)).all()
+        low = [sum(min(a, 0) for a in row) for row in A]
+        radix = [sum(map(abs, row)) + 1 for row in A]
+        assert (cfg.key_terms[0].shape == (1,)) == (math.prod(radix) <= 1 << 64)
+        if cfg.key_terms[0].shape == (1,):
+            X, S = term_sums(cfg)
+            want = [sum((t - lo) * math.prod(radix[r + 1:])
+                        for r, (t, lo) in enumerate(zip(key, low))) for key in table_keys(A, X)]
+            assert S[:, 0].tolist() == want
 
-    def test_terms_without_radix_are_statistics(self):
-        cfg = build_ntfi(4)  # 5^48 keys
-        assert cfg.key_radix is None
+    @pytest.mark.parametrize("rows, words", [(1, 1), (2, 1), (3, 2), (5, 3), (8, 4)])
+    def test_rows_share_a_word_while_the_radices_fit(self, rows, words):
+        # each row takes 2^30 + 1 values: two rows to a word
+        cfg = Configuration(CellSpace((2,)), ((1 << 29, -(1 << 29)),) * rows)
         origin, steps = cfg.key_terms
-        assert not origin.any() and (steps == cfg.array.T).all()
+        assert origin.shape == (words,) and steps.shape == (2, words)
+        assert origin.dtype == steps.dtype == np.uint64
+
+    def test_terms_of_ntfi_4_take_two_words(self):
+        cfg = build_ntfi(4)  # 48 line sums of radix 5: 27 rows to a word
+        origin, steps = cfg.key_terms
+        assert origin.shape == (2,) and steps.shape == (64, 2) and not origin.any()
         S = np.stack([origin, steps[0], steps[0] + steps[5], steps[0]])
         assert cfg.key_codes_of_sums(S).tolist() == [0, 1, 2, 1]
 
-    def test_statistic_outside_zero_one_range_refused(self):
-        cfg = build_two_way_independence(2, 2)
-        with pytest.raises(ZeroOneError):
-            cfg.key_codes([[3, 0, 0, 0]])
+    def test_a_row_of_2_to_the_64_values_is_one_word(self):
+        cfg = Configuration(CellSpace((3,)), ((2**63 - 1, 2**63 - 1, 1),))
+        X, S = term_sums(cfg)
+        assert S[:, 0].tolist() == [k for k, in table_keys(cfg.matrix, X)]  # low = 0
+        assert S[:, 0].max() == 2**64 - 1
+
+    def test_a_row_of_more_values_refused(self):
+        # -2 .. 2^64 - 2: 2^64 + 1 values
+        cfg = Configuration(CellSpace((4,)), ((2**63 - 1, 2**63 - 1, -1, -1),))
+        with pytest.raises(ZeroOneError, match=r"row 0 \(row0\).*more than 2\^64"):
+            cfg.key_terms
 
 
-# key spans beyond 2^64: ranked codes, not mixed-radix ones
+# key spans beyond 2^64: two key words, ranked codes
 NO_RADIX = Configuration(CellSpace((5,)), ((1, 2, 0, 1, 2), (1 << 40,) * 5, (1 << 40,) * 5))
 
 
@@ -383,29 +424,33 @@ class TestSwaps:
             Configuration(CellSpace((5,)), ((1, 1, 1, 1, 1),)),  # every pair has one key
             Configuration(CellSpace((4,)), ((1, 1, 1, 1), (1, 1, 0, 0))),  # equal columns
             NO_RADIX,
+            build_two_way_independence(2, 60),  # 62 rows, two key words
             Configuration(CellSpace((4,)), ()),  # no rows
             Configuration(CellSpace((1,)), ((1,),)),  # no pair of cells
         ],
         ids=["two-way-3x4", "complete-2x2x3", "rating-2x2x3", "ntfi-2", "signed-6",
-             "one-row", "equal-columns", "no-radix", "zero-row", "one-cell"],
+             "one-row", "equal-columns", "no-radix", "two-way-2x60", "zero-row", "one-cell"],
     )
     def test_every_swap_in_lexicographic_order(self, cfg):
         # the rows (i1, i2, i3, i4), i1 < i2, of distinct cells whose column sums agree
         A = cfg.array.T.tolist()
+        by_sum = {}  # ordered pairs (i3, i4) by column sum, in lexicographic order
+        for i3, i4 in itertools.permutations(range(cfg.n_cells), 2):
+            by_sum.setdefault(tuple(a + b for a, b in zip(A[i3], A[i4])), []).append((i3, i4))
         want = [
             (i1, i2, i3, i4)
             for i1, i2 in itertools.combinations(range(cfg.n_cells), 2)
-            for i3, i4 in itertools.permutations(range(cfg.n_cells), 2)
+            for i3, i4 in by_sum[tuple(a + b for a, b in zip(A[i1], A[i2]))]
             if not {i3, i4} & {i1, i2}
-            and [a + b for a, b in zip(A[i1], A[i2])] == [a + b for a, b in zip(A[i3], A[i4])]
         ]
         assert cfg.swaps.shape == (len(want), 4)
         assert list(map(tuple, cfg.swaps.tolist())) == want
 
     def test_without_radix(self):
-        assert NO_RADIX.key_radix is None
+        # more than one key word
+        assert NO_RADIX.key_terms[0].shape == (2,)
         cfg = build_ntfi(4)  # 5^48 keys: line sums have no degree-2 move
-        assert cfg.key_radix is None and cfg.swaps.shape == (0, 4)
+        assert cfg.key_terms[0].shape == (2,) and cfg.swaps.shape == (0, 4)
 
 
 def row_permutation(cfg, g) -> bool:
