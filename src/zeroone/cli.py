@@ -20,7 +20,7 @@ from .fiber import (
     check_distance_reducing,
     check_generalized_crossing,
     enumerate_zero_one_fiber,
-    iter_fibers,
+    sweep_crossing,
     sweep_distance_reducing,
     uncrossed_pair,
 )
@@ -235,11 +235,10 @@ def cmd_check(args) -> int:
         if args.condition == "distance-reducing":
             ok, key = sweep_distance_reducing(cfg, b, args.strong, max_cells)
             print("distance reducing on every fiber" if ok else f"fails on key {key}")
-            return EXIT_PASS if ok else EXIT_FAIL
-        fibers = iter_fibers(cfg, max_cells=max_cells)
-        key = next((k for k, X in fibers if uncrossed_pair(X, cfg, args.condition == "weak")), None)
-        print(passed if key is None else f"no {args.condition} crossing for a pair in key {key}")
-        return EXIT_PASS if key is None else EXIT_FAIL
+        else:
+            ok, key = sweep_crossing(cfg, args.condition == "weak", max_cells)
+            print(passed if ok else f"no {args.condition} crossing for a pair in key {key}")
+        return EXIT_PASS if ok else EXIT_FAIL
 
     fiber = enumerate_zero_one_fiber(cfg, _get_key(args, cfg), cap=args.cap)
     if args.condition == "distance-reducing":
@@ -248,13 +247,10 @@ def cmd_check(args) -> int:
     else:
         pair = uncrossed_pair(fiber, cfg, args.condition == "weak")
         head = "pair without crossing pattern:"
-    if pair is None:
-        print(passed)
-        return EXIT_PASS
-    print(head)
-    for x in pair:
+    print(head if pair else passed)
+    for x in pair or ():
         print(" ".join(str(v) for v in x.values))
-    return EXIT_FAIL
+    return EXIT_FAIL if pair else EXIT_PASS
 
 
 def _parse_stat(spec: str):

@@ -1,10 +1,12 @@
-"""Zero-one fiber enumeration, connectivity and distance-reduction checks.
+"""Zero-one fiber enumeration, connectivity, crossing and distance-reduction checks.
 
 Fiber graphs and distance reduction share one bitmask kernel
-(:func:`_distances`), and sweeps generate its applicable pairs directly
-(:func:`_sweep_edges`): zero-one tables are rows of uint64 words
+(:func:`_distances`): zero-one tables are rows of uint64 words
 (:func:`~zeroone.cells.pack_bits`) and square-free moves are the packed
 masks of their +1 and -1 cells (:attr:`~zeroone.graver.MoveSet.masks`).
+The connectivity sweep generates the kernel's pairs directly
+(:func:`_sweep_edges`); the crossing and distance sweeps run one driver
+over batches of equal-size fibers (:func:`_first_failing`).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Move, Table, _components, find_rows, pack_bits
+from .cells import Move, Table, _components, find_rows, pack_bits, unpack_bits
 from .errors import (
     CapExceededError,
     LengthMismatchError,
@@ -110,38 +112,24 @@ def enumerate_zero_one_fiber(
     return out
 
 
-def _fiber_bits(fiber) -> np.ndarray:
-    """Fiber members, Tables or the rows of an array, as an (m, n) 0/1 matrix.
-
-    Any entry other than 0 or 1 raises :class:`ZeroOneError`.
-    """
-    if isinstance(fiber, np.ndarray):
-        X = fiber
-    else:
-        lengths = {len(x) for x in fiber}
-        if len(lengths) > 1:
-            raise LengthMismatchError("fiber members differ in length")
-        n = lengths.pop() if lengths else 0
-        X = np.array([x.values for x in fiber], dtype=np.int64).reshape(len(fiber), n)
+def _fiber_bits(fiber, cfg: Configuration) -> np.ndarray:
+    """Fiber members, Tables or the rows of an array, as an (m, n) 0/1 uint8
+    matrix of one key of ``cfg``; other entries or lengths, or differing key
+    words (:attr:`~Configuration.key_terms`), raise :class:`ZeroOneError`."""
+    rows = fiber if isinstance(fiber, np.ndarray) else [x.values for x in fiber]
+    if any(len(x) != cfg.n_cells for x in rows):
+        raise LengthMismatchError(f"fiber members must have {cfg.n_cells} entries, one per cell")
+    X = np.asarray(rows).reshape(len(rows), cfg.n_cells)
     if ((X != 0) & (X != 1)).any():
         raise ZeroOneError("fiber members must be zero-one tables")
+    T = X.astype(np.uint64) @ cfg.key_terms[1]
+    if (T != T[:1]).any():
+        raise MixedFiberError("fiber members have differing sufficient statistics")
     return X.astype(np.uint8)
 
 
-def _member(fiber, X: np.ndarray, r: int) -> Table:
-    return Table(X[r]) if isinstance(fiber, np.ndarray) else fiber[r]
-
-
-def _check_single_key(cfg: Configuration, X: np.ndarray) -> None:
-    if not len(X):
-        return
-    if X.shape[1] != cfg.n_cells:
-        raise LengthMismatchError(
-            f"tables have {X.shape[1]} entries, the model has {cfg.n_cells} cells"
-        )
-    T = X.astype(np.int64) @ cfg.array.T
-    if (T != T[0]).any():
-        raise MixedFiberError("fiber members have differing sufficient statistics")
+def _members(fiber, X: np.ndarray, rows) -> tuple[Table, ...]:
+    return tuple(Table(X[r]) if isinstance(fiber, np.ndarray) else fiber[r] for r in rows)
 
 
 def _distances(B: np.ndarray, P: np.ndarray, M: np.ndarray):
@@ -220,10 +208,9 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     plus that row in the fiber.  Components are sorted tuples, ordered by
     smallest member.
     """
-    X = _fiber_bits(fiber)
-    _check_single_key(b.source_config, X)
+    X = _fiber_bits(fiber, b.source_config)
     m = len(X)
-    nodes = tuple(_member(fiber, X, r) for r in range(m))
+    nodes = _members(fiber, X, range(m))
     if m <= 1:
         return FiberGraph(nodes, (), ((0,),) if m else ())
     P, M, index = b.masks
@@ -255,50 +242,22 @@ def check_distance_reducing(b: MoveSet, fiber, strong: bool = False):
     Returns ``(True, None)`` or ``(False, (x, y))`` with the first failing
     pair in node order.
     """
-    X = _fiber_bits(fiber)
-    _check_single_key(b.source_config, X)
-    if len(X) <= 1:
-        return True, None
+    X = _fiber_bits(fiber, b.source_config)
     P, M, _ = b.masks
-    pair = _far_pair(pack_bits(X), P, M, 1, strong, closed=False)
-    if pair is None:
-        return True, None
-    return False, (_member(fiber, X, pair[1]), _member(fiber, X, pair[2]))
+    pair = _far_pair(pack_bits(X), P, M, 1, strong, closed=False) if len(X) > 1 else None
+    return pair is None, pair and _members(fiber, X, pair[1:])
 
 
-def sweep_distance_reducing(
-    cfg: Configuration, b: MoveSet, strong: bool = False, max_cells: int = 24
-):
+def sweep_distance_reducing(cfg: Configuration, b: MoveSet, strong: bool = False,
+                            max_cells: int = 24):
     """:func:`check_distance_reducing` on every fiber of the 2^n tables of
-    ``cfg`` (as :func:`iter_fibers` groups them), the fibers of each size
-    in batches of about ``_CHUNK`` elements of ``closer``.  Returns
-    ``(True, None)`` or ``(False, key)`` of the first failing fiber in key
-    order.  A set bound to another model, or ``max_cells <= 0``, is refused.
-    """
+    ``cfg`` (:func:`_first_failing`): ``(True, None)`` or ``(False, key)``.
+    A set bound to another model, or ``max_cells <= 0``, is refused."""
     if b.source_config != cfg:
         raise ZeroOneError("the move set is bound to another model")
-    codes = _cube_codes(cfg, max_cells)
-    order = np.argsort(codes, kind="stable")
-    start = np.r_[0, np.flatnonzero(np.diff(codes[order])) + 1]
-    size = np.diff(np.r_[start, len(order)])
     P, M, _ = b.masks
-    first = len(start)  # the first failing fiber so far
-    for m in np.unique(size[size > 1]).tolist():
-        fibers = np.flatnonzero(size[:first] == m)
-        step = max(1, _CHUNK // (m * max(m, 2 * len(P))))
-        for a in range(0, len(fibers), step):
-            batch = fibers[a:a + step]
-            tables = order[start[batch, None] + np.arange(m)].reshape(-1, 1)
-            pair = _far_pair(tables.astype(np.uint64), P, M, len(batch), strong)
-            if pair is not None:
-                first = int(batch[pair[0]])
-                break
-    _LOG.debug("distance-reduction sweep: %d tables, %d fibers, first failing fiber %s",
-               len(order), len(start), first if first < len(start) else None)
-    if first == len(start):
-        return True, None
-    x = (int(order[start[first]]) >> np.arange(cfg.n_cells)) & 1
-    return False, tuple((cfg.array @ x).tolist())
+    return _first_failing(cfg, _cube_fibers(cfg, max_cells), "distance-reduction", 2 * len(P),
+                          lambda B, F: _far_pair(B, P, M, F, strong))
 
 
 @dataclass(frozen=True)
@@ -344,22 +303,38 @@ def check_weak_crossing(x: Table, y: Table, cfg: Configuration) -> CrossingRepor
     return _crossing(x, y, cfg, weak=True)
 
 
-def uncrossed_pair(fiber, cfg: Configuration, weak: bool = False):
-    """The first pair ``(x, y)`` of ``fiber``, zero-one Tables or an (m, n)
-    0/1 array of one key, in node order with no strong (``weak``: weak)
-    crossing pattern, or None.  Tiles of at most ``_CHUNK`` pairs x swaps."""
-    X = _fiber_bits(fiber)
-    _check_single_key(cfg, X)
-    Q, m = cfg.swaps, len(X)
+def _uncrossed(X: np.ndarray, F: int, Q: np.ndarray, weak: bool):
+    """The first ``(f, a, b)``, a < b, of F fibers of m rows each, stacked in
+    ``X``, such that no swap of ``Q`` crosses between the distinct rows a and
+    b of fiber f, or None; pairs in node order, tiles of ``_CHUNK // (2 Q)``."""
+    m = len(X) // F
+    a, b = np.triu_indices(m, 1)
     step = max(1, _CHUNK // max(1, 2 * len(Q)))
-    for k in range(0, m * (m - 1), step):  # the last pair a < b is a * m + b = m * (m - 1) - 1
-        a, b = np.divmod(np.arange(k, min(k + step, m * (m - 1))), m)
-        a, b = a[a < b], b[a < b]
-        for r in np.flatnonzero(_first_crossings(X[a], X[b], Q, weak) == 2 * len(Q))[:1]:
-            if (X[a[r]] == X[b[r]]).all():
+    for k in range(0, F * len(a), step):
+        f, p = np.divmod(np.arange(k, min(k + step, F * len(a))), len(a))
+        u, v = f * m + a[p], f * m + b[p]
+        for r in np.flatnonzero(_first_crossings(X[u], X[v], Q, weak) == 2 * len(Q))[:1]:
+            if (X[u[r]] == X[v[r]]).all():
                 raise ZeroOneError("crossing patterns are defined for distinct tables")
-            return _member(fiber, X, int(a[r])), _member(fiber, X, int(b[r]))
+            return int(f[r]), int(a[p[r]]), int(b[p[r]])
     return None
+
+
+def uncrossed_pair(fiber, cfg: Configuration, weak: bool = False):
+    """The first pair ``(x, y)``, in node order, of ``fiber`` (zero-one Tables or
+    an (m, n) 0/1 array of one key) with no strong (``weak``: weak) crossing, or None."""
+    X = _fiber_bits(fiber, cfg)
+    pair = _uncrossed(X, 1, cfg.swaps, weak)
+    return pair and _members(fiber, X, pair[1:])
+
+
+def sweep_crossing(cfg: Configuration, weak: bool = False, max_cells: int = 24):
+    """:func:`uncrossed_pair` on every fiber of the 2^n tables of ``cfg``
+    (:func:`_first_failing`): ``(True, None)`` or ``(False, key)``."""
+    groups = _cube_fibers(cfg, max_cells)  # first: a refused sweep builds no swaps
+    Q = cfg.swaps
+    return _first_failing(cfg, groups, f"{'weak' if weak else 'strong'} crossing", 2 * len(Q),
+                          lambda B, F: _uncrossed(unpack_bits(B, cfg.n_cells), F, Q, weak))
 
 
 def check_generalized_crossing(b: MoveSet, b0: MoveSet):
@@ -461,22 +436,49 @@ def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
     return cfg.key_codes_of_sums(out)
 
 
-def iter_fibers(cfg: Configuration, max_cells: int = 24):
-    """Every zero-one fiber of ``cfg``, by an exhaustive sweep of the 2^n tables.
-
-    Yields ``(key, members)`` in increasing key order.  ``members`` is an
-    (m, n) 0/1 uint8 array of the fiber's tables, table i of the sweep
-    having cell k equal to bit k of i, in increasing order of i.  More
-    than ``max_cells`` cells raise :class:`CapExceededError`, and a
-    non-positive ``max_cells`` is refused.
-    """
+def _cube_fibers(cfg: Configuration, max_cells: int):
+    """``(order, start, size)``: the 2^n sweep tables as a column of packed words
+    sorted stably by :func:`_cube_codes`, and each fiber's start in it and size."""
     codes = _cube_codes(cfg, max_cells)
     order = np.argsort(codes, kind="stable")
-    cuts = np.flatnonzero(np.diff(codes[order])) + 1
-    cells = np.arange(cfg.n_cells)
-    for group in np.split(order, cuts):
-        X = ((group[:, None] >> cells) & 1).astype(np.uint8)
-        yield tuple((cfg.array @ X[0]).tolist()), X
+    start = np.r_[0, np.flatnonzero(np.diff(codes[order])) + 1]
+    return order.view(np.uint64)[:, None], start, np.diff(np.r_[start, len(order)])
+
+
+def iter_fibers(cfg: Configuration, max_cells: int = 24):
+    """Every zero-one fiber of ``cfg`` as ``(key, members)``, in increasing
+    key order: the key in Python ints, the members an (m, n) 0/1 uint8 array
+    of the sweep tables, table i having cell k equal to bit k of i, in
+    increasing i.  More than ``max_cells`` cells raise
+    :class:`CapExceededError`, and a non-positive ``max_cells`` is refused."""
+    order, start, _ = _cube_fibers(cfg, max_cells)
+    for group in np.split(order, start[1:]):
+        X = unpack_bits(group, cfg.n_cells)
+        yield cfg.sufficient_stat(Table(X[0])), X
+
+
+def _first_failing(cfg: Configuration, groups, name: str, width: int, kernel):
+    """``(True, None)``, or ``(False, key)`` of the first fiber of ``groups``
+    (:func:`_cube_fibers`) in key order where ``kernel(B, F)`` finds a pair
+    ``(f, x, y)`` among F fibers of m tables packed one after another in ``B``.
+    Sizes ascend, in batches of about ``_CHUNK // max(m, width)`` tables, up
+    to the first failing fiber so far.  One DEBUG record."""
+    order, start, size = groups
+    first = None  # the first failing fiber so far
+    for m in np.unique(size[size > 1]).tolist():
+        fibers = np.flatnonzero(size[:first] == m)
+        step = max(1, _CHUNK // (m * max(m, width)))
+        for a in range(0, len(fibers), step):
+            batch = fibers[a:a + step]
+            pair = kernel(order[(start[batch, None] + np.arange(m)).ravel()], len(batch))
+            if pair is not None:
+                first = int(batch[pair[0]])
+                break
+    _LOG.debug("%s sweep: %d tables, %d fibers, first failing fiber %s",
+               name, len(order), len(start), first)
+    if first is None:
+        return True, None
+    return False, cfg.sufficient_stat(Table(unpack_bits(order[[start[first]]], cfg.n_cells)[0]))
 
 
 def _sweep_edges(n: int, P: np.ndarray, M: np.ndarray):

@@ -34,9 +34,11 @@ class Configuration:
     def __post_init__(self):
         mat = tuple(tuple(int(v) for v in row) for row in self.matrix)
         n = self.cell_space.cell_count
-        for row in mat:
+        for r, row in enumerate(mat):
             if len(row) != n:
                 raise LengthMismatchError(f"matrix row length {len(row)} != cell count {n}")
+            if row and not -1 << 63 <= min(row) <= max(row) < 1 << 63:
+                raise ZeroOneError(f"matrix row {r} has an entry outside int64")
         object.__setattr__(self, "matrix", mat)
         if not self.row_labels:
             object.__setattr__(self, "row_labels", tuple(f"row{i}" for i in range(len(mat))))

@@ -8,6 +8,7 @@ from zeroone import fiber as fiber_module
 from zeroone.cells import CellSpace, Move, Table, _components, find_rows, pack_bits
 from zeroone.errors import (
     CapExceededError,
+    LengthMismatchError,
     MixedFiberError,
     NoDecompositionError,
     ZeroOneError,
@@ -23,6 +24,7 @@ from zeroone.fiber import (
     _sweep_edges,
     iter_fibers,
     sweep_connectivity,
+    sweep_crossing,
     sweep_distance_reducing,
     uncrossed_pair,
 )
@@ -161,6 +163,19 @@ class TestFiberGraph:
         b = basic_moves_two_way(2, 2)
         with pytest.raises(MixedFiberError):
             build_fiber_graph([Table((1, 0, 0, 1)), Table((1, 1, 0, 0))], b)
+
+    def test_keys_compared_exactly(self):
+        # 4 * 2^62 = 2^64 wraps to 0 in int64, but this row takes 5 * 2^62 + 1 values
+        b = MoveSet.build([], "t", Configuration(CellSpace((5,)), ((2**62,) * 5,)))
+        with pytest.raises(ZeroOneError, match="more than 2\\^64"):
+            build_fiber_graph([Table((1, 1, 1, 1, 0)), Table((0,) * 5)], b)
+
+    def test_member_lengths_checked(self):
+        b = basic_moves_two_way(2, 2)
+        for fiber in ([Table((1, 0, 0, 1)), Table((1, 0, 0))], np.zeros((2, 5), dtype=np.uint8)):
+            with pytest.raises(LengthMismatchError, match="must have 4 entries"):
+                build_fiber_graph(fiber, b)
+        assert build_fiber_graph(np.zeros((0, 5), dtype=np.uint8), b).nodes == ()
 
     def test_non_zero_one_member_refused(self):
         b = basic_moves_two_way(2, 2)
@@ -326,8 +341,9 @@ def brute_uncrossed(tables, cfg, weak):
 
 class TestSweepAgainstPerFiberLoop:
     """The first uncrossed pair of every fiber of ``iter_fibers``, and with
-    it the sweep's verdict and first failing key, against the per-fiber
-    loop; ``_CHUNK`` is small, so a fiber spans many tiles."""
+    it the first failing key, against the per-fiber loop, and the batched
+    :func:`sweep_crossing` against both; ``_CHUNK`` is then small, so a
+    fiber spans many tiles and a size class many batches."""
 
     @pytest.mark.parametrize(
         "cfg,first_failing",
@@ -345,6 +361,8 @@ class TestSweepAgainstPerFiberLoop:
     )
     @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
     def test_first_uncrossed_pair(self, cfg, first_failing, weak, monkeypatch):
+        verdict = (first_failing is None, first_failing)
+        assert sweep_crossing(cfg, weak) == verdict
         monkeypatch.setattr(fiber_module, "_CHUNK", 7 * max(1, len(cfg.swaps)))
         step = 3 if len(cfg.swaps) else 7  # pairs per tile: 3 of 6 = 2 * 3 grid cells of m^2
         tiles, fibers = [], 0
@@ -362,6 +380,29 @@ class TestSweepAgainstPerFiberLoop:
         # no tile holds more than its budget of pairs, and some fiber spans
         # several (without swaps, each fiber stops at its first pair)
         assert max(tiles) <= step and (len(tiles) > fibers or len(cfg.swaps) == 0)
+        # one fiber per batch, so a size class of several fibers spans as
+        # many; a passing sweep takes each fiber of two or more tables once
+        batches, uncrossed = [], fiber_module._uncrossed
+        monkeypatch.setattr(fiber_module, "_uncrossed", lambda X, F, *rest: (
+            batches.append((len(X) // F, F)) or uncrossed(X, F, *rest)))
+        assert sweep_crossing(cfg, weak) == verdict
+        assert {F for _, F in batches} == {1}
+        if first_failing is None:
+            sizes = sorted(len(X) for _, X in iter_fibers(cfg) if len(X) > 1)
+            assert [m for m, _ in batches] == sizes and len(sizes) > len(set(sizes))
+
+    def test_debug_record_per_call(self, caplog):
+        passing = build_two_way_independence(2, 2)
+        failing = build_quasi_independence(3, 3, off_diagonal(3))
+        index = [key for key, _ in iter_fibers(failing)].index((1,) * 6)
+        with caplog.at_level(logging.DEBUG, logger="zeroone.fiber"):
+            sweep_crossing(passing)
+            sweep_crossing(failing, weak=True)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.fiber"]
+        assert lines == [
+            "strong crossing sweep: 16 tables, 15 fibers, first failing fiber None",
+            f"weak crossing sweep: 64 tables, 63 fibers, first failing fiber {index}",
+        ]
 
 
 class TestCrossingBeyondZeroOne:
@@ -533,12 +574,16 @@ class TestSweep:
             sweep_connectivity(cfg, b, max_cells=9)
         with pytest.raises(CapExceededError):
             next(iter_fibers(cfg, max_cells=9))
+        with pytest.raises(CapExceededError):
+            sweep_crossing(cfg, max_cells=9)
+        assert "swaps" not in vars(cfg)  # refused before the swaps are built
 
     @pytest.mark.parametrize("max_cells", [0, -1])
     def test_non_positive_cell_limit_refused(self, max_cells):
         b = basic_moves_two_way(3, 3)
         cfg = b.source_config
         for call in (lambda: sweep_connectivity(cfg, b, max_cells=max_cells),
+                     lambda: sweep_crossing(cfg, max_cells=max_cells),
                      lambda: next(iter_fibers(cfg, max_cells=max_cells))):
             with pytest.raises(ZeroOneError, match="max_cells must be positive") as e:
                 call()
@@ -644,6 +689,13 @@ class TestIterFibers:
         assert sum(len(X) for _, X in fibers) == 2 ** cfg.n_cells
         for key, X in fibers:
             assert (X @ cfg.array.T == key).all()
+            assert (np.diff(X @ (1 << np.arange(cfg.n_cells))) > 0).all()  # sweep order
+
+    def test_keys_are_exact(self):
+        # one word, keys 0 .. 2^64 - 1: beyond int64, the product would wrap
+        cfg = Configuration(CellSpace((3,)), ((2**63 - 1, 2**63 - 1, 1),))
+        keys = [key for key, in (key for key, _ in iter_fibers(cfg))]
+        assert keys == [0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
 
     def test_unique_fallback_matches_radix_codes(self):
         # 70 copies of one row: 3^71 keys take two words, which np.unique ranks

@@ -332,6 +332,14 @@ class TestConfiguration:
         assert not cfg.is_move(Move((2**62,) * 4))  # A z = 2^64, 0 modulo 2^64
         assert cfg.is_move(Move((2**62, -2**62, 0, 0)))
 
+    @pytest.mark.parametrize("entry", [2**63, -2**63 - 1, 2**64])
+    def test_entries_outside_int64_refused(self, entry):
+        with pytest.raises(ZeroOneError, match="matrix row 1 has an entry outside int64"):
+            Configuration(CellSpace((2,)), ((0, 1), (entry, 1)))
+        # the bounds themselves are kept
+        assert Configuration(CellSpace((2,)), ((2**63 - 1, -2**63),)).array.tolist() == [
+            [2**63 - 1, -2**63]]
+
 
 def table_keys(A, X):
     """The statistic of each 0/1 row of ``X``, in Python ints."""
