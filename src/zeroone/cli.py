@@ -19,6 +19,7 @@ from .fiber import (
     build_fiber_graph,
     check_distance_reducing,
     check_generalized_crossing,
+    check_sweep_cells,
     enumerate_zero_one_fiber,
     sweep_crossing,
     sweep_distance_reducing,
@@ -45,6 +46,7 @@ from .movegen import (
     degree2_threeway_patterns,
     degree8_moves_4x4,
     df1_loops,
+    loop_rows,
     loops_degree_r,
     ntfi_333_moves,
     ntfi_basic_moves,
@@ -122,10 +124,10 @@ def _basic(cfg, args):
 
 def _loops(cfg, args):
     I, J = _two_way(cfg)
-    out = basic_moves_two_way(I, J)
-    for r in range(3, min(I, J) + 1):
-        out = out.union(loops_degree_r(I, J, r))
-    return out
+    degrees = range(2, max(min(I, J), 2) + 1)  # loop_rows refuses r = 2 on a 1 x J table
+    V = [loop_rows(I, J, r) for r in degrees]
+    tags = [t for r, v in zip(degrees, V) for t in ("basic" if r == 2 else f"loop-{r}",) * len(v)]
+    return MoveSet.build(np.concatenate(V), tags, build_two_way_independence(I, J))
 
 
 def _square_free_graver(cfg, args):
@@ -153,7 +155,8 @@ FAMILIES = {
 
 def resolve_moves(spec: str, cfg, args) -> MoveSet:
     """A move file or a generated family (:data:`FAMILIES`, ``loop-<r>``),
-    bound to ``cfg``: moves outside its kernel are a usage error."""
+    bound to ``cfg``: a family of another model is checked against ``cfg``,
+    and moves outside its kernel are a usage error."""
     if Path(spec).is_file():
         return MoveSet.build(fileio.read_matrix(spec), "file", cfg)
     r = spec.removeprefix("loop-")
@@ -163,6 +166,8 @@ def resolve_moves(spec: str, cfg, args) -> MoveSet:
         ms = FAMILIES[spec](cfg, args)
     else:
         raise ZeroOneError(f"unknown move family {spec!r}")
+    if ms.source_config == cfg:
+        return MoveSet(ms.matrix, ms.provenance, cfg)
     return MoveSet.build(ms.matrix, ms.provenance, cfg)
 
 
@@ -214,6 +219,14 @@ def cmd_connect(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = build_model(args)
+    sweep = args.sweep and args.condition != "generalized"
+    if sweep:
+        # every table of the model: 2^n of them (n >= 1), within the --cap budget,
+        # refused before the moves are resolved
+        if args.cap < 2:
+            raise ZeroOneError(f"cap must be at least 2 with --sweep, got {args.cap}")
+        max_cells = args.cap.bit_length() - 1
+        check_sweep_cells(cfg, max_cells)
     b = resolve_moves(args.moves, cfg, args)
 
     if args.condition == "generalized":
@@ -227,11 +240,7 @@ def cmd_check(args) -> int:
         return EXIT_FAIL
 
     passed = f"{args.condition} crossing pattern exists for every pair"
-    if args.sweep:
-        # every table of the model: 2^n of them (n >= 1), within the --cap budget
-        if args.cap < 2:
-            raise ZeroOneError(f"cap must be at least 2 with --sweep, got {args.cap}")
-        max_cells = args.cap.bit_length() - 1
+    if sweep:
         if args.condition == "distance-reducing":
             ok, key = sweep_distance_reducing(cfg, b, args.strong, max_cells)
             print("distance reducing on every fiber" if ok else f"fails on key {key}")

@@ -416,18 +416,24 @@ class SweepReport:
         return self.n_components == self.n_fibers
 
 
+def check_sweep_cells(cfg: Configuration, max_cells: int) -> None:
+    """Refuse a sweep of the 2^n tables of ``cfg`` with more than ``max_cells``
+    cells (:class:`CapExceededError`), and a non-positive ``max_cells``."""
+    if max_cells <= 0:
+        raise ZeroOneError(f"max_cells must be positive, got {max_cells}")
+    if cfg.n_cells > max_cells:
+        raise CapExceededError(1 << max_cells, f"sweep over 2^{cfg.n_cells} tables refused")
+
+
 def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
     """Fiber-key codes (:meth:`Configuration.key_codes_of_sums`) of all 2^n
     zero-one tables, table i having cell k equal to bit k of i.
 
     The sums of :attr:`Configuration.key_terms` are built by doubling, one
-    cell at a time.  A non-positive ``max_cells`` is refused.
+    cell at a time.  The sweep is refused as :func:`check_sweep_cells` says.
     """
-    if max_cells <= 0:
-        raise ZeroOneError(f"max_cells must be positive, got {max_cells}")
+    check_sweep_cells(cfg, max_cells)
     n = cfg.n_cells
-    if n > max_cells:
-        raise CapExceededError(1 << max_cells, f"sweep over 2^{n} tables refused")
     origin, steps = cfg.key_terms
     out = np.empty((1 << n,) + origin.shape, dtype=origin.dtype)
     out[0] = origin

@@ -99,7 +99,8 @@ class MoveSet:
 
     def __contains__(self, z: Move) -> bool:
         v = Move.canonical(z.vec).vec
-        return len(v) == self.matrix.shape[1] and find_rows(self.matrix, [v])[0] >= 0
+        fits = len(v) == self.matrix.shape[1] and all(-1 << 63 <= x < 1 << 63 for x in v)
+        return fits and find_rows(self.matrix, [v])[0] >= 0
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,7 +124,8 @@ class MoveSet:
         )
 
     def retag(self, tag: str) -> "MoveSet":
-        return MoveSet.build(self.matrix, tag, self.source_config)
+        """The same moves and model, every one tagged ``tag``."""
+        return MoveSet(self.matrix, (tag,) * len(self), self.source_config)
 
 
 def _as_rows(moves, n: int) -> np.ndarray:

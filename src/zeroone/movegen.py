@@ -2,7 +2,9 @@
 structural zeros, the n x n x n no-three-factor-interaction swaps, the
 3x3x3 families and the 4x4x4 degree-8 transposition moves.
 
-Each generator builds its model and returns a move set bound to it.
+Each generator builds its model, writes its moves as the rows of one int8
+array from arrays of cell indices, and binds them to the model with one
+:meth:`~zeroone.graver.MoveSet.build`.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import itertools
 import numpy as np
 
 from .cells import CellSpace
-from .errors import DimensionError, StructuralZeroError
+from .errors import DimensionError
 from .graver import MoveSet, symmetry_orbit
 from .models import (
     build_complete_independence,
@@ -21,31 +23,43 @@ from .models import (
 )
 
 
-def _loop_vec(space: CellSpace, i_seq, j_seq):
-    """Cyclic +1/-1 pattern: +1 at (i_k, j_k), -1 at (i_k, j_{k+1})."""
-    r = len(i_seq)
-    vec = [0] * space.cell_count
-    try:
-        for k in range(r):
-            vec[space.linear_index((i_seq[k], j_seq[k]))] += 1
-            vec[space.linear_index((i_seq[k], j_seq[(k + 1) % r]))] -= 1
-    except StructuralZeroError:
-        return None
-    return tuple(vec)
+def _loop_cells(rows: np.ndarray, cols: np.ndarray, J: int) -> np.ndarray:
+    """The loops on the boxes ``rows[b] x cols[b]`` of a grid with J columns,
+    one per row of the result: its r +1 cells, (i_k, j_k), then its r -1
+    cells, (i_k, j_{k+1}), as row-major grid indices.
+
+    Each cycle starts at its box's smallest row, so a box gives (r-1)! row
+    orders times r! column orders, and each loop comes out twice, as z and -z.
+    """
+    r = rows.shape[1]
+    i = rows[:, [(0, *p) for p in itertools.permutations(range(1, r))]][:, :, None]
+    j = cols[:, list(itertools.permutations(range(r)))][:, None]
+    return np.concatenate([i * J + j, i * J + np.roll(j, -1, axis=-1)], axis=-1).reshape(-1, 2 * r)
+
+
+def _signed_rows(cells: np.ndarray, n: int) -> np.ndarray:
+    """An (m, n) int8 matrix: +1 at the first half of each row of ``cells``
+    and -1 at the second, the cells of a row all distinct."""
+    V = np.zeros((len(cells), n), dtype=np.int8)
+    h = cells.shape[1] // 2
+    np.put_along_axis(V, cells[:, :h], 1, axis=1)
+    np.put_along_axis(V, cells[:, h:], -1, axis=1)
+    return V
+
+
+def loop_rows(I: int, J: int, r: int) -> np.ndarray:
+    """The degree-r loop moves of an I x J table as int8 rows, each twice
+    (as z and -z), not yet bound to a model."""
+    if not 2 <= r <= min(I, J):
+        raise DimensionError(f"need 2 <= r <= min(I, J), got r={r} for {I}x{J}")
+    rows, cols = (np.array(list(itertools.combinations(range(k), r))) for k in (I, J))
+    a, b = np.divmod(np.arange(len(rows) * len(cols)), len(cols))  # every box
+    return _signed_rows(_loop_cells(rows[a], cols[b], J), I * J)
 
 
 def loops_degree_r(I: int, J: int, r: int) -> MoveSet:
     """All distinct degree-r loop moves of an I x J table."""
-    if not 2 <= r <= min(I, J):
-        raise DimensionError(f"need 2 <= r <= min(I, J), got r={r} for {I}x{J}")
-    cfg = build_two_way_independence(I, J)
-    moves = []
-    for rows in itertools.combinations(range(I), r):
-        for cols in itertools.combinations(range(J), r):
-            for rperm in itertools.permutations(rows):
-                for cperm in itertools.permutations(cols):
-                    moves.append(_loop_vec(cfg.cell_space, rperm, cperm))
-    return MoveSet.build(moves, f"loop-{r}", cfg)
+    return MoveSet.build(loop_rows(I, J, r), f"loop-{r}", build_two_way_independence(I, J))
 
 
 def basic_moves_two_way(I: int, J: int) -> MoveSet:
@@ -61,27 +75,17 @@ def df1_loops(space: CellSpace) -> MoveSet:
         raise DimensionError("df-1 loops are defined for two-way tables")
     I, J = space.dims
     cfg = build_quasi_independence(I, J, space.cells)
-    in_s = {c: True for c in space.cells}
-    moves = []
+    index = np.full(I * J, -1)  # each grid cell's index in ``space``, -1 off S
+    index[[i * J + j for i, j in space.cells]] = np.arange(space.cell_count)
+    S = (index >= 0).reshape(I, J)
+    blocks = [np.zeros((0, space.cell_count), dtype=np.int8)]
     for r in range(2, min(I, J) + 1):
-        for rows in itertools.combinations(range(I), r):
-            for cols in itertools.combinations(range(J), r):
-                box_counts_row = {
-                    i: sum(1 for j in cols if (i, j) in in_s) for i in rows
-                }
-                box_counts_col = {
-                    j: sum(1 for i in rows if (i, j) in in_s) for j in cols
-                }
-                if any(v != 2 for v in box_counts_row.values()):
-                    continue
-                if any(v != 2 for v in box_counts_col.values()):
-                    continue
-                for rperm in itertools.permutations(rows):
-                    for cperm in itertools.permutations(cols):
-                        vec = _loop_vec(space, rperm, cperm)
-                        if vec is not None:
-                            moves.append(vec)
-    return MoveSet.build(moves, "df1", cfg)
+        rows, cols = (np.array(list(itertools.combinations(range(k), r))) for k in (I, J))
+        box = S[rows[:, None, :, None], cols[None, :, None, :]]  # (row set, column set, i, j)
+        a, b = np.nonzero((box.sum(axis=3) == 2).all(axis=2) & (box.sum(axis=2) == 2).all(axis=2))
+        cells = index[_loop_cells(rows[a], cols[b], J)]
+        blocks.append(_signed_rows(cells[(cells >= 0).all(axis=1)], space.cell_count))
+    return MoveSet.build(np.concatenate(blocks), "df1", cfg)
 
 
 _NTFI_BASIC = [
@@ -113,12 +117,10 @@ def ntfi_333_moves(level: str = "basic+deg6+deg9") -> MoveSet:
     if any(w not in families for w in wanted):
         raise DimensionError(f"unknown move level {level!r}")
     cfg = build_ntfi(3)
-    out = None
-    for w in wanted:
-        rep = np.array(families[w], dtype=np.int8).reshape(1, -1)
-        orbit = MoveSet.build(symmetry_orbit(rep, cfg), w, cfg)
-        out = orbit if out is None else out.union(orbit)
-    return out
+    reps = [np.array(families[w], dtype=np.int8).reshape(1, -1) for w in wanted]
+    orbits = [symmetry_orbit(rep, cfg) for rep in reps]
+    tags = [w for w, orbit in zip(wanted, orbits) for _ in orbit]
+    return MoveSet.build(np.concatenate(orbits), tags, cfg)
 
 
 _DEG8_REP = [
@@ -137,60 +139,31 @@ def degree8_moves_4x4() -> MoveSet:
     return MoveSet.build(symmetry_orbit(rep, cfg), "deg8", cfg)
 
 
+# A degree-2 move of three-way complete independence on levels (x, x') of
+# axis a, (y, y') of axis b and (z, z') of axis c, x != x' and z != z': +1 at
+# (x, y, z) and (x', y', z'), -1 at (x, y', z') and (x', y, z), each cell as
+# 0 for the first level of its pair and 1 for the second, per axis.  With
+# y = y' it is the move on one level of b.  Every degree-2 move is one of
+# these for some order of the axes.
+_DEG2_PATTERN = np.array([(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)])
+
+
 def degree2_threeway_patterns(dims) -> MoveSet:
-    """All degree-2 moves of three-way complete independence, built from the
-    four degenerate-variable patterns swept over every axis assignment."""
+    """All degree-2 moves of three-way complete independence: one sign
+    pattern swept over every order of the axes."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 2 for d in dims):
         raise DimensionError(f"need three dims >= 2, got {dims}")
     cfg = build_complete_independence(dims)
-    space = cfg.cell_space
-    n = space.cell_count
-
-    def mk(cells_plus, cells_minus):
-        vec = [0] * n
-        for c in cells_plus:
-            vec[space.linear_index(c)] += 1
-        for c in cells_minus:
-            vec[space.linear_index(c)] -= 1
-        return vec
-
-    moves = []
+    blocks = []
     for axes in itertools.permutations(range(3)):
-        a, b, c = axes
-
-        def cell(ia, ib, ic):
-            out = [0, 0, 0]
-            out[a], out[b], out[c] = ia, ib, ic
-            return tuple(out)
-
-        for i1, i1p in itertools.permutations(range(dims[a]), 2):
-            for i2, i2p in itertools.permutations(range(dims[b]), 2):
-                # pattern with all three variables degenerate
-                for i3, i3p in itertools.permutations(range(dims[c]), 2):
-                    moves.append(
-                        mk(
-                            [cell(i1, i2, i3), cell(i1p, i2p, i3p)],
-                            [cell(i1, i2p, i3p), cell(i1p, i2, i3)],
-                        )
-                    )
-                    # first two variables degenerate
-                    moves.append(
-                        mk(
-                            [cell(i1, i2, i3), cell(i1p, i2p, i3p)],
-                            [cell(i1, i2p, i3), cell(i1p, i2, i3p)],
-                        )
-                    )
-                # axes a and c degenerate, single b level
-                for i3, i3p in itertools.permutations(range(dims[c]), 2):
-                    for ib in range(dims[b]):
-                        moves.append(
-                            mk(
-                                [cell(i1, ib, i3), cell(i1p, ib, i3p)],
-                                [cell(i1, ib, i3p), cell(i1p, ib, i3)],
-                            )
-                        )
-    return MoveSet.build(moves, "deg2-pattern", cfg)
+        a, b, c = (range(dims[k]) for k in axes)
+        pairs = itertools.product(itertools.permutations(a, 2), itertools.product(b, repeat=2),
+                                  itertools.permutations(c, 2))
+        P = np.array(list(pairs))  # (level pair on a, on b, on c) per row
+        levels = P[:, np.arange(3), _DEG2_PATTERN][..., np.argsort(axes)]  # (row, cell, axis)
+        blocks.append(np.ravel_multi_index(tuple(np.moveaxis(levels, -1, 0)), dims))
+    return MoveSet.build(_signed_rows(np.concatenate(blocks), cfg.n_cells), "deg2-pattern", cfg)
 
 
 def ntfi_basic_moves(n: int) -> MoveSet:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from zeroone.cells import CellSpace
-from zeroone.graver import square_free_graver
+from zeroone.graver import MoveSet, square_free_graver
 from zeroone.models import Configuration, build_complete_independence
 from zeroone.movegen import degree8_moves_4x4
 
@@ -18,6 +18,20 @@ def b0_333():
     """
     return square_free_graver(build_complete_independence((3, 3, 3)), 6)
 
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """A function giving the number of :meth:`MoveSet.build` calls made so far."""
+    calls = []
+    build = MoveSet.build
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(MoveSet, "build", classmethod(counted))
+    return lambda: len(calls)
 
 
 @pytest.fixture(scope="session")

@@ -250,6 +250,21 @@ class TestCheck:
             )
             assert code == 3 and "2^" in err
 
+    @pytest.mark.parametrize("condition", ["distance-reducing", "strong"])
+    def test_sweep_cap_before_moves(self, capsys, monkeypatch, condition):
+        # a refused sweep resolves no moves: 2^300 and 2^36 tables
+        def resolve(*args):
+            raise AssertionError("moves resolved before the sweep cap")
+
+        monkeypatch.setattr(zeroone.cli, "resolve_moves", resolve)
+        for dims, moves in (("2,150", "basic"), ("6,6", "loops")):
+            code, _, err = run(
+                capsys,
+                "check", "--model", "two-way-indep", "--dims", dims,
+                "--condition", condition, "--moves", moves, "--sweep",
+            )
+            assert code == 3 and "2^" in err
+
     def test_generalized(self, capsys):
         code, out, _ = run(
             capsys,
@@ -571,6 +586,19 @@ class TestResolveMoves:
         assert [z.vec for z in b.moves] == [z.vec for z in basic_moves_two_way(3, 3).moves]
         assert set(b.provenance) == {"file"} and b.source_config is cfg
 
+    def test_family_of_the_model_is_not_rebuilt(self, tmp_path, builds):
+        args = self.parse(tmp_path, ("two-way-indep", "3,4"), "basic")
+        b = resolve_moves("basic", build_model(args), args)
+        assert builds() == 1 and len(b) == 18
+
+    def test_family_of_another_model_is_checked(self, tmp_path, builds):
+        # the NTFI swaps are moves of complete independence too
+        args = self.parse(tmp_path, ("complete-indep", "3,3,3"), "basic")
+        cfg = build_model(args)
+        b = resolve_moves("basic", cfg, args)
+        assert builds() == 2 and b.source_config is cfg
+        assert b.matrix.tobytes() == ntfi_basic_moves(3).matrix.tobytes()
+
     def test_every_family_is_covered(self):
         assert {spec for spec, _, _ in FAMILY_CASES} == set(FAMILIES) | {"loop-3"}
 
@@ -603,6 +631,13 @@ class TestResolveMoves:
         code, _, err = run(capsys, "connect", "--model", model[0], "--dims", model[1],
                            "--moves", str(spec), "--t", str(t))
         assert code == 2 and "error" in err
+
+    def test_check_with_a_family_of_another_model_exits_two(self, capsys, tmp_path):
+        t = tmp_path / "t.txt"
+        fileio.write_vector(t, (1,) * 27)
+        code, _, err = run(capsys, "check", "--model", "ntfi", "--dims", "3", "--condition", "strong",
+                           "--moves", "deg2-patterns", "--t", str(t))
+        assert code == 2 and "not a move of the model" in err
 
 
 class TestMalformedSpecs:

@@ -110,6 +110,7 @@ class TestMoveSet:
             assert [z.vec for z in ms.moves] == [(0, 1, -1, 0), (1, -1, -1, 1)]  # smaller L1 first
             assert ms.provenance == ("a", "c")  # the first occurrence's tag
             assert z2 in ms
+            assert Move((2**70, -1, -1, 1)) not in ms  # outside int64: no row equals it
 
     def test_zero_vector_dropped(self):
         for moves in input_forms([(0, 0, 0, 0)]):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeroone.cells import CellSpace, Move
-from zeroone.errors import CellIndexError, DimensionError
+from zeroone.cli import FAMILIES
+from zeroone.errors import DimensionError
 from zeroone.graver import MoveSet, degree_histogram, square_free_graver, symmetry_orbit
 from zeroone.models import (
     build_complete_independence,
@@ -20,14 +21,54 @@ from zeroone.movegen import (
     _NTFI_BASIC,
     _NTFI_DEG6,
     _NTFI_DEG9,
-    _loop_vec,
     basic_moves_two_way,
+    degree8_moves_4x4,
     degree2_threeway_patterns,
     df1_loops,
     loops_degree_r,
     ntfi_333_moves,
     ntfi_basic_moves,
 )
+
+
+def brute_loops(space, r, df1=False):
+    """Reference: every row order and column order of every r x r box, one
+    cyclic +1/-1 pattern at a time, skipping the loops through a structural
+    zero; with ``df1``, only on the boxes that meet the support in exactly
+    two cells per row and per column."""
+    I, J = space.dims
+    support = set(space.cells)
+    moves = []
+    for rows in itertools.combinations(range(I), r):
+        for cols in itertools.combinations(range(J), r):
+            box = [[(i, j) in support for j in cols] for i in rows]
+            if df1 and {sum(line) for line in box + [list(c) for c in zip(*box)]} != {2}:
+                continue
+            for i in itertools.permutations(rows):
+                for j in itertools.permutations(cols):
+                    plus = [(i[k], j[k]) for k in range(r)]
+                    minus = [(i[k], j[(k + 1) % r]) for k in range(r)]
+                    if not support.issuperset(plus + minus):
+                        continue
+                    vec = [0] * space.cell_count
+                    for c in plus:
+                        vec[space.linear_index(c)] += 1
+                    for c in minus:
+                        vec[space.linear_index(c)] -= 1
+                    moves.append(vec)
+    return moves
+
+
+def diagonal_zeros(n):
+    return CellSpace((n, n), frozenset((i, i) for i in range(n)))
+
+
+def random_support(seed):
+    rng = np.random.default_rng(seed)
+    I, J = rng.integers(3, 6, size=2).tolist()
+    zeros = rng.random((I, J)) < 0.4
+    zeros[0, 0] = False  # the support is never empty
+    return CellSpace((I, J), frozenset(zip(*np.nonzero(zeros))))
 
 
 def loop_count(I, J, r):
@@ -51,10 +92,12 @@ class TestTwoWayLoops:
             assert cfg.is_move(z)
             assert z.square_free
 
-    def test_bad_index_is_not_skipped(self):
-        # only structural zeros make a loop skippable
-        with pytest.raises(CellIndexError):
-            _loop_vec(CellSpace((2, 2)), (0, 2), (0, 1))
+    @pytest.mark.parametrize("I,J", [(3, 4), (4, 4), (4, 5)])
+    def test_matches_brute_force(self, I, J):
+        cfg = build_two_way_independence(I, J)
+        for r in range(2, min(I, J) + 1):
+            want = MoveSet.build(brute_loops(cfg.cell_space, r), f"loop-{r}", cfg)
+            assert loops_degree_r(I, J, r) == want
 
     def test_degree_bounds(self):
         with pytest.raises(DimensionError):
@@ -83,6 +126,16 @@ class TestDf1Loops:
         cfg = build_quasi_independence(4, 4, S)
         for z in df1_loops(cfg.cell_space):
             assert cfg.is_move(z) and z.square_free
+
+    @pytest.mark.parametrize(
+        "space",
+        [diagonal_zeros(4), diagonal_zeros(5), *(random_support(seed) for seed in range(6))],
+        ids=["diag-4", "diag-5", *(f"random-{seed}" for seed in range(6))],
+    )
+    def test_matches_brute_force(self, space):
+        cfg = build_quasi_independence(*space.dims, space.cells)
+        moves = [v for r in range(2, min(space.dims) + 1) for v in brute_loops(space, r, df1=True)]
+        assert df1_loops(space) == MoveSet.build(moves, "df1", cfg)
 
     def test_needs_two_axes(self):
         with pytest.raises(DimensionError):
@@ -172,6 +225,13 @@ class TestDegree2ThreewayPatterns:
             z.vec for z in b0.moves if z.degree == 2
         }
 
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 4), (4, 3, 2), (3, 3, 3)])
+    def test_one_pattern_in_every_axis_order_gives_the_degree2_slice(self, dims):
+        b0 = square_free_graver(build_complete_independence(dims), 2)
+        got = degree2_threeway_patterns(dims)
+        assert got == MoveSet.build(b0.matrix[(b0.matrix > 0).sum(axis=1) == 2], "deg2-pattern",
+                                    b0.source_config)
+
     def test_bad_dims(self):
         with pytest.raises(DimensionError):
             degree2_threeway_patterns((2, 2))
@@ -198,3 +258,62 @@ class TestBoundModels:
 
     def test_degree8_binds_4x4x4(self, deg8_444):
         assert deg8_444.source_config == build_ntfi(4)
+
+
+def digest(ms):
+    return hashlib.sha256(ms.matrix.tobytes() + repr(ms.provenance).encode()).hexdigest()
+
+
+class TestPinned:
+    """Matrix bytes and provenance as the cell-by-cell generators gave them."""
+
+    @pytest.mark.parametrize(
+        "make,cfg,sha",
+        [
+            (lambda: loops_degree_r(4, 5, 4), build_two_way_independence(4, 5),
+             "74afee84caf6f622aedda4cb1963e30ac9002c879e388b8072793f3d0434264d"),
+            (lambda: df1_loops(diagonal_zeros(5)),
+             build_quasi_independence(5, 5, diagonal_zeros(5).cells),
+             "d7ecdb6007c0dde075effbf8ed0702c0310dadfebe4ed57b9ab12cfd1e90b467"),
+            (lambda: degree2_threeway_patterns((3, 4, 5)), build_complete_independence((3, 4, 5)),
+             "2f9f08dbe1308f3ae480be58e509913fa05284a6c4ffc83f26b62408a9575864"),
+            (lambda: ntfi_333_moves(), build_ntfi(3),
+             "b2c869f5f04872862588b667fc707c6ab6a5ee7f68acdfee3b0c8b4d1213248c"),
+            (lambda: FAMILIES["loops"](build_two_way_independence(4, 5), None),
+             build_two_way_independence(4, 5),
+             "512bee6863ff38de8117c00b22f4895d3ad2a0da3d699abafe995572c4d93836"),
+        ],
+        ids=["loops-4x5-4", "df1-5x5-diag", "deg2-3x4x5", "ntfi-333", "cli-loops-4x5"],
+    )
+    def test_family(self, make, cfg, sha):
+        ms = make()
+        assert digest(ms) == sha and ms.source_config == cfg
+
+
+class TestOneBuildPerFamily:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: loops_degree_r(4, 4, 3),
+            lambda: basic_moves_two_way(3, 4),
+            lambda: df1_loops(diagonal_zeros(4)),
+            lambda: degree2_threeway_patterns((2, 2, 3)),
+            lambda: ntfi_333_moves("basic+deg6+deg9"),
+            lambda: ntfi_basic_moves(3),
+            degree8_moves_4x4,
+            lambda: FAMILIES["loops"](build_two_way_independence(3, 4), None),
+        ],
+        ids=["loops", "basic", "df1", "deg2-patterns", "ntfi-333", "ntfi-basic", "deg8",
+             "cli-loops"],
+    )
+    def test_one_build(self, make, builds):
+        make()
+        assert builds() == 1
+
+    def test_retag_does_not_rebuild(self, builds):
+        b = basic_moves_two_way(3, 3)
+        before = builds()
+        t = b.retag("swap")
+        assert builds() == before
+        assert t.matrix.tobytes() == b.matrix.tobytes() and t.source_config is b.source_config
+        assert t.provenance == ("swap",) * len(b)

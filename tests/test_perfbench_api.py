@@ -40,6 +40,12 @@ assert len(states[-1].values) == 6
 s.exact_test(cfg, x, b, ("linear", (1, 2, 3, 4, 5, 6)), 50, seed=1)
 s.resolve_statistic(cfg, ("linear", (1, 2, 3, 4, 5, 6)))
 mg.ntfi_333_moves("basic")
+s.ntfi_basic_moves(3).union(mg.ntfi_333_moves("deg6"))
+mg.basic_moves_two_way(3, 3)
+mg.loops_degree_r(3, 3, 3)
+mg.degree2_threeway_patterns((2, 2, 2))
+q = m.build_quasi_independence(4, 4, {(i, j) for i in range(4) for j in range(4) if i != j})
+mg.df1_loops(q.cell_space)
 mg.degree8_moves_4x4()
 s.latin_move_set(3)
 s.latin_start_table(3)
