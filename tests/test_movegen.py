@@ -22,8 +22,8 @@ from zeroone.movegen import (
     _NTFI_DEG6,
     _NTFI_DEG9,
     basic_moves_two_way,
-    degree8_moves_4x4,
     degree2_threeway_patterns,
+    degree8_moves_4x4,
     df1_loops,
     loops_degree_r,
     ntfi_333_moves,
