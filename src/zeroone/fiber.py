@@ -253,8 +253,7 @@ def sweep_distance_reducing(cfg: Configuration, b: MoveSet, strong: bool = False
     """:func:`check_distance_reducing` on every fiber of the 2^n tables of
     ``cfg`` (:func:`_first_failing`): ``(True, None)`` or ``(False, key)``.
     A set bound to another model, or ``max_cells <= 0``, is refused."""
-    if b.source_config != cfg:
-        raise ZeroOneError("the move set is bound to another model")
+    b._check_model(cfg)
     P, M, _ = b.masks
     return _first_failing(cfg, _cube_fibers(cfg, max_cells), "distance-reduction", 2 * len(P),
                           lambda B, F: _far_pair(B, P, M, F, strong))
@@ -345,11 +344,12 @@ def check_generalized_crossing(b: MoveSet, b0: MoveSet):
     one designated cell where z <= 0 (or the sign-swapped version).  On
     packed masks, with ``zp``, ``zm`` the positive and the negative cells
     of z and ``pos``, ``neg`` the +1 and the -1 cells of z' in either
-    sign: ``neg & ~zp == 0``, ``pos & zp == 0`` and
-    ``popcount(pos & ~zm) <= 1``.
-    Returns ``(True, None)`` or ``(False, first_uncovered_move)``.
+    sign: ``neg & ~zp == 0``, ``pos & zp == 0`` and ``popcount(pos & ~zm) <= 1``.
+    Returns ``(True, None)`` or ``(False, first_uncovered_move)``.  Refuses
+    a ``b`` of another model than ``b0``'s, or not a subset of ``b0``.
     """
-    if b.matrix.shape[1] != b0.matrix.shape[1] or (find_rows(b0.matrix, b.matrix) < 0).any():
+    b._check_model(b0.source_config)
+    if (find_rows(b0.matrix, b.matrix) < 0).any():
         raise ZeroOneError("b must be a subset of b0")
     uncovered = np.flatnonzero(find_rows(b.matrix, b0.matrix) < 0)
     P, M, _ = b.masks
@@ -514,11 +514,9 @@ def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> S
     Moves preserve the key, so every fiber is connected iff the global
     component count equals the number of distinct keys.  Table i has cell
     k equal to bit k of i, so a move's target is its own index.  A move
-    set bound to another model, or a non-positive ``max_cells``, is
-    refused.
+    set bound to another model, or a non-positive ``max_cells``, is refused.
     """
-    if b.source_config != cfg:
-        raise ZeroOneError("the move set is bound to another model")
+    b._check_model(cfg)
     N = 1 << cfg.n_cells
     codes = np.sort(_cube_codes(cfg, max_cells))
     n_fibers = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))

@@ -30,9 +30,9 @@ class MoveSet:
     tags, bound to the configuration whose kernel they lie in, stored as
     the rows of ``matrix`` (int64, read-only).
 
-    The constructor takes rows, moves or vectors as given; :meth:`build` is
-    the one checked way to bind moves to a model, also to rebind a set to
-    another one: ``MoveSet.build(ms.matrix, ms.provenance, cfg)``.
+    :meth:`build` binds new vectors, or rebinds a set to another model; the
+    constructor takes rows, moves or vectors as given, unchecked, and serves
+    :meth:`retag`, :meth:`union` and the row subsets of bound sets.
     """
 
     matrix: np.ndarray
@@ -70,8 +70,7 @@ class MoveSet:
         if len(bad):
             why = "too large to check exactly in 64 bits" if wide[bad[0]] else "not a move of the model"
             raise NotAMoveError(f"{tuple(V[bad[0]].tolist())} is {why}")
-        provenance = tuple(tags[i] for i in first.tolist())
-        return cls(V, provenance, cfg)
+        return cls(V, tuple(tags[i] for i in first.tolist()), cfg)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MoveSet) and self._key() == other._key()
@@ -116,16 +115,19 @@ class MoveSet:
         return pack_bits(V[index] == 1), pack_bits(V[index] == -1), index
 
     def union(self, other: "MoveSet") -> "MoveSet":
-        """Both sets, bound to (and ``other`` checked against) this set's model."""
-        return MoveSet.build(
-            np.concatenate([self.matrix, _as_rows(other.matrix, self.source_config.n_cells)]),
-            self.provenance + other.provenance,
-            self.source_config,
-        )
+        """The moves of both sets of one model, each with its first tag."""
+        other._check_model(self.source_config)
+        V, first = _canonical_rows(np.concatenate([self.matrix, other.matrix]))
+        tags = self.provenance + other.provenance
+        return MoveSet(V, tuple(tags[i] for i in first.tolist()), self.source_config)
 
     def retag(self, tag: str) -> "MoveSet":
         """The same moves and model, every one tagged ``tag``."""
         return MoveSet(self.matrix, (tag,) * len(self), self.source_config)
+
+    def _check_model(self, cfg: Configuration) -> None:
+        if self.source_config != cfg:  # the one refusal of a set of another model
+            raise ZeroOneError("the move set is bound to another model")
 
 
 def _as_rows(moves, n: int) -> np.ndarray:
@@ -165,7 +167,7 @@ def degree_histogram(b: MoveSet) -> dict[int, int]:
 
 
 def square_free_subset(b: MoveSet) -> MoveSet:
-    return MoveSet.build(b.matrix[b.masks[2]], "square-free", b.source_config)
+    return MoveSet(b.matrix[b.masks[2]], ("square-free",) * len(b.masks[2]), b.source_config)
 
 
 def integer_kernel_basis(A: np.ndarray) -> list[tuple[int, ...]]:
@@ -616,7 +618,7 @@ def prune_by_one_cancellation(b0: MoveSet, max_pairs: int = 10**7) -> MoveSet:
     V = b0.matrix
     P, M = pack_bits(V == 1), pack_bits(V == -1)
     drop = np.zeros(len(V), dtype=bool)
-    step = max(1, (1 << 20) // max(1, P.size))
+    step = max(1, _BUDGET // max(1, P.size))
     for a0 in range(0, len(V), step):
         Pa, Ma = P[a0:a0 + step, None, :], M[a0:a0 + step, None, :]
         plus = (np.bitwise_count(Pa & M) + np.bitwise_count(Ma & P)).sum(axis=2)
@@ -625,4 +627,5 @@ def prune_by_one_cancellation(b0: MoveSet, max_pairs: int = 10**7) -> MoveSet:
             a, b = np.nonzero(np.triu(cancels == 1, a0 + 1))
             hit = find_rows(V, _canonical_rows(V[a0 + a] + sign * V[b])[0])
             drop[hit[hit >= 0]] = True
-    return MoveSet.build(V[~drop], "pruned-survivor", b0.source_config)
+    V = V[~drop]
+    return MoveSet(V, ("pruned-survivor",) * len(V), b0.source_config)

@@ -57,9 +57,8 @@ def random_walk(
     """Trajectory of ``steps + 1`` states (including the start).
 
     Returns ``(states, acceptance_rate)`` where states are Tables; repeated
-    states within a block of the walk are one shared (frozen) Table.  ``b``
-    must be bound to ``cfg`` (:attr:`MoveSet.source_config`), as for
-    :func:`exact_test` and :func:`sample_latin_square`.
+    states within a block of the walk are one shared (frozen) Table.  A
+    ``b`` bound to another model than ``cfg`` is refused.
     """
     walk = _Walk(cfg, x0, b, steps, seed)
     states = []
@@ -76,8 +75,7 @@ class _Walk:
     """
 
     def __init__(self, cfg, x0, b, steps, seed):
-        if b.source_config != cfg:
-            raise ZeroOneError("the move set is bound to another model")
+        b._check_model(cfg)
         x0.check_length(cfg.cell_space)
         if not x0.zero_one:
             raise ZeroOneError("start table must be zero-one")

@@ -599,6 +599,23 @@ class TestResolveMoves:
         assert builds() == 2 and b.source_config is cfg
         assert b.matrix.tobytes() == ntfi_basic_moves(3).matrix.tobytes()
 
+    @pytest.mark.parametrize("extra", [(), ("--max-degree", "3")], ids=["completion", "pairing"])
+    def test_graver_subsets_are_not_rebuilt(self, capsys, builds, extra):
+        # one build for the computed set; the square-free subset and the prune keep its rows
+        code, out, _ = run(capsys, "graver", "--model", "two-way-indep", "--dims", "3,3",
+                           "--square-free", "--prune", *extra)
+        assert code == 0 and out.splitlines() == ["moves: 9", "degree 2: 9"]
+        assert builds() == 1
+
+    def test_union_family_is_not_rebuilt(self, capsys, tmp_path, builds):
+        # basic+deg8: one build per generated set, none for their union
+        t = tmp_path / "latin4.txt"
+        fileio.write_vector(t, (1,) * 48)
+        code, out, _ = run(capsys, "connect", "--model", "ntfi", "--dims", "4",
+                           "--moves", "basic+deg8", "--t", str(t))
+        assert code == 0 and out.splitlines()[:2] == ["fiber size: 576", "components: 1"]
+        assert builds() == 2
+
     def test_every_family_is_covered(self):
         assert {spec for spec, _, _ in FAMILY_CASES} == set(FAMILIES) | {"loop-3"}
 

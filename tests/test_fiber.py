@@ -255,11 +255,19 @@ class TestCrossing:
         assert ok and cex is None
 
     def test_generalized_requires_subset(self):
-        cfg = build_complete_independence((2, 2, 2))
-        b0 = square_free_graver(cfg, 2)
-        other = degree2_threeway_patterns((2, 2, 3))
-        with pytest.raises(ZeroOneError):
-            check_generalized_crossing(other, b0)
+        cfg = build_complete_independence((2, 2, 3))
+        with pytest.raises(ZeroOneError, match="subset"):
+            check_generalized_crossing(square_free_graver(cfg, 3), square_free_graver(cfg, 2))
+
+    @pytest.mark.parametrize("make_b0", [
+        lambda: degree2_threeway_patterns((2, 2, 3)),
+        # the 2x2 swap is a move of the all-ones row too: a subset by its rows alone
+        lambda: MoveSet.build(basic_moves_two_way(2, 2).matrix, "b0",
+                              Configuration(CellSpace((4,)), ((1, 1, 1, 1),))),
+    ], ids=["another-width", "same-width"])
+    def test_generalized_refuses_another_model(self, make_b0):
+        with pytest.raises(ZeroOneError, match="another model"):
+            check_generalized_crossing(basic_moves_two_way(2, 2), make_b0())
 
 
 def brute_crossing(x, y, cfg, weak):

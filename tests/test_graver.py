@@ -35,6 +35,7 @@ from zeroone.models import (
     lawrence_lift,
 )
 from zeroone.movegen import basic_moves_two_way, loops_degree_r
+from zeroone.sampler import latin_move_set
 
 from conftest import box_models
 
@@ -138,8 +139,6 @@ class TestMoveSet:
         for moves in input_forms([(1, -1)]):
             with pytest.raises(LengthMismatchError):
                 MoveSet.build(moves, "t", cfg)
-        with pytest.raises(LengthMismatchError):
-            basic_moves_two_way(2, 2).union(basic_moves_two_way(2, 3))
 
     def test_rejects_zero_vector_of_wrong_length(self):
         for moves in input_forms([(0, 0, 0)]):
@@ -158,10 +157,36 @@ class TestMoveSet:
             assert len(u) == 2
             assert dict(zip((z.vec for z in u.moves), u.provenance))[(1, -1, -1, 1)] == "a"
 
-    def test_union_checks_other_against_own_model(self):
-        # (0, 1, -1, 0) changes the row sums of a 2x2 table
-        with pytest.raises(NotAMoveError):
-            basic_moves_two_way(2, 2).union(MoveSet.build([Move((0, 1, -1, 0))], "b", ALL_ONES_4))
+    def test_union_of_two_models_refused(self):
+        # another width, and the same width: (0, 1, -1, 0) moves the all-ones row only
+        for other in (basic_moves_two_way(2, 3), MoveSet.build([(0, 1, -1, 0)], "b", ALL_ONES_4)):
+            with pytest.raises(ZeroOneError, match="another model"):
+                basic_moves_two_way(2, 2).union(other)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (MoveSet.build([(1, -1, -1, 1), (0, 1, -1, 0)], ("a1", "a2"), ALL_ONES_4),
+             MoveSet.build([(0, -1, 1, 0), (1, 0, 0, -1), (1, -1, -1, 1)], ("b1", "b2", "b3"),
+                           ALL_ONES_4)),
+            (basic_moves_two_way(3, 3), basic_moves_two_way(3, 3)),
+            (MoveSet.build([], "a", ALL_ONES_4), MoveSet.build([], "b", ALL_ONES_4)),
+            (MoveSet.build([], "a", ALL_ONES_4), MoveSet.build([(1, -1, 0, 0)], "b", ALL_ONES_4)),
+            (MoveSet.build([(2**62, -2**62, 0, 0), (0, 1, -1, 0)], "a", ALL_ONES_4),
+             MoveSet.build([(0, 0, 2**62, -2**62), (0, 1, -1, 0)], "b", ALL_ONES_4)),
+            (basic_moves_two_way(3, 4), loops_degree_r(3, 4, 3)),
+        ],
+        ids=["overlapping", "itself", "empty", "empty-first", "large-norm", "basic+loops"],
+    )
+    def test_union_equals_a_build_of_both(self, a, b, builds):
+        for x, y in ((a, b), (b, a)):
+            # the reference rebinds the concatenated rows, as union once did
+            ref = MoveSet.build(np.concatenate([x.matrix, y.matrix]), x.provenance + y.provenance,
+                                x.source_config)
+            before = builds()
+            u = x.union(y)
+            assert builds() == before
+            assert u == ref  # matrix bytes, provenance and model
 
     def test_matrix_is_read_only_int64(self):
         for moves in input_forms([(1, -1, -1, 1), (0, 1, -1, 0)]):
@@ -599,6 +624,29 @@ class TestSymmetryReducedScreen:
         least = order[np.searchsorted(masks[order], images)].min(axis=0)
         rep = _orbit_representatives(cells, cfg.symmetry)
         assert rep.tolist() == (least == np.arange(len(cells))).tolist()
+
+
+class TestRowsOfBoundSets:
+    """Unions and row subsets of bound sets keep their rows: no ``build``,
+    and matrix bytes and provenance as rebinding with ``build`` gave them."""
+
+    @pytest.mark.parametrize(
+        "make,builds_made,sha",
+        [
+            (lambda: latin_move_set(4), 2,
+             "9e124ec53515a5acc6e1bb04680cf0a66e80504fac43a4c0e535f1b1c7ca9880"),
+            (lambda: square_free_subset(graver_basis(build_complete_independence((2, 2, 3)))), 1,
+             "9f7c85d54091fbe20138385c3a7f5bab71083a7e31521e328f1811506a303128"),
+            (lambda: prune_by_one_cancellation(
+                square_free_graver(build_two_way_independence(4, 4), 4)), 1,
+             "94a4f07d1983ea599479607b9c758db9bd0e1c07463559733cb3d80bf8937595"),
+        ],
+        ids=["latin-4", "square-free-subset-2x2x3", "prune-4x4"],
+    )
+    def test_pinned(self, make, builds_made, sha, builds):
+        ms = make()
+        assert builds() == builds_made  # one per generated or computed set
+        assert hashlib.sha256(ms.matrix.tobytes() + repr(ms.provenance).encode()).hexdigest() == sha
 
 
 class TestSquareFreeSubset:
