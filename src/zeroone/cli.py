@@ -7,6 +7,7 @@ Exit codes: 0 pass/connected, 1 fail/disconnected, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -46,7 +47,6 @@ from .movegen import (
     degree2_threeway_patterns,
     degree8_moves_4x4,
     df1_loops,
-    loop_rows,
     loops_degree_r,
     ntfi_333_moves,
     ntfi_basic_moves,
@@ -124,10 +124,8 @@ def _basic(cfg, args):
 
 def _loops(cfg, args):
     I, J = _two_way(cfg)
-    degrees = range(2, max(min(I, J), 2) + 1)  # loop_rows refuses r = 2 on a 1 x J table
-    V = [loop_rows(I, J, r) for r in degrees]
-    tags = [t for r, v in zip(degrees, V) for t in ("basic" if r == 2 else f"loop-{r}",) * len(v)]
-    return MoveSet.build(np.concatenate(V), tags, build_two_way_independence(I, J))
+    loops = (loops_degree_r(I, J, r) for r in range(3, min(I, J) + 1))
+    return functools.reduce(MoveSet.union, loops, basic_moves_two_way(I, J))
 
 
 def _square_free_graver(cfg, args):
@@ -136,39 +134,43 @@ def _square_free_graver(cfg, args):
     return square_free_graver(cfg, args.max_degree)
 
 
-# --moves name -> builder(cfg, args) of the family; ``loop-<r>`` is parsed apart
+# --moves name -> builder(cfg, args) of the family; ``loop-<r>`` is parsed apart,
+# and ``a+b`` is the union of the families a and b
 FAMILIES = {
     "basic": _basic,
     "loops": _loops,
     "df1": lambda cfg, args: df1_loops(cfg.cell_space),
     "deg2-patterns": lambda cfg, args: degree2_threeway_patterns(cfg.cell_space.dims),
-    **{
-        level: lambda cfg, args, level=level: ntfi_333_moves(level)
-        for level in ("deg6", "deg9", "basic+deg6", "basic+deg6+deg9", "deg6+deg9")
-    },
+    "deg6": lambda cfg, args: ntfi_333_moves("deg6"),
+    "deg9": lambda cfg, args: ntfi_333_moves("deg9"),
     "deg8": lambda cfg, args: degree8_moves_4x4(),
-    "basic+deg8": lambda cfg, args: latin_move_set(4),
     "square-free-graver": _square_free_graver,
     "graver": lambda cfg, args: graver_basis(cfg),
 }
 
 
-def resolve_moves(spec: str, cfg, args) -> MoveSet:
-    """A move file or a generated family (:data:`FAMILIES`, ``loop-<r>``),
-    bound to ``cfg``: a family of another model is checked against ``cfg``,
-    and moves outside its kernel are a usage error."""
-    if Path(spec).is_file():
-        return MoveSet.build(fileio.read_matrix(spec), "file", cfg)
-    r = spec.removeprefix("loop-")
-    if r != spec and r.isdigit():
+def _family(name: str, cfg, args) -> MoveSet:
+    """One generated family (:data:`FAMILIES`, ``loop-<r>``) bound to ``cfg``:
+    a family of another model is checked against ``cfg``."""
+    r = name.removeprefix("loop-")
+    if r != name and r.isdigit():
         ms = loops_degree_r(*_two_way(cfg), int(r))
-    elif spec in FAMILIES:
-        ms = FAMILIES[spec](cfg, args)
+    elif name in FAMILIES:
+        ms = FAMILIES[name](cfg, args)
     else:
-        raise ZeroOneError(f"unknown move family {spec!r}")
+        raise ZeroOneError(f"unknown move family {name!r}")
     if ms.source_config == cfg:
         return MoveSet(ms.matrix, ms.provenance, cfg)
     return MoveSet.build(ms.matrix, ms.provenance, cfg)
+
+
+def resolve_moves(spec: str, cfg, args) -> MoveSet:
+    """A move file, or the union of the generated families joined by ``+``
+    in ``spec``, bound to ``cfg``; moves outside its kernel are a usage
+    error."""
+    if Path(spec).is_file():
+        return MoveSet.build(fileio.read_matrix(spec), "file", cfg)
+    return functools.reduce(MoveSet.union, (_family(name, cfg, args) for name in spec.split("+")))
 
 
 def _get_key(args, cfg):
@@ -364,6 +366,13 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--zeros", help="structural-zero mask file")
         sp.add_argument("--constant-item-param", action="store_true")
 
+    def add_moves(sp, note=""):
+        sp.add_argument("--moves", required=True,
+                        help=f"a move file, or families joined by '+' for their union: "
+                        f"{', '.join(FAMILIES)}, loop-<r>{note}")
+        sp.add_argument("--max-degree", type=int,
+                        help="largest degree of a generated square-free Graver set")
+
     g = sub.add_parser("graver", help="compute a Graver basis or its square-free part")
     add_model(g)
     g.add_argument("--square-free", action="store_true")
@@ -376,11 +385,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("connect", help="fiber connectivity under a move set")
     add_model(c)
-    c.add_argument("--moves", required=True)
+    add_moves(c)
     c.add_argument("--t")
     c.add_argument("--from-table")
     c.add_argument("--cap", type=int, default=5_000_000)
-    c.add_argument("--max-degree", type=int)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_connect)
 
@@ -388,7 +396,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_model(k)
     k.add_argument("--condition", required=True,
                    choices=["strong", "weak", "generalized", "distance-reducing"])
-    k.add_argument("--moves", required=True, help="validated, but unused by strong/weak crossing")
+    add_moves(k, "; validated, but unused by strong/weak crossing")
     k.add_argument("--t")
     k.add_argument("--from-table")
     k.add_argument("--sweep", action="store_true")
@@ -396,12 +404,11 @@ def make_parser() -> argparse.ArgumentParser:
                    help="strong variant of distance reduction")
     k.add_argument("--cap", type=int, default=5_000_000,
                    help="most tables to enumerate; with --sweep, the 2^n tables of the model")
-    k.add_argument("--max-degree", type=int)
     k.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("sample", help="random-walk exact test")
     add_model(s)
-    s.add_argument("--moves", required=True)
+    add_moves(s)
     s.add_argument("--start", required=True)
     s.add_argument("--steps", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
@@ -411,7 +418,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace")
     s.add_argument("--verify-exact", action="store_true")
     s.add_argument("--cap", type=int, default=5_000_000)
-    s.add_argument("--max-degree", type=int)
     s.set_defaults(fn=cmd_sample)
 
     l = sub.add_parser("latin", help="sample random Latin squares")

@@ -44,15 +44,11 @@ def read_matrix(path) -> list[list[int]]:
     return [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
 
 
-def write_table(path, x: Table) -> None:
-    write_matrix(path, [list(x.values)])
-
-
-def read_table(path) -> Table:
+def _read_row(path, what: str) -> tuple[int, ...]:
     rows = read_matrix(path)
     if len(rows) != 1:
-        raise FileFormatError(f"{path}: a table file must have exactly one row")
-    return Table(tuple(rows[0]))
+        raise FileFormatError(f"{path}: a {what} file must have exactly one row")
+    return tuple(rows[0])
 
 
 def write_vector(path, t) -> None:
@@ -60,10 +56,15 @@ def write_vector(path, t) -> None:
 
 
 def read_vector(path) -> tuple[int, ...]:
-    rows = read_matrix(path)
-    if len(rows) != 1:
-        raise FileFormatError(f"{path}: a vector file must have exactly one row")
-    return tuple(rows[0])
+    return _read_row(path, "vector")
+
+
+def write_table(path, x: Table) -> None:
+    write_vector(path, x.values)
+
+
+def read_table(path) -> Table:
+    return Table(_read_row(path, "table"))
 
 
 def write_mask(path, zeros) -> None:

@@ -2,12 +2,15 @@
 structural zeros, the n x n x n no-three-factor-interaction swaps, the
 3x3x3 families and the 4x4x4 degree-8 transposition moves.
 
-Each generator builds its model, writes its moves as the rows of one int8
-array from arrays of cell indices, and binds them to the model with one
-:meth:`~zeroone.graver.MoveSet.build`.
+Each family builds its model, writes its moves as the rows of one int8
+array (from arrays of cell indices, or as the symmetry orbit of one cycle
+move) and binds them to the model with one
+:meth:`~zeroone.graver.MoveSet.build`.  Families are combined only by
+:meth:`~zeroone.graver.MoveSet.union`, which binds nothing again.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -47,19 +50,14 @@ def _signed_rows(cells: np.ndarray, n: int) -> np.ndarray:
     return V
 
 
-def loop_rows(I: int, J: int, r: int) -> np.ndarray:
-    """The degree-r loop moves of an I x J table as int8 rows, each twice
-    (as z and -z), not yet bound to a model."""
+def loops_degree_r(I: int, J: int, r: int) -> MoveSet:
+    """All distinct degree-r loop moves of an I x J table."""
     if not 2 <= r <= min(I, J):
         raise DimensionError(f"need 2 <= r <= min(I, J), got r={r} for {I}x{J}")
     rows, cols = (np.array(list(itertools.combinations(range(k), r))) for k in (I, J))
     a, b = np.divmod(np.arange(len(rows) * len(cols)), len(cols))  # every box
-    return _signed_rows(_loop_cells(rows[a], cols[b], J), I * J)
-
-
-def loops_degree_r(I: int, J: int, r: int) -> MoveSet:
-    """All distinct degree-r loop moves of an I x J table."""
-    return MoveSet.build(loop_rows(I, J, r), f"loop-{r}", build_two_way_independence(I, J))
+    V = _signed_rows(_loop_cells(rows[a], cols[b], J), I * J)
+    return MoveSet.build(V, f"loop-{r}", build_two_way_independence(I, J))
 
 
 def basic_moves_two_way(I: int, J: int) -> MoveSet:
@@ -88,55 +86,41 @@ def df1_loops(space: CellSpace) -> MoveSet:
     return MoveSet.build(np.concatenate(blocks), "df1", cfg)
 
 
-_NTFI_BASIC = [
-    [[1, -1, 0], [-1, 1, 0], [0, 0, 0]],
-    [[-1, 1, 0], [1, -1, 0], [0, 0, 0]],
-    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
-]
-_NTFI_DEG6 = [
-    [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
-    [[-1, 1, 0], [0, -1, 1], [1, 0, -1]],
-    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
-]
-_NTFI_DEG9 = [
-    [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
-    [[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
-    [[-1, 0, 1], [1, -1, 0], [0, 1, -1]],
-]
+def _cycle_orbit(n: int, r: int, k: int, tag: str) -> MoveSet:
+    """The orbit of the degree r*k cycle move of the n x n x n NTFI model
+    under the model's per-axis level permutations and axis permutations.
+
+    On the first r levels, slice s < k of the representative is
+    C^s - C^((s+1) % k), C the cyclic shift of r levels; the other slices
+    are zero.
+    """
+    cfg = build_ntfi(n)
+    E = np.eye(r, dtype=np.int8)
+    rep = np.zeros((n, n, n), dtype=np.int8)
+    for s in range(k):  # C^s is E with its columns rolled s places
+        rep[s, :r, :r] = np.roll(E, s, axis=1) - np.roll(E, (s + 1) % k, axis=1)
+    return MoveSet.build(symmetry_orbit(rep.reshape(1, -1), cfg), tag, cfg)
 
 
 def ntfi_333_moves(level: str = "basic+deg6+deg9") -> MoveSet:
-    """Symmetry orbits of the 3x3x3 no-three-factor-interaction families,
-    under the model's per-axis level permutations and axis permutations.
-
-    ``level`` selects the cumulative set: ``basic``, ``basic+deg6`` or
-    ``basic+deg6+deg9``.
-    """
-    families = {"basic": _NTFI_BASIC, "deg6": _NTFI_DEG6, "deg9": _NTFI_DEG9}
+    """The 3x3x3 no-three-factor-interaction families named in ``level``,
+    joined by ``+``: ``basic`` (degree 4), ``deg6`` and ``deg9``, the last
+    two symmetry orbits of cycle moves; their union."""
+    families = {
+        "basic": lambda: ntfi_basic_moves(3),
+        "deg6": lambda: _cycle_orbit(3, 3, 2, "deg6"),
+        "deg9": lambda: _cycle_orbit(3, 3, 3, "deg9"),
+    }
     wanted = level.split("+")
     if any(w not in families for w in wanted):
         raise DimensionError(f"unknown move level {level!r}")
-    cfg = build_ntfi(3)
-    reps = [np.array(families[w], dtype=np.int8).reshape(1, -1) for w in wanted]
-    orbits = [symmetry_orbit(rep, cfg) for rep in reps]
-    tags = [w for w, orbit in zip(wanted, orbits) for _ in orbit]
-    return MoveSet.build(np.concatenate(orbits), tags, cfg)
-
-
-_DEG8_REP = [
-    [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [-1, 0, 0, 1]],
-    [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]],
-    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-]
+    return functools.reduce(MoveSet.union, (families[w]() for w in wanted))
 
 
 def degree8_moves_4x4() -> MoveSet:
     """Orbit of the 4x4x4 two-level-transposition move (degree 8) under the
     model's per-axis level permutations and axis permutations."""
-    cfg = build_ntfi(4)
-    rep = np.array(_DEG8_REP, dtype=np.int8).reshape(1, -1)
-    return MoveSet.build(symmetry_orbit(rep, cfg), "deg8", cfg)
+    return _cycle_orbit(4, 4, 2, "deg8")
 
 
 # A degree-2 move of three-way complete independence on levels (x, x') of

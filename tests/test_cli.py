@@ -102,6 +102,12 @@ class TestGraver:
         assert len(rows) == 3
 
 
+    def test_lawrence_lift(self, capsys):
+        code, out, _ = run(capsys, "graver", "--model", "two-way-indep", "--dims", "2,3",
+                           "--lawrence")
+        assert code == 0 and out.splitlines() == ["moves: 3", "degree 4: 3"]
+
+
 class TestConnect:
     def test_connected_exit_zero(self, capsys, tmp_path):
         x = tmp_path / "x.txt"
@@ -125,6 +131,33 @@ class TestConnect:
         )
         assert code == 1
         assert "components: 12" in out
+
+    @pytest.mark.parametrize(
+        "n,moves,components",
+        [(4, "basic", 1), (4, "deg8", 145), (4, "basic+deg8", 1), (3, "basic", 12), (3, "deg6", 1)],
+        ids=["4-basic", "4-deg8", "4-basic+deg8", "3-basic", "3-deg6"],
+    )
+    def test_latin_square_counts(self, capsys, tmp_path, monkeypatch, deg8_444, n, moves,
+                                 components):
+        # README's Latin-square fibers: all line sums one
+        monkeypatch.setattr(zeroone.cli, "degree8_moves_4x4", lambda: deg8_444)
+        t = tmp_path / "t.txt"
+        fileio.write_vector(t, (1,) * (3 * n * n))
+        code, out, _ = run(capsys, "connect", "--model", "ntfi", "--dims", str(n),
+                           "--moves", moves, "--t", str(t))
+        size = {3: 12, 4: 576}[n]
+        assert out.splitlines()[:2] == [f"fiber size: {size}", f"components: {components}"]
+        assert code == (0 if components == 1 else 1)
+
+    def test_out_writes_the_fiber(self, capsys, tmp_path):
+        t, fib = tmp_path / "t.txt", tmp_path / "fiber.txt"
+        fileio.write_vector(t, (1,) * 27)
+        code, out, _ = run(capsys, "connect", "--model", "ntfi", "--dims", "3",
+                           "--moves", "deg6", "--t", str(t), "--out", str(fib))
+        rows = fileio.read_matrix(fib)
+        assert code == 0 and len(rows) == 12 and len({tuple(r) for r in rows}) == 12
+        assert out.splitlines()[2] == "component 0 (size 12): " + " ".join(map(str, rows[0]))
+        assert all(sum(r) == 9 and set(r) <= {0, 1} for r in rows)
 
     def test_wide_model(self, capsys, tmp_path):
         # 1,000 cells, beyond the depth of a recursive search
@@ -272,6 +305,16 @@ class TestCheck:
             "--condition", "generalized", "--moves", "deg2-patterns", "--max-degree", "2",
         )
         assert code == 0
+
+    def test_generalized_uncovered_move(self, capsys, tmp_path):
+        zeros = tmp_path / "zeros.txt"
+        fileio.write_mask(zeros, [(i, i) for i in range(4)])
+        code, out, _ = run(
+            capsys,
+            "check", "--model", "quasi-indep", "--dims", "4,4", "--zeros", str(zeros),
+            "--condition", "generalized", "--moves", "df1", "--max-degree", "4",
+        )
+        assert code == 1 and out == "uncovered move: 0 1 -1 1 -1 0 0 -1 1 -1 1 0\n"
 
     @pytest.mark.parametrize("condition", ["strong", "weak"])
     @pytest.mark.parametrize(
@@ -492,6 +535,17 @@ class TestLatin:
         for col in zip(*rows):
             assert sorted(col) == [1, 2, 3, 4]
 
+    def test_zero_one_cells(self, capsys):
+        code, out, _ = run(capsys, "latin", "3", "--seed", "1", "--zero-one")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 4 and lines[3].startswith("cells: ")
+        cells = [int(v) for v in lines[3].split()[1:]]
+        assert len(cells) == 27 and sum(cells) == 9
+        # cell (i, j, k): symbol k + 1 at row i, column j
+        symbols = [[int(v) for v in line.split()] for line in lines[:3]]
+        assert cells == [int(symbols[i][j] == k + 1)
+                         for i in range(3) for j in range(3) for k in range(3)]
+
     def test_negative_steps_exit_two(self, capsys):
         code, out, err = run(capsys, "latin", "3", "--steps", "-2", "--seed", "1")
         assert code == 2 and "error" in err and out == ""
@@ -537,6 +591,34 @@ class TestUsage:
         code, _, err = run(capsys, "graver", "--model", "two-way-indep")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("two-way-indep", "--dims", "2,x"), "bad dims '2,x'"),
+            (("quasi-indep", "--dims", "3,3"), "quasi-indep needs --zeros"),
+            (("complete-indep",), "complete-indep needs --dims"),
+            (("many-facet-rasch",), "many-facet-rasch needs --dims"),
+        ],
+        ids=["bad-dims", "quasi-without-zeros", "complete-without-dims", "rasch-without-dims"],
+    )
+    def test_model_usage_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, "graver", "--model", *argv)
+        assert code == 2 and message in err and out == ""
+
+    def test_unknown_statistic_exits_two(self, capsys, tmp_path):
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((1, 0, 0, 1)))
+        code, out, err = run(capsys, "sample", "--model", "two-way-indep", "--dims", "2,2",
+                             "--moves", "basic", "--start", str(x), "--steps", "10",
+                             "--seed", "1", "--stat", "foo")
+        assert code == 2 and "unknown statistic 'foo'" in err and out == ""
+
+    def test_moves_help_names_every_family(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["connect", "--help"])
+        text = "".join(capsys.readouterr().out.split())  # argparse wraps the help
+        assert exc.value.code == 0 and ",".join(FAMILIES) + ",loop-<r>" in text
 
 
 # --moves name, model (--model, --dims), the generator the name stands for
@@ -617,7 +699,37 @@ class TestResolveMoves:
         assert builds() == 2
 
     def test_every_family_is_covered(self):
-        assert {spec for spec, _, _ in FAMILY_CASES} == set(FAMILIES) | {"loop-3"}
+        parts = {name for spec, _, _ in FAMILY_CASES for name in spec.split("+")}
+        assert parts == set(FAMILIES) | {"loop-3"}
+
+    def test_union_does_not_depend_on_order(self, tmp_path):
+        args = self.parse(tmp_path, ("ntfi", "3"), "basic+deg6")
+        cfg = build_model(args)
+        a, b = (resolve_moves(spec, cfg, args) for spec in ("basic+deg6", "deg6+basic"))
+        assert a.matrix.tobytes() == b.matrix.tobytes() and a.provenance == b.provenance
+
+    def test_union_with_itself(self, tmp_path):
+        args = self.parse(tmp_path, ("two-way-indep", "3,4"), "basic")
+        cfg = build_model(args)
+        a, b = (resolve_moves(spec, cfg, args) for spec in ("basic", "basic+basic"))
+        assert a.matrix.tobytes() == b.matrix.tobytes() and a.provenance == b.provenance
+
+    @pytest.mark.parametrize("spec,part", [("basic+", "''"), ("basic+frobnicate", "'frobnicate'")],
+                             ids=["empty", "unknown"])
+    def test_bad_part_exits_two(self, capsys, tmp_path, spec, part):
+        t = tmp_path / "t.txt"
+        fileio.write_vector(t, (1,) * 27)
+        code, out, err = run(capsys, "connect", "--model", "ntfi", "--dims", "3",
+                             "--moves", spec, "--t", str(t))
+        assert code == 2 and f"unknown move family {part}" in err and out == ""
+
+    def test_move_file_with_a_plus_in_its_name(self, tmp_path):
+        path = tmp_path / "basic+deg6"
+        fileio.write_matrix(path, basic_moves_two_way(3, 3).matrix)
+        args = self.parse(tmp_path, ("two-way-indep", "3,3"), str(path))
+        b = resolve_moves(str(path), build_model(args), args)
+        assert b.matrix.tolist() == basic_moves_two_way(3, 3).matrix.tolist()
+        assert set(b.provenance) == {"file"}
 
     @staticmethod
     def parse(tmp_path, model, spec):

@@ -283,6 +283,11 @@ class TestGraverBasis:
         b = graver_basis(build_two_way_independence(3, 3))
         assert degree_histogram(b) == {2: 9, 3: 6}
 
+    def test_trivial_kernel_gives_an_empty_set(self):
+        cfg = Configuration(CellSpace((2,)), ((1, 0), (0, 1)))
+        b = graver_basis(cfg)
+        assert len(b) == 0 and b.matrix.shape == (0, 2) and b.source_config == cfg
+
     def test_three_by_three_equals_loops(self):
         b = graver_basis(build_two_way_independence(3, 3))
         loops = basic_moves_two_way(3, 3).union(loops_degree_r(3, 3, 3))

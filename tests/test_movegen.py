@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroone.cells import CellSpace, Move
+from zeroone.cells import CellSpace
 from zeroone.cli import FAMILIES
 from zeroone.errors import DimensionError
 from zeroone.graver import MoveSet, degree_histogram, square_free_graver, symmetry_orbit
@@ -18,9 +18,7 @@ from zeroone.models import (
     build_two_way_independence,
 )
 from zeroone.movegen import (
-    _NTFI_BASIC,
-    _NTFI_DEG6,
-    _NTFI_DEG9,
+    _cycle_orbit,
     basic_moves_two_way,
     degree2_threeway_patterns,
     degree8_moves_4x4,
@@ -142,8 +140,33 @@ class TestDf1Loops:
             df1_loops(CellSpace((2, 2, 2)))
 
 
+# the representatives of the NTFI families, written out as tables
+NTFI_BASIC = [
+    [[1, -1, 0], [-1, 1, 0], [0, 0, 0]],
+    [[-1, 1, 0], [1, -1, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+]
+NTFI_DEG6 = [
+    [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
+    [[-1, 1, 0], [0, -1, 1], [1, 0, -1]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+]
+NTFI_DEG9 = [
+    [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
+    [[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
+    [[-1, 0, 1], [1, -1, 0], [0, 1, -1]],
+]
+DEG8_444 = [
+    [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [-1, 0, 0, 1]],
+    [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]],
+    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+]
+
+
 def brute_orbit(rep, tag, cfg):
     """Reference orbit: every image by explicit indexing, one move at a time."""
+    rep = np.array(rep)
     n = rep.shape[0]
     perms = list(itertools.permutations(range(n)))
     moves = []
@@ -154,13 +177,13 @@ def brute_orbit(rep, tag, cfg):
             for p1 in perms:
                 a1 = a0[:, list(p1), :]
                 for p2 in perms:
-                    moves.append(Move.canonical(a1[:, :, list(p2)].ravel()))
-    return MoveSet.build(moves, tag, cfg)
+                    moves.append(a1[:, :, list(p2)].ravel())
+    return MoveSet.build(np.array(moves), tag, cfg)  # build makes the signs canonical
 
 
 class TestNtfi333Orbits:
     @pytest.mark.parametrize(
-        "rep", [_NTFI_BASIC, _NTFI_DEG6, _NTFI_DEG9], ids=["basic", "deg6", "deg9"]
+        "rep", [NTFI_BASIC, NTFI_DEG6, NTFI_DEG9], ids=["basic", "deg6", "deg9"]
     )
     def test_orbit_matches_brute_force(self, rep):
         cfg = build_ntfi(3)
@@ -192,6 +215,34 @@ class TestNtfi333Orbits:
     def test_unknown_level(self):
         with pytest.raises(DimensionError):
             ntfi_333_moves("deg7")
+
+    def test_levels_are_unions(self, builds):
+        # one build per family, none for their union, in any order
+        got = ntfi_333_moves("deg9+basic+deg6")
+        assert builds() == 3
+        assert got == ntfi_333_moves("basic").union(ntfi_333_moves("deg6+deg9"))
+
+
+def same_moves(got, want):
+    return ([z.vec for z in got.moves] == [z.vec for z in want.moves]
+            and got.provenance == want.provenance and got.source_config == want.source_config)
+
+
+class TestCycleOrbits:
+    @pytest.mark.parametrize(
+        "table,n,r,k", [(NTFI_DEG6, 3, 3, 2), (NTFI_DEG9, 3, 3, 3), (DEG8_444, 4, 4, 2)],
+        ids=["deg6", "deg9", "deg8"],
+    )
+    def test_orbit_of_the_table(self, table, n, r, k):
+        assert same_moves(_cycle_orbit(n, r, k, "t"), brute_orbit(table, "t", build_ntfi(n)))
+
+    def test_basic_is_the_orbit_of_its_table(self):
+        assert same_moves(ntfi_333_moves("basic"), brute_orbit(NTFI_BASIC, "basic", build_ntfi(3)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_basic_is_the_two_by_two_cycle_orbit(self, n):
+        got, want = _cycle_orbit(n, 2, 2, "basic"), ntfi_basic_moves(n)
+        assert got.matrix.tobytes() == want.matrix.tobytes() and same_moves(got, want)
 
 
 class TestDegree8Moves:
@@ -291,24 +342,27 @@ class TestPinned:
 
 
 class TestOneBuildPerFamily:
+    """One build per generated family; a union of families makes none."""
+
     @pytest.mark.parametrize(
-        "make",
+        "make,families",
         [
-            lambda: loops_degree_r(4, 4, 3),
-            lambda: basic_moves_two_way(3, 4),
-            lambda: df1_loops(diagonal_zeros(4)),
-            lambda: degree2_threeway_patterns((2, 2, 3)),
-            lambda: ntfi_333_moves("basic+deg6+deg9"),
-            lambda: ntfi_basic_moves(3),
-            degree8_moves_4x4,
-            lambda: FAMILIES["loops"](build_two_way_independence(3, 4), None),
+            (lambda: loops_degree_r(4, 4, 3), 1),
+            (lambda: basic_moves_two_way(3, 4), 1),
+            (lambda: df1_loops(diagonal_zeros(4)), 1),
+            (lambda: degree2_threeway_patterns((2, 2, 3)), 1),
+            (lambda: ntfi_333_moves("basic+deg6+deg9"), 3),
+            (lambda: ntfi_basic_moves(3), 1),
+            (degree8_moves_4x4, 1),
+            # basic and loop-3
+            (lambda: FAMILIES["loops"](build_two_way_independence(3, 4), None), 2),
         ],
         ids=["loops", "basic", "df1", "deg2-patterns", "ntfi-333", "ntfi-basic", "deg8",
              "cli-loops"],
     )
-    def test_one_build(self, make, builds):
+    def test_one_build(self, make, families, builds):
         make()
-        assert builds() == 1
+        assert builds() == families
 
     def test_retag_does_not_rebuild(self, builds):
         b = basic_moves_two_way(3, 3)
