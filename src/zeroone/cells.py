@@ -49,6 +49,26 @@ def find_rows(X, Y) -> np.ndarray:
     return np.where((X[pos] == Y).all(axis=1), pos, -1)
 
 
+def _groups(codes: np.ndarray):
+    """``(order, start, size)``: the positions of ``codes`` in a stable sort,
+    and the start in ``order`` and the size of each run of equal codes."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return order, start, np.diff(np.r_[start, len(codes)])
+
+
+def _pairs(partners: np.ndarray, step: int):
+    """``(a, b)`` row arrays of at most ``step`` pairs each, pairing each row a
+    with the ``partners[a]`` rows right after it: a ascending, then b."""
+    end = np.cumsum(partners)
+    total = int(end[-1]) if len(end) else 0
+    for k in range(0, total, step):
+        p = np.arange(k, min(k + step, total))
+        a = np.searchsorted(end, p, side="right")  # the row whose pairs hold p
+        yield a, p + a + 1 - (end[a] - partners[a])
+
+
 def _components(m: int, src: np.ndarray, dst: np.ndarray):
     """``(count, labels, rounds)``: connected components of the undirected
     graph on nodes ``0 .. m-1`` with edges ``(src[e], dst[e])``.

@@ -182,10 +182,12 @@ def _get_key(args, cfg):
 
 
 def cmd_graver(args) -> int:
+    if args.max_degree is not None and not args.square_free:
+        raise ZeroOneError("graver --max-degree needs --square-free")
     cfg = build_model(args)
     if args.lawrence:
         cfg = lawrence_lift(cfg)
-    if args.square_free and args.max_degree is not None:
+    if args.max_degree is not None:
         b = square_free_graver(cfg, args.max_degree)
     else:
         b = graver_basis(cfg, max_candidates=args.budget)
@@ -377,7 +379,8 @@ def make_parser() -> argparse.ArgumentParser:
     add_model(g)
     g.add_argument("--square-free", action="store_true")
     g.add_argument("--prune", action="store_true")
-    g.add_argument("--max-degree", type=int)
+    g.add_argument("--max-degree", type=int,
+                   help="with --square-free: the largest degree, by fiber pairing, not completion")
     g.add_argument("--lawrence", action="store_true")
     g.add_argument("--budget", type=int, default=2_000_000)
     g.add_argument("--out")

@@ -5,8 +5,12 @@ Fiber graphs and distance reduction share one bitmask kernel
 (:func:`~zeroone.cells.pack_bits`) and square-free moves are the packed
 masks of their +1 and -1 cells (:attr:`~zeroone.graver.MoveSet.masks`).
 The connectivity sweep generates the kernel's pairs directly
-(:func:`_sweep_edges`); the crossing and distance sweeps run one driver
-over batches of equal-size fibers (:func:`_first_failing`).
+(:func:`_sweep_edges`); the crossing and distance sweeps group the 2^n
+tables by key code (:func:`~zeroone.cells._groups`, as the square-free
+screen groups its d-sets) and share one loop over batches of equal-size
+fibers (:func:`_first_failing`).  The crossing kernel takes the pairs of
+each fiber from :func:`~zeroone.cells._pairs`, the pair enumerator of the
+square-free screen and of the one-cancellation prune.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Move, Table, _components, find_rows, pack_bits, unpack_bits
+from .cells import Move, Table, _components, _groups, _pairs, find_rows, pack_bits, unpack_bits
 from .errors import (
     CapExceededError,
     LengthMismatchError,
@@ -227,8 +231,8 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     labels = _components(m, lo, hi)[1]
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    comps = sorted((tuple(g.tolist()) for g in groups), key=lambda c: c[0])
-    return FiberGraph(nodes, edges, tuple(comps))
+    # labels are each component's smallest node, so the groups come in that order
+    return FiberGraph(nodes, edges, tuple(tuple(g.tolist()) for g in groups))
 
 
 def check_distance_reducing(b: MoveSet, fiber, strong: bool = False):
@@ -259,18 +263,6 @@ def sweep_distance_reducing(cfg: Configuration, b: MoveSet, strong: bool = False
                           lambda B, F: _far_pair(B, P, M, F, strong))
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    """Witness (or absence) of a crossing pattern between two tables."""
-
-    condition: str
-    witness: tuple[tuple[int, int, int, int], int] | None
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-
 def _first_crossings(U: np.ndarray, V: np.ndarray, Q: np.ndarray, weak: bool) -> np.ndarray:
     """Per row pair (u, v) of ``U`` and ``V``: the first c such that the swap
     ``Q[c]`` crosses from u to v, else ``len(Q) + c`` for the first from v to
@@ -282,40 +274,30 @@ def _first_crossings(U: np.ndarray, V: np.ndarray, Q: np.ndarray, weak: bool) ->
     return np.vstack(hit + [np.ones((1, len(U)), dtype=bool)]).argmax(axis=0)
 
 
-def _crossing(x: Table, y: Table, cfg: Configuration, weak: bool) -> CrossingReport:
+def check_crossing(x: Table, y: Table, cfg: Configuration, weak: bool = False):
+    """The first crossing of x and y, ``((i1, i2, i3, i4), direction)``, or None:
+    the first row of :attr:`Configuration.swaps` with cells i1 < i2 where
+    x > y, i3 where x < y and i4 where x <= y (``weak``: any i4), x to y
+    (direction 1) before y to x (-1).  Two equal tables are refused."""
     if x.values == y.values:
         raise ZeroOneError("crossing patterns are defined for distinct tables")
     Q = cfg.swaps
     c = int(_first_crossings(np.array([x.values]), np.array([y.values]), Q, weak)[0])
-    witness = (tuple(Q[c % len(Q)].tolist()), 1 if c < len(Q) else -1) if c < 2 * len(Q) else None
-    return CrossingReport("weak" if weak else "strong", witness)
-
-
-def check_strong_crossing(x: Table, y: Table, cfg: Configuration) -> CrossingReport:
-    """Distinct cells i1 < i2 with x > y, i3 with x < y and i4 with x <= y (weak
-    crossing: any i4), or the mirror, forming a swap; the witness is the first
-    such row of :attr:`Configuration.swaps`, x to y (direction 1) before y to x (-1)."""
-    return _crossing(x, y, cfg, weak=False)
-
-
-def check_weak_crossing(x: Table, y: Table, cfg: Configuration) -> CrossingReport:
-    return _crossing(x, y, cfg, weak=True)
+    return (tuple(Q[c % len(Q)].tolist()), 1 if c < len(Q) else -1) if c < 2 * len(Q) else None
 
 
 def _uncrossed(X: np.ndarray, F: int, Q: np.ndarray, weak: bool):
     """The first ``(f, a, b)``, a < b, of F fibers of m rows each, stacked in
     ``X``, such that no swap of ``Q`` crosses between the distinct rows a and
-    b of fiber f, or None; pairs in node order, tiles of ``_CHUNK // (2 Q)``."""
+    b of fiber f, or None; pairs in node order (:func:`~zeroone.cells._pairs`),
+    tiles of ``_CHUNK // (2 Q)``."""
     m = len(X) // F
-    a, b = np.triu_indices(m, 1)
-    step = max(1, _CHUNK // max(1, 2 * len(Q)))
-    for k in range(0, F * len(a), step):
-        f, p = np.divmod(np.arange(k, min(k + step, F * len(a))), len(a))
-        u, v = f * m + a[p], f * m + b[p]
+    partners = m - 1 - np.arange(len(X)) % m  # the later rows of its fiber
+    for u, v in _pairs(partners, max(1, _CHUNK // max(1, 2 * len(Q)))):
         for r in np.flatnonzero(_first_crossings(X[u], X[v], Q, weak) == 2 * len(Q))[:1]:
             if (X[u[r]] == X[v[r]]).all():
                 raise ZeroOneError("crossing patterns are defined for distinct tables")
-            return int(f[r]), int(a[p[r]]), int(b[p[r]])
+            return *divmod(int(u[r]), m), int(v[r]) % m
     return None
 
 
@@ -444,11 +426,10 @@ def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
 
 def _cube_fibers(cfg: Configuration, max_cells: int):
     """``(order, start, size)``: the 2^n sweep tables as a column of packed words
-    sorted stably by :func:`_cube_codes`, and each fiber's start in it and size."""
-    codes = _cube_codes(cfg, max_cells)
-    order = np.argsort(codes, kind="stable")
-    start = np.r_[0, np.flatnonzero(np.diff(codes[order])) + 1]
-    return order.view(np.uint64)[:, None], start, np.diff(np.r_[start, len(order)])
+    grouped by :func:`_cube_codes` (:func:`~zeroone.cells._groups`), and each
+    fiber's start in it and size."""
+    order, start, size = _groups(_cube_codes(cfg, max_cells))
+    return order.view(np.uint64)[:, None], start, size
 
 
 def iter_fibers(cfg: Configuration, max_cells: int = 24):

@@ -3,7 +3,10 @@
 Two independent routes are provided: a Pottier-style completion that
 computes the full Graver basis of small configurations, and a direct
 fiber-pairing enumeration of the square-free primitive moves that scales
-to the desk-size models used throughout.
+to the desk-size models used throughout.  The pairing groups the d-sets
+by key code with :func:`~zeroone.cells._groups` and enumerates the pairs
+of each fiber with :func:`~zeroone.cells._pairs`, as the fiber sweeps and
+:func:`prune_by_one_cancellation` do.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import Move, _components, find_rows, pack_bits, unpack_bits
+from .cells import Move, _components, _groups, _pairs, find_rows, pack_bits, unpack_bits
 from .errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from .models import Configuration
 
@@ -454,7 +457,7 @@ def _orbit_representatives(cells: np.ndarray, gens: np.ndarray) -> np.ndarray:
     binom = np.array([[math.comb(n - 1 - c, d - j) for c in range(n)] for j in range(d)],
                      dtype=itype)
     gens = gens.astype(cells.dtype)
-    step, block = max(1, _BUDGET // N), _BUDGET // 8
+    step, block = max(1, _BUDGET // N), max(1, _BUDGET // 8)
     for k in range(0, len(gens), step):
         g = gens[k:k + step]
         edges = np.empty((len(g), N), dtype=itype)
@@ -480,26 +483,23 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
     (with ascending ``cells``) whose key ``codes`` agree and whose ``u`` is
     the representative of its orbit, as +1/-1 rows.
 
-    The partners of a representative are the members after it in its
-    fiber.  Only fibers holding a representative are screened, in chunks
-    of whole fibers of one size, and their pairs in slices, each holding
-    about :data:`_BUDGET` elements; a chunk takes at least one fiber.
+    The d-sets are grouped by code (:func:`~zeroone.cells._groups`), and the
+    partners of a representative are the members after it in its fiber
+    (:func:`~zeroone.cells._pairs`).  Only fibers holding a representative
+    are screened, sizes ascending, in chunks of whole fibers of one size,
+    and their pairs in slices, each holding about :data:`_BUDGET`
+    elements; a chunk takes at least one fiber.
     """
     n = cfg.n_cells
     d = cells.shape[1]
+    order, start, size = _groups(codes)
     # held while the orbits are labelled: int32 keeps the peak down
-    order = np.argsort(codes, kind="stable").astype(np.int32 if len(codes) < 2**31 else np.int64)
-    ordered = codes[order]
-    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    del ordered
-    size = np.diff(np.r_[start, len(codes)])
+    order = order.astype(np.int32 if len(codes) < 2**31 else np.int64)
     multi = np.flatnonzero(size >= 2)
     groups = len(multi)
     if groups:  # a level without one screens nothing, so its orbits are not labelled
         rep = _orbit_representatives(cells, cfg.symmetry)
         multi = multi[np.logical_or.reduceat(rep[order], start)[multi]]  # fibers holding one
-    multi = multi[np.argsort(size[multi], kind="stable")]  # a chunk holds fibers of one size
-    start, size = start[multi], size[multi]
     patterns = [
         np.array(list(itertools.combinations(range(d), k)), dtype=np.int64)
         for k in range(1, d // 2 + 1)
@@ -507,32 +507,23 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
     per_member = d * max(1, sum(map(len, patterns))) * cfg.key_terms[1].shape[1]
     plus, minus = [], []
     pairs = disjoint = 0
-    g0 = 0
-    while g0 < len(size):
-        s = int(size[g0])
-        g1 = min(int(np.searchsorted(size, s, "right")), g0 + max(1, _BUDGET // (s * per_member)))
-        sz = size[g0:g1]
-        mem = order[_ranges(start[g0:g1], sz)]  # members, fiber by fiber
-        M = masks[mem]
-        B = _shared_subset_bits(cfg, cells[mem], s, patterns)
-        # the later members of its fiber are the partners of a representative
-        partners = np.where(rep[mem], np.repeat(np.cumsum(sz), sz) - np.arange(len(mem)) - 1, 0)
-        cum = np.cumsum(partners)
-        step = max(1, _BUDGET // max(M.shape[1], B.shape[1]))
-        j0 = 0
-        while j0 < len(mem):
-            j1 = max(j0 + 1, int(np.searchsorted(cum, (cum[j0 - 1] if j0 else 0) + step, "right")))
-            a = np.repeat(np.arange(j0, j1), partners[j0:j1])
-            b = _ranges(np.arange(j0 + 1, j1 + 1), partners[j0:j1])
-            pairs += len(a)
-            apart = ~(M[a] & M[b]).any(axis=1)
-            a, b = a[apart], b[apart]
-            disjoint += len(a)
-            primitive = ~(B[a] & B[b]).any(axis=1)
-            plus.append(mem[a[primitive]])
-            minus.append(mem[b[primitive]])
-            j0 = j1
-        g0 = g1
+    for s in sorted(set(size[multi].tolist())):  # np.unique imports numpy.ma on a first call
+        fibers = multi[size[multi] == s]
+        step = max(1, _BUDGET // (s * per_member))
+        for k in range(0, len(fibers), step):
+            mem = order[(start[fibers[k:k + step], None] + np.arange(s)).ravel()]  # fiber by fiber
+            M = masks[mem]
+            B = _shared_subset_bits(cfg, cells[mem], s, patterns)
+            # the later members of its fiber are the partners of a representative
+            partners = np.where(rep[mem], s - 1 - np.arange(len(mem)) % s, 0)
+            for a, b in _pairs(partners, max(1, _BUDGET // max(M.shape[1], B.shape[1]))):
+                pairs += len(a)
+                apart = ~(M[a] & M[b]).any(axis=1)
+                a, b = a[apart], b[apart]
+                disjoint += len(a)
+                primitive = ~(B[a] & B[b]).any(axis=1)
+                plus.append(mem[a[primitive]])
+                minus.append(mem[b[primitive]])
     plus = np.concatenate(plus) if plus else np.zeros(0, dtype=np.int64)
     minus = np.concatenate(minus) if minus else np.zeros(0, dtype=np.int64)
     _LOG.debug(
@@ -598,13 +589,14 @@ def prune_by_one_cancellation(b0: MoveSet, max_pairs: int = 10**7) -> MoveSet:
     """Drop members that are one-sign-cancellation sums of two members.
 
     ``a + b`` cancels in the cells where one has +1 and the other -1.  A
-    sum with exactly one such cell has a larger support than either part,
-    so testing every sum against the original set ``b0`` (not against
-    what is left) is well-founded, and one pass over all pairs suffices.
-    The pairs are screened on bitmasks of the +1 cells (P) and the -1
-    cells (M): ``a + b`` cancels in ``popcount(P_a & M_b) +
-    popcount(M_a & P_b)`` cells, ``a - b`` in ``popcount(P_a & P_b) +
-    popcount(M_a & M_b)``.
+    sum is dropped only when its support is larger than both parts'
+    supports, so testing every sum against the original set ``b0`` (not
+    against what is left) is well-founded: each dropped member is a sum of
+    members of smaller support, and one pass over all pairs suffices.
+    The pairs (:func:`~zeroone.cells._pairs`) are screened on bitmasks of
+    the +1 cells (P) and the -1 cells (M): ``a + b`` cancels in
+    ``popcount(P_a & M_b) + popcount(M_a & P_b)`` cells, ``a - b`` in
+    ``popcount(P_a & P_b) + popcount(M_a & M_b)``.
 
     The screen is quadratic: a set of m members has m(m-1)/2 pairs, and
     more than ``max_pairs`` of them raise :class:`BudgetExhaustedError`
@@ -617,15 +609,16 @@ def prune_by_one_cancellation(b0: MoveSet, max_pairs: int = 10**7) -> MoveSet:
         raise BudgetExhaustedError(b0, f"{pairs} pairs to screen exceed max_pairs={max_pairs}")
     V = b0.matrix
     P, M = pack_bits(V == 1), pack_bits(V == -1)
+    support = np.count_nonzero(V, axis=1)
     drop = np.zeros(len(V), dtype=bool)
-    step = max(1, _BUDGET // max(1, P.size))
-    for a0 in range(0, len(V), step):
-        Pa, Ma = P[a0:a0 + step, None, :], M[a0:a0 + step, None, :]
-        plus = (np.bitwise_count(Pa & M) + np.bitwise_count(Ma & P)).sum(axis=2)
-        minus = (np.bitwise_count(Pa & P) + np.bitwise_count(Ma & M)).sum(axis=2)
+    for a, b in _pairs(np.arange(len(V) - 1, -1, -1), max(1, _BUDGET // P.shape[1])):
+        plus = (np.bitwise_count(P[a] & M[b]) + np.bitwise_count(M[a] & P[b])).sum(axis=1)
+        minus = (np.bitwise_count(P[a] & P[b]) + np.bitwise_count(M[a] & M[b])).sum(axis=1)
         for sign, cancels in ((1, plus), (-1, minus)):
-            a, b = np.nonzero(np.triu(cancels == 1, a0 + 1))
-            hit = find_rows(V, _canonical_rows(V[a0 + a] + sign * V[b])[0])
+            i, j = a[cancels == 1], b[cancels == 1]
+            c = V[i] + sign * V[j]
+            c = c[np.count_nonzero(c, axis=1) > np.maximum(support[i], support[j])]
+            hit = np.concatenate([find_rows(V, c), find_rows(V, -c)])  # V's rows are canonical
             drop[hit[hit >= 0]] = True
     V = V[~drop]
     return MoveSet(V, ("pruned-survivor",) * len(V), b0.source_config)

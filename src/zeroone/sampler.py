@@ -277,13 +277,10 @@ def latin_fiber_key(n: int):
 
 
 def latin_start_table(n: int) -> Table:
-    """Orthogonal-array form of the cyclic Latin square (symbol = row+col mod n)."""
-    space = build_ntfi(n).cell_space
-    vals = [0] * space.cell_count
-    for i in range(n):
-        for j in range(n):
-            vals[space.linear_index((i, j, (i + j) % n))] = 1
-    return Table(tuple(vals))
+    """Orthogonal-array form of the cyclic Latin square (symbol = row+col mod n);
+    the NTFI cells (i, j, k) are row-major with no structural zeros."""
+    i, j = np.indices((n, n))
+    return Table(np.eye(n, dtype=np.int64)[(i + j) % n].ravel())
 
 
 def latin_move_set(n: int) -> MoveSet:
@@ -317,13 +314,9 @@ def sample_latin_square(n: int, steps: int, seed: int, b: MoveSet | None = None)
 
 
 def latin_symbols(x: Table, n: int):
-    """Symbol-matrix rendering of an orthogonal-array zero-one table."""
-    space = build_ntfi(n).cell_space
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            syms = [k for k in range(n) if x[space.linear_index((i, j, k))]]
-            if len(syms) != 1:
-                raise ZeroOneError("table is not in orthogonal-array Latin form")
-            out[i][j] = syms[0] + 1
-    return out
+    """Symbol-matrix rendering of an orthogonal-array zero-one table: the
+    symbol of (i, j) is 1 + the k of its one nonzero cell (i, j, k)."""
+    X = np.array(x.values) != 0
+    if len(X) != n**3 or (X.reshape(n * n, n).sum(axis=1) != 1).any():
+        raise ZeroOneError("table is not in orthogonal-array Latin form")
+    return (X.reshape(n, n, n).argmax(axis=2) + 1).tolist()

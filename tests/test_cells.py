@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroone.cells import CellSpace, Move, Table, pack_bits, unpack_bits
+from zeroone.cells import CellSpace, Move, Table, _groups, _pairs, pack_bits, unpack_bits
 from zeroone.errors import (
     CellIndexError,
     LengthMismatchError,
@@ -110,3 +111,24 @@ class TestBitPacking:
         words = pack_bits(X)
         assert words.shape == (m, max(1, -(-n // 64)))
         assert (unpack_bits(words, n) == X).all()
+
+
+class TestGroupsAndPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=20))
+    def test_groups_are_runs_of_equal_codes(self, codes):
+        order, start, size = _groups(np.array(codes, dtype=np.uint64))
+        runs = [g.tolist() for g in np.split(order, start[1:])]
+        assert runs == [[i for i, c in enumerate(codes) if c == k] for k in sorted(set(codes))]
+        assert size.tolist() == list(map(len, runs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=12), st.integers(1, 5))
+    def test_pairs_equal_brute_force(self, partners, step):
+        want = [(a, a + 1 + j) for a, p in enumerate(partners) for j in range(p)]
+        slices = list(_pairs(np.array(partners, dtype=np.int64), step))
+        got = [(int(x), int(y)) for a, b in slices for x, y in zip(a, b)]
+        assert got == want
+        # every slice holds step pairs but the last, which holds the rest
+        sizes = [len(a) for a, _ in slices]
+        assert sizes == [step] * (len(want) // step) + [len(want) % step] * (len(want) % step > 0)

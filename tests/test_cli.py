@@ -81,6 +81,12 @@ class TestGraver:
                              *argv[1:], *(["--from-table", str(x)] if argv[0] == "connect" else []))
         assert code == 2 and "degrees must be positive" in err and out == ""
 
+    def test_max_degree_without_square_free_exits_two(self, capsys):
+        # the full Graver basis of 3x3 has 6 moves of degree 3; no bound is applied to it
+        code, out, err = run(capsys, "graver", "--model", "two-way-indep", "--dims", "3,3",
+                             "--max-degree", "2")
+        assert code == 2 and "--max-degree needs --square-free" in err and out == ""
+
     def test_prune_over_pair_budget_exits_three(self, capsys):
         # 8,394 square-free moves: 35M pairs exceed the default 10^7 before any is screened
         code, out, err = run(

@@ -15,10 +15,9 @@ from zeroone.errors import (
 )
 from zeroone.fiber import (
     build_fiber_graph,
+    check_crossing,
     check_distance_reducing,
     check_generalized_crossing,
-    check_strong_crossing,
-    check_weak_crossing,
     conformal_decompose,
     enumerate_zero_one_fiber,
     _sweep_edges,
@@ -219,18 +218,17 @@ class TestDistanceReduction:
 class TestCrossing:
     def test_swap_pair_has_strong_crossing(self):
         cfg = build_two_way_independence(2, 2)
-        rep = check_strong_crossing(Table((1, 0, 0, 1)), Table((0, 1, 1, 0)), cfg)
-        assert rep.found and rep.condition == "strong"
+        # cells 0 and 3 hold 1 in x, cells 1 and 2 in y
+        assert check_crossing(Table((1, 0, 0, 1)), Table((0, 1, 1, 0)), cfg) == ((0, 3, 1, 2), 1)
 
     def test_weak_implied_by_strong(self):
         cfg = build_two_way_independence(2, 2)
-        rep = check_weak_crossing(Table((1, 0, 0, 1)), Table((0, 1, 1, 0)), cfg)
-        assert rep.found
+        assert check_crossing(Table((1, 0, 0, 1)), Table((0, 1, 1, 0)), cfg, weak=True) is not None
 
     def test_identical_tables_rejected(self):
         cfg = build_two_way_independence(2, 2)
         with pytest.raises(ZeroOneError):
-            check_strong_crossing(Table((1, 0, 0, 1)), Table((1, 0, 0, 1)), cfg)
+            check_crossing(Table((1, 0, 0, 1)), Table((1, 0, 0, 1)), cfg)
 
     def test_uncrossed_pair_returns_members(self):
         cfg = build_quasi_independence(3, 3, off_diagonal(3))
@@ -324,9 +322,9 @@ class TestCrossingAgainstBruteForce:
             else:
                 flip = rng.choice(cfg.n_cells, size=4, replace=False)
                 y = Table(np.array(x.values) ^ np.isin(np.arange(cfg.n_cells), flip))
-            for weak, check in ((False, check_strong_crossing), (True, check_weak_crossing)):
+            for weak in (False, True):
                 want = brute_crossing(x, y, cfg, weak)
-                assert check(x, y, cfg).witness == want
+                assert check_crossing(x, y, cfg, weak) == want
                 found.add(want is not None)
         assert found == outcomes
 
@@ -434,9 +432,9 @@ class TestCrossingBeyondZeroOne:
             if (x == y).all():
                 continue
             x, y = Table(x), Table(y)
-            for weak, check in ((False, check_strong_crossing), (True, check_weak_crossing)):
+            for weak in (False, True):
                 want = brute_crossing(x, y, cfg, weak)
-                assert check(x, y, cfg).witness == want
+                assert check_crossing(x, y, cfg, weak) == want
                 found.add(want is not None)
         assert found == {True, False}
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from zeroone import graver
 from zeroone.cells import CellSpace, Move
+from zeroone.fiber import sweep_connectivity
 from zeroone.errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from zeroone.graver import (
     MoveSet,
@@ -631,6 +632,42 @@ class TestSymmetryReducedScreen:
         assert rep.tolist() == (least == np.arange(len(cells))).tolist()
 
 
+class TestScreenTiling:
+    """With ``_BUDGET`` at 1 each chunk of the pair screen holds one fiber and
+    each slice one pair; the moves and the DEBUG records are unchanged."""
+
+    @pytest.mark.parametrize(
+        "cfg,max_degree",
+        [(build_two_way_independence(3, 3), 3), (build_complete_independence((2, 2, 3)), 4),
+         (build_ntfi(4), 2)],  # 4x4x4: two key words
+        ids=["two-way-3x3", "complete-2x2x3", "ntfi-4x4x4"],
+    )
+    def test_one_fiber_per_chunk_and_one_pair_per_slice(self, cfg, max_degree, monkeypatch,
+                                                        caplog):
+        def screen():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="zeroone.graver"):
+                b = square_free_graver(cfg, max_degree)
+            return b, [r.getMessage() for r in caplog.records if r.name == "zeroone.graver"]
+
+        want = screen()
+        monkeypatch.setattr(graver, "_BUDGET", 1)
+        chunks, slices = [], []
+        shared, pairs = graver._shared_subset_bits, graver._pairs
+        monkeypatch.setattr(graver, "_shared_subset_bits", lambda c, cells, s, p: (
+            chunks.append(len(cells) // s) or shared(c, cells, s, p)))
+
+        def spy(partners, step):
+            for a, b in pairs(partners, step):
+                slices.append(len(a))
+                yield a, b
+
+        monkeypatch.setattr(graver, "_pairs", spy)
+        assert screen() == want
+        assert set(chunks) <= {1} and set(slices) <= {1}
+        assert bool(chunks) == bool(slices) == (cfg.n_cells < 64)  # 4x4x4 has no pairs to degree 2
+
+
 class TestRowsOfBoundSets:
     """Unions and row subsets of bound sets keep their rows: no ``build``,
     and matrix bytes and provenance as rebinding with ``build`` gave them."""
@@ -664,7 +701,57 @@ class TestSquareFreeSubset:
         assert {z.vec for z in square_free_subset(sf).moves} == {z.vec for z in sf.moves}
 
 
+def brute_prune(b0):
+    """The prune's rule, pair by pair: drop a member c = a + b or a - b of two
+    members when the sum cancels in exactly one cell (+1 against -1) and
+    c's support is larger than both a's and b's."""
+    V = b0.matrix.tolist()
+    members = set(map(tuple, V))
+
+    def support(v):
+        return sum(x != 0 for x in v)
+
+    drop = set()
+    for a, b in itertools.combinations(V, 2):
+        for sign in (1, -1):
+            sb = [sign * y for y in b]
+            cancels = sum({x, y} == {1, -1} for x, y in zip(a, sb))
+            c = Move.canonical([x + y for x, y in zip(a, sb)]).vec
+            if cancels == 1 and support(c) > max(support(a), support(b)) and c in members:
+                drop.add(c)
+    return [v for v in V if tuple(v) not in drop]
+
+
 class TestPruning:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: square_free_graver(build_two_way_independence(3, 3), 3),
+            lambda: square_free_graver(build_complete_independence((2, 2, 3)), 4),
+            lambda: graver_basis(build_complete_independence((2, 2, 3))),
+            lambda: square_free_graver(build_many_facet_rasch((2, 2, 3)), 4),
+            lambda: graver_basis(build_many_facet_rasch((2, 2, 3))),
+        ],
+        ids=["two-way-3x3", "complete-2x2x3", "graver-2x2x3", "rating-2x2x3", "graver-rating-2x2x3"],
+    )
+    def test_equals_brute_force(self, make, monkeypatch):
+        b0 = make()
+        want = brute_prune(b0)
+        assert prune_by_one_cancellation(b0).matrix.tolist() == want
+        monkeypatch.setattr(graver, "_BUDGET", 50)  # slices of 50 pairs of one word split rows
+        assert prune_by_one_cancellation(b0).matrix.tolist() == want
+
+    @pytest.mark.parametrize("square_free,kept", [(True, 12), (False, 26)])
+    def test_drops_do_not_justify_each_other(self, square_free, kept):
+        # the 6 degree-1 moves (pairs of grade-0 cells with equal columns) have
+        # support 2: a + z and a degree-1 z would drop each other
+        cfg = build_many_facet_rasch((2, 2, 3))
+        b0 = square_free_graver(cfg, 4) if square_free else graver_basis(cfg)
+        pruned = prune_by_one_cancellation(b0)
+        assert len(pruned) == kept and degree_histogram(pruned)[1] == 6
+        rep = sweep_connectivity(cfg, pruned, max_cells=cfg.n_cells)
+        assert rep.all_connected and rep.n_fibers == 1065
+
     def test_three_by_three_leaves_basic(self):
         b0 = square_free_graver(build_two_way_independence(3, 3), 3)
         pruned = prune_by_one_cancellation(b0)

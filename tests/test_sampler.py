@@ -280,6 +280,21 @@ class TestLatin:
         for col in zip(*sym):
             assert sorted(col) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_array_helpers_equal_cell_loops(self, n, deg8_444):
+        # the cells (i, j, k) by CellSpace.linear_index, as a reference
+        space = build_ntfi(n).cell_space
+        start = [0] * space.cell_count
+        for i in range(n):
+            for j in range(n):
+                start[space.linear_index((i, j, (i + j) % n))] = 1
+        assert latin_start_table(n).values == tuple(start)
+        b = latin_move_set(3) if n == 3 else ntfi_basic_moves(4).union(deg8_444)
+        for seed in range(20):
+            x, sym = sample_latin_square(n, steps=100, seed=seed, b=b)
+            assert sym == [[1 + next(k for k in range(n) if x[space.linear_index((i, j, k))])
+                            for j in range(n)] for i in range(n)]
+
     def test_symbols_reject_invalid(self):
         with pytest.raises(ZeroOneError):
             latin_symbols(Table((0,) * 27), 3)
