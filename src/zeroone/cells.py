@@ -58,6 +58,11 @@ def _groups(codes: np.ndarray):
     return order, start, np.diff(np.r_[start, len(codes)])
 
 
+def _ranges(start, count) -> np.ndarray:
+    """``start[i], ..., start[i] + count[i] - 1`` for each i, concatenated."""
+    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
 def _pairs(partners: np.ndarray, step: int):
     """``(a, b)`` row arrays of at most ``step`` pairs each, pairing each row a
     with the ``partners[a]`` rows right after it: a ascending, then b."""

@@ -222,9 +222,12 @@ def cmd_connect(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.sweep and args.condition == "generalized":
+        raise ZeroOneError("check --sweep does not apply to --condition generalized")
+    if args.sweep and (args.t or args.from_table):
+        raise ZeroOneError("check --sweep covers every fiber: it takes no --t or --from-table")
     cfg = build_model(args)
-    sweep = args.sweep and args.condition != "generalized"
-    if sweep:
+    if args.sweep:
         # every table of the model: 2^n of them (n >= 1), within the --cap budget,
         # refused before the moves are resolved
         if args.cap < 2:
@@ -244,7 +247,7 @@ def cmd_check(args) -> int:
         return EXIT_FAIL
 
     passed = f"{args.condition} crossing pattern exists for every pair"
-    if sweep:
+    if args.sweep:
         if args.condition == "distance-reducing":
             ok, key = sweep_distance_reducing(cfg, b, args.strong, max_cells)
             print("distance reducing on every fiber" if ok else f"fails on key {key}")

@@ -452,7 +452,7 @@ def _first_failing(cfg: Configuration, groups, name: str, width: int, kernel):
     to the first failing fiber so far.  One DEBUG record."""
     order, start, size = groups
     first = None  # the first failing fiber so far
-    for m in np.unique(size[size > 1]).tolist():
+    for m in sorted(set(size[size > 1].tolist())):  # np.unique imports numpy.ma
         fibers = np.flatnonzero(size[:first] == m)
         step = max(1, _CHUNK // (m * max(m, width)))
         for a in range(0, len(fibers), step):

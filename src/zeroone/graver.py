@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import Move, _components, _groups, _pairs, find_rows, pack_bits, unpack_bits
+from .cells import Move, _components, _groups, _pairs, _ranges, find_rows, pack_bits, unpack_bits
 from .errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from .models import Configuration
 
@@ -221,7 +221,7 @@ def graver_basis(cfg: Configuration, max_candidates: int = 2_000_000) -> MoveSet
 
     def push(V):
         norm = np.abs(V).sum(axis=1)
-        for level in np.unique(norm).tolist():
+        for level in set(norm.tolist()):  # np.unique imports numpy.ma on a first call
             pending.setdefault(level, []).append(V[norm == level])
 
     push(np.array(basis, dtype=np.int64))
@@ -372,14 +372,14 @@ def square_free_graver(
 
     The model's symmetries (:attr:`Configuration.symmetry`) map fibers,
     disjointness and primitivity onto themselves, so the moves are a union
-    of orbits.  Only the pairs (u, v) whose u is the smallest d-set of its
-    orbit (its representative) are screened, v ranging over the members
-    after u in its fiber; the moves found are then expanded to their
-    orbits by :func:`symmetry_orbit`.  No orbit of pairs is missed: if the
-    representative m of a's orbit is at most that of b's, and g maps a to
-    m, then g(b) is a member after m in m's fiber.  With the trivial group
-    every d-set is a representative and each pair of a fiber is screened
-    once.
+    of orbits, and the fibers of each degree fall into orbits too.  Only
+    the fibers whose key is the least of their orbit are screened
+    (:func:`_least_fibers`), every pair of each; the moves found are then
+    expanded to their orbits by :func:`symmetry_orbit`.  No orbit of pairs
+    is missed: for a pair (a, b) of a fiber f, some g in the group maps f
+    onto the least fiber m of f's orbit, and so maps (a, b) to a pair of
+    m, which is screened.  With the trivial group every fiber is its own
+    orbit and each pair of a fiber is screened once.
 
     Requires a homogeneous configuration (positive and negative parts of
     every move then have equal weight, so the pairing is exhaustive).  A
@@ -401,7 +401,7 @@ def square_free_graver(
         if d > 1:
             masks, sums, cells = _next_level(masks, sums, cells, bits, steps)
         if d >= min_degree:
-            found.append(_pair_screen(cfg, masks, cells, cfg.key_codes_of_sums(sums)))
+            found.append(_pair_screen(cfg, masks, cells, sums))
     del masks, sums, cells  # so that the expansion and the build reuse their memory
     found = np.concatenate(found)
     V = symmetry_orbit(found, cfg)
@@ -428,78 +428,51 @@ def _next_level(masks, sums, cells, bits, steps):
     return masks[tail] | bits[head], sums[tail] + steps[head], joined
 
 
-def _ranges(start, count) -> np.ndarray:
-    """``start[i], ..., start[i] + count[i] - 1`` for each i, concatenated."""
-    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+def _least_fibers(cfg: Configuration, first, words) -> np.ndarray:
+    """Whether each fiber is the least of its orbit under
+    :attr:`Configuration.symmetry`, the fibers given in key order by the
+    ascending cells ``first`` (F x d) of one member each and their key
+    ``words`` (F x W).
 
-
-def _orbit_representatives(cells: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Whether each d-set, the ascending rows of ``cells`` (all the d-sets
-    of n cells, in lexicographic order), is the smallest of its orbit under
-    the cell permutations ``gens``.
-
-    A generator maps a d-set to the d-set of its images, sorted by a
-    network of elementwise minima and maxima and found by its
-    lexicographic rank; the orbits are the connected components of these
-    edges, labelled with their smallest member by
-    :func:`~zeroone.cells._components`.  The generators are merged a batch
-    of about :data:`_BUDGET` edges at a time, and the images are found in
-    blocks of d-sets, so that no working array outgrows the edges.
+    A generator g maps a member u to {g[c] : c in u}, its image under the
+    inverse of x -> x[g], and so maps u's fiber onto that image's fiber,
+    found by :func:`~zeroone.cells.find_rows` among ``words``; a generating
+    set and its inverses give the same orbits.  The orbits are the
+    connected components of these edges, each labelled with its least
+    fiber by :func:`~zeroone.cells._components`.  The image words are
+    summed one cell column at a time, so that each temporary is F x W.
     """
-    N, d = cells.shape
-    if not len(gens):
-        return np.ones(N, dtype=bool)
-    n = gens.shape[1]
-    itype = np.int32 if N < 2**31 else np.int64
-    labels = np.arange(N, dtype=itype)
-    # the lexicographic rank of c_1 < ... < c_d among the d-sets of n cells
-    # is N - 1 - sum_j C(n - 1 - c_j, d - j + 1) (j from 1)
-    binom = np.array([[math.comb(n - 1 - c, d - j) for c in range(n)] for j in range(d)],
-                     dtype=itype)
-    gens = gens.astype(cells.dtype)
-    step, block = max(1, _BUDGET // N), max(1, _BUDGET // 8)
-    for k in range(0, len(gens), step):
-        g = gens[k:k + step]
-        edges = np.empty((len(g), N), dtype=itype)
-        for b in range(0, N, block):
-            image = [np.take(g, c, axis=1) for c in cells[b:b + block].T]  # (generators, d-sets)
-            for i in range(1, d):
-                for j in range(i, 0, -1):
-                    image[j - 1], image[j] = (np.minimum(image[j - 1], image[j]),
-                                              np.maximum(image[j - 1], image[j]))
-            rank = np.full(image[0].shape, N - 1, dtype=itype)
-            for j in range(d):
-                rank -= np.take(binom[j], image[j])
-            edges[:, b:b + block] = np.take(labels, rank)
-            del image, rank
-        src = np.broadcast_to(labels, edges.shape).ravel()
-        labels = _components(N, src, edges.ravel())[1][labels]
-        del edges, src
-    return labels == np.arange(N)
+    origin, steps = cfg.key_terms
+    src = np.arange(len(first))
+    dst = [src]  # the identity, whose loops add no edge
+    for g in cfg.symmetry:
+        image = origin + steps[g[first[:, 0]]]
+        for c in first.T[1:]:
+            image += steps[g[c]]
+        dst.append(find_rows(words, image))
+    return _components(len(first), np.tile(src, len(dst)), np.concatenate(dst))[1] == src
 
 
-def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
+def _pair_screen(cfg: Configuration, masks, cells, sums) -> np.ndarray:
     """The square-free primitive moves ``u - v`` between the d-sets ``masks``
-    (with ascending ``cells``) whose key ``codes`` agree and whose ``u`` is
-    the representative of its orbit, as +1/-1 rows.
+    (with ascending ``cells``) whose key words ``sums`` agree, in the fibers
+    least in their orbit (:func:`_least_fibers`), as +1/-1 rows.
 
-    The d-sets are grouped by code (:func:`~zeroone.cells._groups`), and the
-    partners of a representative are the members after it in its fiber
-    (:func:`~zeroone.cells._pairs`).  Only fibers holding a representative
-    are screened, sizes ascending, in chunks of whole fibers of one size,
-    and their pairs in slices, each holding about :data:`_BUDGET`
-    elements; a chunk takes at least one fiber.
+    The d-sets are grouped by key code (:func:`~zeroone.cells._groups`), and
+    each member of a screened fiber is paired with the members after it
+    (:func:`~zeroone.cells._pairs`).  The fibers are screened sizes
+    ascending, in chunks of whole fibers of one size, and their pairs in
+    slices, each holding about :data:`_BUDGET` elements; a chunk takes at
+    least one fiber.
     """
     n = cfg.n_cells
     d = cells.shape[1]
-    order, start, size = _groups(codes)
-    # held while the orbits are labelled: int32 keeps the peak down
-    order = order.astype(np.int32 if len(codes) < 2**31 else np.int64)
+    order, start, size = _groups(cfg.key_codes_of_sums(sums))
+    # held through the screen: int32 keeps the peak down
+    order = order.astype(np.int32 if len(sums) < 2**31 else np.int64)
     multi = np.flatnonzero(size >= 2)
-    groups = len(multi)
-    if groups:  # a level without one screens nothing, so its orbits are not labelled
-        rep = _orbit_representatives(cells, cfg.symmetry)
-        multi = multi[np.logical_or.reduceat(rep[order], start)[multi]]  # fibers holding one
+    first = order[start[multi]]
+    least = multi[_least_fibers(cfg, cells[first], sums[first])]
     patterns = [
         np.array(list(itertools.combinations(range(d), k)), dtype=np.int64)
         for k in range(1, d // 2 + 1)
@@ -507,15 +480,14 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
     per_member = d * max(1, sum(map(len, patterns))) * cfg.key_terms[1].shape[1]
     plus, minus = [], []
     pairs = disjoint = 0
-    for s in sorted(set(size[multi].tolist())):  # np.unique imports numpy.ma on a first call
-        fibers = multi[size[multi] == s]
+    for s in sorted(set(size[least].tolist())):  # np.unique imports numpy.ma on a first call
+        fibers = least[size[least] == s]
         step = max(1, _BUDGET // (s * per_member))
         for k in range(0, len(fibers), step):
             mem = order[(start[fibers[k:k + step], None] + np.arange(s)).ravel()]  # fiber by fiber
             M = masks[mem]
             B = _shared_subset_bits(cfg, cells[mem], s, patterns)
-            # the later members of its fiber are the partners of a representative
-            partners = np.where(rep[mem], s - 1 - np.arange(len(mem)) % s, 0)
+            partners = s - 1 - np.arange(len(mem)) % s  # the later members of its fiber
             for a, b in _pairs(partners, max(1, _BUDGET // max(M.shape[1], B.shape[1]))):
                 pairs += len(a)
                 apart = ~(M[a] & M[b]).any(axis=1)
@@ -527,10 +499,9 @@ def _pair_screen(cfg: Configuration, masks, cells, codes) -> np.ndarray:
     plus = np.concatenate(plus) if plus else np.zeros(0, dtype=np.int64)
     minus = np.concatenate(minus) if minus else np.zeros(0, dtype=np.int64)
     _LOG.debug(
-        "degree %d: %d d-sets%s, %d multi-member groups, %d pairs screened, "
+        "degree %d: %d d-sets, %d multi-member groups in %d orbits, %d pairs screened, "
         "%d disjoint pairs, %d primitive pairs",
-        d, len(codes), f" in {np.count_nonzero(rep)} orbits" if groups else ", no orbits labelled",
-        groups, pairs, disjoint, len(plus),
+        d, len(sums), len(multi), len(least), pairs, disjoint, len(plus),
     )
     V = unpack_bits(masks[plus], n).astype(np.int8)
     return V - unpack_bits(masks[minus], n).astype(np.int8)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import CellSpace, Move, Table
+from .cells import CellSpace, Move, Table, _ranges
 from .errors import DimensionError, LengthMismatchError, ZeroOneError
 
 FiberKey = tuple[int, ...]
@@ -200,7 +200,7 @@ class Configuration:
         lo, hi = (np.searchsorted(codes[order], codes[i < j], side=s) for s in ("left", "right"))
         # each {i1, i2} against every (i3, i4) of its code, both in lexicographic order
         left = np.repeat(np.flatnonzero(i < j), hi - lo)
-        right = order[np.arange(len(left)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+        right = order[_ranges(lo, hi - lo)]
         R = np.stack([i[left], j[left], i[right], j[right]], axis=1)
         return R[(R[:, 2:, None] != R[:, None, :2]).all(axis=(1, 2))]
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroone.cells import CellSpace, Move, Table, _groups, _pairs, pack_bits, unpack_bits
+from zeroone.cells import CellSpace, Move, Table, _groups, _pairs, _ranges, pack_bits, unpack_bits
 from zeroone.errors import (
     CellIndexError,
     LengthMismatchError,
@@ -121,6 +121,14 @@ class TestGroupsAndPairs:
         runs = [g.tolist() for g in np.split(order, start[1:])]
         assert runs == [[i for i, c in enumerate(codes) if c == k] for k in sorted(set(codes))]
         assert size.tolist() == list(map(len, runs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 4)), max_size=8))
+    def test_ranges_equal_brute_force(self, runs):
+        start = np.array([s for s, _ in runs], dtype=np.int64)
+        count = np.array([c for _, c in runs], dtype=np.int64)
+        want = [s + j for s, c in runs for j in range(c)]
+        assert _ranges(start, count).tolist() == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 6), max_size=12), st.integers(1, 5))

@@ -304,6 +304,19 @@ class TestCheck:
             )
             assert code == 3 and "2^" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--condition", "generalized", "--max-degree", "2"),
+         "--sweep does not apply to --condition generalized"),
+        (("--condition", "strong", "--t", "t.txt"), "takes no --t or --from-table"),
+        (("--condition", "distance-reducing", "--from-table", "x.txt"),
+         "takes no --t or --from-table"),
+    ], ids=["generalized", "t", "from-table"])
+    def test_sweep_refuses_what_it_would_ignore(self, capsys, argv, message):
+        # refused before the model is built or a file is read
+        code, out, err = run(capsys, "check", "--model", "two-way-indep", "--dims", "2,3",
+                             "--moves", "basic", "--sweep", *argv)
+        assert code == 2 and message in err and out == ""
+
     def test_generalized(self, capsys):
         code, out, _ = run(
             capsys,
@@ -801,3 +814,20 @@ class TestMalformedSpecs:
                            "--moves", "basic", "--start", str(x), "--steps", "10",
                            "--seed", "1", "--stat", "linear:a,b")
         assert code == 2 and "error" in err
+
+
+def test_cli_does_not_import_numpy_ma():
+    # a plain np.unique call imports numpy.ma, about 14 ms and 1 MB resident
+    code = textwrap.dedent("""
+        import sys
+        from zeroone.cli import main
+        for condition in ("strong", "distance-reducing"):
+            main(["check", "--model", "two-way-indep", "--dims", "3,3", "--condition", condition,
+                  "--moves", "basic", "--sweep"])
+        main(["graver", "--model", "complete-indep", "--dims", "2,2,3"])
+        print("numpy.ma" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "False"

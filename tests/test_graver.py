@@ -16,7 +16,6 @@ from zeroone.graver import (
     MoveSet,
     _first_fit,
     _levels,
-    _orbit_representatives,
     degree_histogram,
     graver_basis,
     integer_kernel_basis,
@@ -487,36 +486,31 @@ class TestSquareFreeGraver:
         # the symmetries are the row and column permutations and the
         # transpose, 5 generators; cells are numbered 3i + j
         assert lines == [
-            # two orbits, the 2-sets within one row or column and those
-            # across two of each; the 9 two-member fibers are the diagonals
-            # of the 2x2 boxes, whose representative {0, 4} has the
-            # partner {1, 3}
-            "degree 2: 36 d-sets in 2 orbits, 9 multi-member groups, "
+            # the 9 two-member fibers are the diagonals of the 2x2 boxes,
+            # one orbit; the least, {0, 4} and {1, 3}, is its one pair
+            "degree 2: 36 d-sets, 9 multi-member groups in 1 orbits, "
             "1 pairs screened, 1 disjoint pairs, 1 primitive pairs",
-            # four orbits: a row or column, an L in a 2x2 box, two in a
-            # line and one apart, a permutation table; one fiber holds the
-            # 6 permutation tables, representative {0, 4, 8}, which is
-            # disjoint from the 2 derangements; the 12 fibers with margins
-            # (2, 1, 0) and (1, 1, 1) in either order hold 3 members each,
-            # one orbit with representative {0, 1, 5}, which meets both of
-            # its partners
-            "degree 3: 84 d-sets in 4 orbits, 13 multi-member groups, "
-            "7 pairs screened, 2 disjoint pairs, 2 primitive pairs",
+            # one fiber holds the 6 permutation tables, its own orbit; 6 of
+            # its 15 pairs are disjoint (two permutations that differ in
+            # every row); the 12 fibers with margins (2, 1, 0) and (1, 1, 1)
+            # in either order hold 3 members each, one orbit, whose least
+            # fiber has 3 pairs that all meet
+            "degree 3: 84 d-sets, 13 multi-member groups in 2 orbits, "
+            "18 pairs screened, 6 disjoint pairs, 6 primitive pairs",
             # 9 basic swaps and 6 degree-3 loops
-            "3 primitive pairs expanded to 15 moves by 5 symmetry generators",
+            "7 primitive pairs expanded to 15 moves by 5 symmetry generators",
         ]
 
     def test_debug_record_without_groups(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="zeroone.graver"):
             square_free_graver(build_two_way_independence(3, 3), 2)
         lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.graver"]
-        # the 9 cells have 9 distinct margins: nothing to screen at degree 1,
-        # so its orbits are not labelled
+        # the 9 cells have 9 distinct margins: nothing to screen at degree 1
         assert lines[0] == (
-            "degree 1: 9 d-sets, no orbits labelled, 0 multi-member groups, "
+            "degree 1: 9 d-sets, 0 multi-member groups in 0 orbits, "
             "0 pairs screened, 0 disjoint pairs, 0 primitive pairs"
         )
-        assert lines[1].startswith("degree 2: 36 d-sets in 2 orbits, 9 multi-member groups")
+        assert lines[1].startswith("degree 2: 36 d-sets, 9 multi-member groups in 1 orbits")
 
     def test_requires_homogeneous(self):
         cfg = Configuration(CellSpace((2,)), ((1, 2),))
@@ -607,7 +601,7 @@ class TestSymmetryReducedScreen:
         # the six 3x3 permutation tables form one fiber; 6 of its 15 pairs
         # are disjoint
         assert caplog.records[0].getMessage() == (
-            "degree 3: 84 d-sets in 84 orbits, 13 multi-member groups, "
+            "degree 3: 84 d-sets, 13 multi-member groups in 13 orbits, "
             "51 pairs screened, 6 disjoint pairs, 6 primitive pairs")
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -619,17 +613,24 @@ class TestSymmetryReducedScreen:
         ids=["two-way-3x4", "complete-2x2x3", "complete-3x3x3", "quasi-4x4", "rating-2x2x3"],
     )
     def test_representatives_are_orbit_minima(self, cfg, d):
-        # the least image of each d-set over every element of the group,
-        # the d-sets identified by their bitmasks
+        # the least key of each multi-member fiber's images over every
+        # element of the group, the d-sets identified by their bitmasks
         n = cfg.n_cells
         group = symmetry_orbit(np.arange(n)[None], cfg)
-        cells = np.array(list(itertools.combinations(range(n), d)), dtype=np.uint8)
-        masks = (1 << cells.astype(np.int64)).sum(axis=1)
+        cells = np.array(list(itertools.combinations(range(n), d)))
+        stats = cfg.array[:, cells].sum(axis=2).T
+        _, first, fiber, size = np.unique(stats, axis=0, return_index=True,
+                                          return_inverse=True, return_counts=True)
+        fiber, multi = fiber.ravel(), np.flatnonzero(size >= 2)  # fibers in key order
+        u = cells[first[multi]]
+        masks = (1 << cells).sum(axis=1)
         order = np.argsort(masks)
-        images = (1 << group[:, cells].astype(np.int64)).sum(axis=2)
-        least = order[np.searchsorted(masks[order], images)].min(axis=0)
-        rep = _orbit_representatives(cells, cfg.symmetry)
-        assert rep.tolist() == (least == np.arange(len(cells))).tolist()
+        images = (1 << group[:, u]).sum(axis=2)
+        least = fiber[order[np.searchsorted(masks[order], images)]].min(axis=0)
+        origin, steps = cfg.key_terms
+        screened = graver._least_fibers(cfg, u, origin + steps[u].sum(axis=1))
+        assert screened.tolist() == (least == multi).tolist()
+        assert 0 < np.count_nonzero(screened) < len(multi)
 
 
 class TestScreenTiling:
