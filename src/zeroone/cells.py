@@ -36,6 +36,16 @@ def unpack_bits(words, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
+def _signed_rows(cells: np.ndarray, n: int) -> np.ndarray:
+    """An (m, n) int8 matrix: +1 at the first half of each row of ``cells``
+    and -1 at the second, the cells of a row all distinct."""
+    V = np.zeros((len(cells), n), dtype=np.int8)
+    h = cells.shape[1] // 2
+    np.put_along_axis(V, cells[:, :h], 1, axis=1)
+    np.put_along_axis(V, cells[:, h:], -1, axis=1)
+    return V
+
+
 def find_rows(X, Y) -> np.ndarray:
     """Position of each row of ``Y`` among the distinct rows of ``X``, or -1."""
     X = np.ascontiguousarray(X)

@@ -210,29 +210,30 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     Each edge ``(i, j, k)`` has ``i < j`` and the row k of ``b.matrix``
     of the first (node, move) pair, in node then move order, with the node
     plus that row in the fiber.  Components are sorted tuples, ordered by
-    smallest member.
+    smallest member.  One DEBUG record per call counts the three.
     """
     X = _fiber_bits(fiber, b.source_config)
     m = len(X)
-    nodes = _members(fiber, X, range(m))
-    if m <= 1:
-        return FiberGraph(nodes, (), ((0,),) if m else ())
-    P, M, index = b.masks
-    B = pack_bits(X)
-    K = max(1, len(P))
-    flat = [np.flatnonzero(D == 0) + a * K for a, D in _distances(B, P, M)]
-    i, k = np.divmod(np.concatenate(flat), K)
-    j = find_rows(B, B[i] ^ (P | M)[k])  # the target, if in the fiber
-    keep = (j >= 0) & (j != i)
-    i, k, j = i[keep], k[keep], j[keep]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    first = np.sort(np.unique(lo * m + hi, return_index=True)[1])
-    edges = tuple(zip(lo[first].tolist(), hi[first].tolist(), index[k[first]].tolist()))
-    labels = _components(m, lo, hi)[1]
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    # labels are each component's smallest node, so the groups come in that order
-    return FiberGraph(nodes, edges, tuple(tuple(g.tolist()) for g in groups))
+    edges, components = (), ((0,),) if m else ()
+    if m > 1:
+        P, M, index = b.masks
+        B = pack_bits(X)
+        K = max(1, len(P))
+        flat = [np.flatnonzero(D == 0) + a * K for a, D in _distances(B, P, M)]
+        i, k = np.divmod(np.concatenate(flat), K)
+        j = find_rows(B, B[i] ^ (P | M)[k])  # the target, if in the fiber
+        keep = (j >= 0) & (j != i)
+        i, k, j = i[keep], k[keep], j[keep]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        first = np.sort(np.unique(lo * m + hi, return_index=True)[1])
+        edges = tuple(zip(lo[first].tolist(), hi[first].tolist(), index[k[first]].tolist()))
+        labels = _components(m, lo, hi)[1]
+        order = np.argsort(labels, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+        # labels are each component's smallest node, so the groups come in that order
+        components = tuple(tuple(g.tolist()) for g in groups)
+    _LOG.debug("fiber graph: %d nodes, %d edges, %d components", m, len(edges), len(components))
+    return FiberGraph(_members(fiber, X, range(m)), edges, components)
 
 
 def check_distance_reducing(b: MoveSet, fiber, strong: bool = False):

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import Move, _components, _groups, _pairs, _ranges, find_rows, pack_bits, unpack_bits
+from .cells import Move, _components, _groups, _pairs, _ranges, _signed_rows, find_rows, pack_bits
 from .errors import BudgetExhaustedError, LengthMismatchError, NotAMoveError, ZeroOneError
 from .models import Configuration
 
@@ -361,11 +361,12 @@ def square_free_graver(
     members (differences of cells with identical statistic columns) exist
     only when the configuration has duplicate columns.
 
-    Every weight-d table (d-set of cells) gets its exact fiber-key words
-    as a sum of per-cell terms (:attr:`Configuration.key_terms`) and a code
-    from them (:meth:`Configuration.key_codes_of_sums`); the d-sets are
-    grouped by a sort of the codes, disjointness is an AND of
-    :func:`~zeroone.cells.pack_bits` masks, and primitivity of a pair
+    Every weight-d table (d-set of cells) is held once, as its ascending
+    cells, with exact fiber-key words summed from per-cell terms
+    (:attr:`Configuration.key_terms`) and coded by
+    :meth:`Configuration.key_codes_of_sums`; the d-sets are grouped by a
+    sort of the codes, disjointness is an AND of masks built from the
+    cells of the screened members, and primitivity of a pair
     (u, v) is tested on the subsets of size k <= d // 2 only: if u' of u
     and v' of v share a statistic, so do u - u' and v - v', of size d - k.
     The test is an AND of per-fiber bitsets of the subsets' codes.
@@ -391,18 +392,16 @@ def square_free_graver(
         raise NotAMoveError("square_free_graver requires a homogeneous configuration")
     n = cfg.n_cells
     origin, steps = cfg.key_terms
-    bits = pack_bits(np.eye(n, dtype=np.uint8))
-    # level d: the d-sets of cells in lexicographic order, as masks, key
-    # sums and ascending cell lists
-    masks, sums = bits, origin + steps
+    # level d: the d-sets in lexicographic order, as key sums and ascending cell lists
+    sums = origin + steps
     cells = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
     found = [np.zeros((0, n), dtype=np.int8)]
     for d in range(1, min(max_degree, n) + 1):
         if d > 1:
-            masks, sums, cells = _next_level(masks, sums, cells, bits, steps)
+            sums, cells = _next_level(sums, cells, steps)
         if d >= min_degree:
-            found.append(_pair_screen(cfg, masks, cells, sums))
-    del masks, sums, cells  # so that the expansion and the build reuse their memory
+            found.append(_pair_screen(cfg, cells, sums))
+    del sums, cells  # so that the expansion and the build reuse their memory
     found = np.concatenate(found)
     V = symmetry_orbit(found, cfg)
     _LOG.debug("%d primitive pairs expanded to %d moves by %d symmetry generators",
@@ -410,22 +409,21 @@ def square_free_graver(
     return MoveSet.build(V, "square-free", cfg)
 
 
-def _next_level(masks, sums, cells, bits, steps):
+def _next_level(sums, cells, steps):
     """The (k+1)-sets of cells from the k-sets, all in lexicographic order.
 
     The (k+1)-sets whose first cell is i are cell i joined to the k-sets
     whose first cell is above i, which form a suffix of the k-sets.
     """
-    n = len(bits)
+    n = len(steps)
     start = np.searchsorted(cells[:, 0], np.arange(n), side="right")
-    count = len(masks) - start
-    head = np.repeat(np.arange(n), count)
+    count = len(cells) - start
     tail = _ranges(start, count)
     joined = np.empty((len(tail), cells.shape[1] + 1), dtype=cells.dtype)
-    joined[:, 0] = head
+    joined[:, 0] = np.repeat(np.arange(n, dtype=cells.dtype), count)
     # with mode "clip" take writes into out without a buffer; no index is out of range
     np.take(cells, tail, axis=0, out=joined[:, 1:], mode="clip")
-    return masks[tail] | bits[head], sums[tail] + steps[head], joined
+    return sums[tail] + steps[joined[:, 0]], joined
 
 
 def _least_fibers(cfg: Configuration, first, words) -> np.ndarray:
@@ -453,20 +451,21 @@ def _least_fibers(cfg: Configuration, first, words) -> np.ndarray:
     return _components(len(first), np.tile(src, len(dst)), np.concatenate(dst))[1] == src
 
 
-def _pair_screen(cfg: Configuration, masks, cells, sums) -> np.ndarray:
-    """The square-free primitive moves ``u - v`` between the d-sets ``masks``
-    (with ascending ``cells``) whose key words ``sums`` agree, in the fibers
-    least in their orbit (:func:`_least_fibers`), as +1/-1 rows.
+def _pair_screen(cfg: Configuration, cells, sums) -> np.ndarray:
+    """The square-free primitive moves ``u - v`` between the d-sets with
+    ascending ``cells`` whose key words ``sums`` agree, in the fibers least
+    in their orbit (:func:`_least_fibers`), as +1/-1 rows.
 
     The d-sets are grouped by key code (:func:`~zeroone.cells._groups`), and
     each member of a screened fiber is paired with the members after it
     (:func:`~zeroone.cells._pairs`).  The fibers are screened sizes
     ascending, in chunks of whole fibers of one size, and their pairs in
     slices, each holding about :data:`_BUDGET` elements; a chunk takes at
-    least one fiber.
+    least one fiber.  The disjointness masks are built per chunk, for its
+    members only, from their cells.
     """
-    n = cfg.n_cells
     d = cells.shape[1]
+    bits = pack_bits(np.eye(cfg.n_cells, dtype=np.uint8))
     order, start, size = _groups(cfg.key_codes_of_sums(sums))
     # held through the screen: int32 keeps the peak down
     order = order.astype(np.int32 if len(sums) < 2**31 else np.int64)
@@ -478,14 +477,14 @@ def _pair_screen(cfg: Configuration, masks, cells, sums) -> np.ndarray:
         for k in range(1, d // 2 + 1)
     ]
     per_member = d * max(1, sum(map(len, patterns))) * cfg.key_terms[1].shape[1]
-    plus, minus = [], []
+    plus, minus = [np.zeros(0, dtype=order.dtype)], [np.zeros(0, dtype=order.dtype)]
     pairs = disjoint = 0
     for s in sorted(set(size[least].tolist())):  # np.unique imports numpy.ma on a first call
         fibers = least[size[least] == s]
         step = max(1, _BUDGET // (s * per_member))
         for k in range(0, len(fibers), step):
             mem = order[(start[fibers[k:k + step], None] + np.arange(s)).ravel()]  # fiber by fiber
-            M = masks[mem]
+            M = np.bitwise_or.reduce(bits[cells[mem]], axis=1)
             B = _shared_subset_bits(cfg, cells[mem], s, patterns)
             partners = s - 1 - np.arange(len(mem)) % s  # the later members of its fiber
             for a, b in _pairs(partners, max(1, _BUDGET // max(M.shape[1], B.shape[1]))):
@@ -496,15 +495,13 @@ def _pair_screen(cfg: Configuration, masks, cells, sums) -> np.ndarray:
                 primitive = ~(B[a] & B[b]).any(axis=1)
                 plus.append(mem[a[primitive]])
                 minus.append(mem[b[primitive]])
-    plus = np.concatenate(plus) if plus else np.zeros(0, dtype=np.int64)
-    minus = np.concatenate(minus) if minus else np.zeros(0, dtype=np.int64)
+    plus, minus = np.concatenate(plus), np.concatenate(minus)
     _LOG.debug(
         "degree %d: %d d-sets, %d multi-member groups in %d orbits, %d pairs screened, "
         "%d disjoint pairs, %d primitive pairs",
         d, len(sums), len(multi), len(least), pairs, disjoint, len(plus),
     )
-    V = unpack_bits(masks[plus], n).astype(np.int8)
-    return V - unpack_bits(masks[minus], n).astype(np.int8)
+    return _signed_rows(np.concatenate([cells[plus], cells[minus]], axis=1), cfg.n_cells)
 
 
 def symmetry_orbit(V: np.ndarray, cfg: Configuration) -> np.ndarray:
@@ -559,19 +556,20 @@ def _shared_subset_bits(cfg: Configuration, cells: np.ndarray, s: int, patterns)
 def prune_by_one_cancellation(b0: MoveSet, max_pairs: int = 10**7) -> MoveSet:
     """Drop members that are one-sign-cancellation sums of two members.
 
-    ``a + b`` cancels in the cells where one has +1 and the other -1.  A
-    sum is dropped only when its support is larger than both parts'
-    supports, so testing every sum against the original set ``b0`` (not
-    against what is left) is well-founded: each dropped member is a sum of
-    members of smaller support, and one pass over all pairs suffices.
-    The pairs (:func:`~zeroone.cells._pairs`) are screened on bitmasks of
-    the +1 cells (P) and the -1 cells (M): ``a + b`` cancels in
-    ``popcount(P_a & M_b) + popcount(M_a & P_b)`` cells, ``a - b`` in
-    ``popcount(P_a & P_b) + popcount(M_a & M_b)``.
+    ``a + b`` cancels in the cells where a and b have opposite signs, of
+    any size.  A sum is dropped only when its support is larger than both
+    parts' supports, so testing every sum against the original set ``b0``
+    (not against what is left) is well-founded: each dropped member is a
+    sum of members of smaller support, and one pass over all pairs
+    suffices.  The pairs (:func:`~zeroone.cells._pairs`) are screened on
+    bitmasks of the positive cells (P) and the negative cells (M):
+    ``a + b`` cancels in ``popcount(P_a & M_b) + popcount(M_a & P_b)``
+    cells, ``a - b`` in ``popcount(P_a & P_b) + popcount(M_a & M_b)``.
 
     The screen is quadratic: a set of m members has m(m-1)/2 pairs, and
     more than ``max_pairs`` of them raise :class:`BudgetExhaustedError`
-    carrying ``b0`` before any pair is screened.
+    carrying ``b0`` before any pair is screened.  One DEBUG record per
+    screen gives the members, the pairs screened and the members dropped.
     """
     if max_pairs <= 0:
         raise ZeroOneError(f"max_pairs must be positive, got {max_pairs}")
@@ -579,7 +577,7 @@ def prune_by_one_cancellation(b0: MoveSet, max_pairs: int = 10**7) -> MoveSet:
     if pairs > max_pairs:
         raise BudgetExhaustedError(b0, f"{pairs} pairs to screen exceed max_pairs={max_pairs}")
     V = b0.matrix
-    P, M = pack_bits(V == 1), pack_bits(V == -1)
+    P, M = pack_bits(V > 0), pack_bits(V < 0)
     support = np.count_nonzero(V, axis=1)
     drop = np.zeros(len(V), dtype=bool)
     for a, b in _pairs(np.arange(len(V) - 1, -1, -1), max(1, _BUDGET // P.shape[1])):
@@ -591,5 +589,6 @@ def prune_by_one_cancellation(b0: MoveSet, max_pairs: int = 10**7) -> MoveSet:
             c = c[np.count_nonzero(c, axis=1) > np.maximum(support[i], support[j])]
             hit = np.concatenate([find_rows(V, c), find_rows(V, -c)])  # V's rows are canonical
             drop[hit[hit >= 0]] = True
+    _LOG.debug("prune: %d members, %d pairs screened, %d dropped", len(V), pairs, drop.sum())
     V = V[~drop]
     return MoveSet(V, ("pruned-survivor",) * len(V), b0.source_config)

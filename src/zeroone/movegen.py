@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .cells import CellSpace
+from .cells import CellSpace, _signed_rows
 from .errors import DimensionError
 from .graver import MoveSet, symmetry_orbit
 from .models import (
@@ -38,16 +38,6 @@ def _loop_cells(rows: np.ndarray, cols: np.ndarray, J: int) -> np.ndarray:
     i = rows[:, [(0, *p) for p in itertools.permutations(range(1, r))]][:, :, None]
     j = cols[:, list(itertools.permutations(range(r)))][:, None]
     return np.concatenate([i * J + j, i * J + np.roll(j, -1, axis=-1)], axis=-1).reshape(-1, 2 * r)
-
-
-def _signed_rows(cells: np.ndarray, n: int) -> np.ndarray:
-    """An (m, n) int8 matrix: +1 at the first half of each row of ``cells``
-    and -1 at the second, the cells of a row all distinct."""
-    V = np.zeros((len(cells), n), dtype=np.int8)
-    h = cells.shape[1] // 2
-    np.put_along_axis(V, cells[:, :h], 1, axis=1)
-    np.put_along_axis(V, cells[:, h:], -1, axis=1)
-    return V
 
 
 def loops_degree_r(I: int, J: int, r: int) -> MoveSet:

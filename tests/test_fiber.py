@@ -36,7 +36,13 @@ from zeroone.models import (
     build_quasi_independence,
     build_two_way_independence,
 )
-from zeroone.movegen import basic_moves_two_way, degree2_threeway_patterns
+from zeroone.movegen import (
+    basic_moves_two_way,
+    degree2_threeway_patterns,
+    ntfi_333_moves,
+    ntfi_basic_moves,
+)
+from zeroone.sampler import latin_fiber_key
 
 
 class TestEnumeration:
@@ -196,6 +202,23 @@ class TestFiberGraph:
         fiber = enumerate_zero_one_fiber(cfg, (1, 1, 1, 1))
         g = build_fiber_graph(fiber, MoveSet.build([], "t", cfg))
         assert g.n_components == 2
+
+    def test_debug_record_per_call(self, caplog):
+        fiber = enumerate_zero_one_fiber(build_ntfi(3), latin_fiber_key(3))
+        with caplog.at_level(logging.DEBUG, logger="zeroone.fiber"):
+            for b in (ntfi_basic_moves(3), ntfi_333_moves("deg6")):
+                build_fiber_graph(fiber, b)
+            build_fiber_graph(fiber[:1], b)
+            build_fiber_graph(np.zeros((0, 27), dtype=np.uint8), b)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.fiber"]
+        assert lines == [
+            # the 12 Latin squares of order 3: a degree-4 swap leaves the
+            # fiber, the degree-6 moves connect it
+            "fiber graph: 12 nodes, 0 edges, 12 components",
+            "fiber graph: 12 nodes, 54 edges, 1 components",
+            "fiber graph: 1 nodes, 0 edges, 1 components",
+            "fiber graph: 0 nodes, 0 edges, 0 components",
+        ]
 
 
 class TestDistanceReduction:

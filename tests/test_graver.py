@@ -533,6 +533,25 @@ class TestSquareFreeGraver:
         for z in b.moves:
             assert z.square_free and cfg.is_move(z)
 
+    @pytest.mark.parametrize(
+        "cfg,max_degree,size,sha",
+        [
+            (build_complete_independence((2, 3, 4)), 6, 8394,
+             "3eb7d90393d8fe40f24b7bdd47d1560959d13f10cf7723b6bd8793d3b43b7a06"),
+            (build_two_way_independence(4, 5), 5, 660,
+             "00026bb63844e4356025b9d747daaacbd0b53fdb2b0754aa09dfd971a22cc906"),
+            (build_ntfi(3), 6, 81,
+             "522203ba18d2a2a3d1ea9829f1e394b87526cd9472dc9f982d2a59ad1fec3110"),
+            (build_many_facet_rasch((2, 2, 3)), 4, 12,
+             "2d16d022edb3198050d8dbbb3a194b26e1dfe107001bdbb95112f78fb2a820d4"),
+        ],
+        ids=["complete-2x3x4", "two-way-4x5", "ntfi-3", "rating-2x2x3"],
+    )
+    def test_pinned(self, cfg, max_degree, size, sha):
+        b = square_free_graver(cfg, max_degree)
+        assert len(b) == size
+        assert hashlib.sha256(b.matrix.tobytes() + repr(b.provenance).encode()).hexdigest() == sha
+
 
 def quasi_off_diagonal(n):
     return build_quasi_independence(n, n, {(i, j) for i in range(n) for j in range(n) if i != j})
@@ -704,8 +723,8 @@ class TestSquareFreeSubset:
 
 def brute_prune(b0):
     """The prune's rule, pair by pair: drop a member c = a + b or a - b of two
-    members when the sum cancels in exactly one cell (+1 against -1) and
-    c's support is larger than both a's and b's."""
+    members when the sum cancels in exactly one cell (entries of opposite
+    signs) and c's support is larger than both a's and b's."""
     V = b0.matrix.tolist()
     members = set(map(tuple, V))
 
@@ -716,7 +735,7 @@ def brute_prune(b0):
     for a, b in itertools.combinations(V, 2):
         for sign in (1, -1):
             sb = [sign * y for y in b]
-            cancels = sum({x, y} == {1, -1} for x, y in zip(a, sb))
+            cancels = sum(x * y < 0 for x, y in zip(a, sb))
             c = Move.canonical([x + y for x, y in zip(a, sb)]).vec
             if cancels == 1 and support(c) > max(support(a), support(b)) and c in members:
                 drop.add(c)
@@ -742,7 +761,7 @@ class TestPruning:
         monkeypatch.setattr(graver, "_BUDGET", 50)  # slices of 50 pairs of one word split rows
         assert prune_by_one_cancellation(b0).matrix.tolist() == want
 
-    @pytest.mark.parametrize("square_free,kept", [(True, 12), (False, 26)])
+    @pytest.mark.parametrize("square_free,kept", [(True, 12), (False, 22)])
     def test_drops_do_not_justify_each_other(self, square_free, kept):
         # the 6 degree-1 moves (pairs of grade-0 cells with equal columns) have
         # support 2: a + z and a degree-1 z would drop each other
@@ -770,6 +789,14 @@ class TestPruning:
         with pytest.raises(BudgetExhaustedError) as exc:
             prune_by_one_cancellation(b0, max_pairs=104)
         assert exc.value.partial is b0
+
+    def test_debug_record_per_call(self, caplog):
+        b0 = square_free_graver(build_two_way_independence(3, 3), 3)
+        with caplog.at_level(logging.DEBUG, logger="zeroone.graver"):
+            prune_by_one_cancellation(b0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.graver"]
+        # the 6 degree-3 loops are dropped, the 9 basic swaps kept
+        assert lines == ["prune: 15 members, 105 pairs screened, 6 dropped"]
 
     @pytest.mark.parametrize("max_pairs", [0, -1])
     def test_non_positive_pair_budget_refused(self, max_pairs):

@@ -1,4 +1,6 @@
 """The scripts under ``scripts/`` run and print their verdicts."""
+import json
+import os
 import re
 import runpy
 from pathlib import Path
@@ -16,3 +18,63 @@ def test_connectivity_sweeps(capsys):
         "   4x4 diag-zero df1: 4096 tables, 2656 fibers, 2656 components -> connected",
         "   5x5 diag-zero df1: 1048576 tables, 225025 fibers, 225025 components -> connected",
     ]
+
+
+def fake_runs(directory, seeds, metrics, op_times, failed, mtimes):
+    """One ``*-trace0.result.json`` per seed of workload ``w``, as
+    ``perfbench/run.py --trace 0`` leaves them, with the given mtimes."""
+    directory.mkdir()
+    for seed, m, ops, fail, mtime in zip(seeds, metrics, op_times, failed, mtimes):
+        path = directory / f"w-seed{seed}-trace0.result.json"
+        path.write_text(json.dumps({
+            "workload": "w", "seed": seed, "env": {"python": "3", "git_sha": str(directory)},
+            "rounds": 2, "op_times": ops, "failed": fail,
+            "metrics": dict(zip(("wall_s", "setup_s", "peak_rss_mb"), m)),
+        }))
+        os.utime(path, (mtime, mtime))
+
+
+def test_bench_ab(tmp_path):
+    main = runpy.run_path(str(SCRIPTS / "bench_ab.py"))["main"]
+    ops = [{"a": [1.0, None, 3.0], "b": [5.0]}, {"a": [4.0], "b": [7.0]}]
+    # the parent ran first for seed 1 and second for seed 2
+    fake_runs(tmp_path / "parent", [1, 2], [(1.0, 0.2, 40.0), (3.0, 0.4, 42.0)], ops,
+              [{}, {}], [100, 300])
+    fake_runs(tmp_path / "change", [1, 2], [(0.5, 0.3, 41.0), (1.5, 0.3, 41.0)],
+              [{"a": [1.0], "b": [1.0]}, {"a": [3.0], "b": [2.0, 4.0]}], [{}, {"b": "error"}],
+              [200, 250])
+    (tmp_path / "p.txt").write_text("....\n705 passed in 27.00s\n")
+    (tmp_path / "c.txt").write_text("..F.\n=== 703 passed, 2 failed, 1 skipped in 30.50s ===\n")
+    out = tmp_path / "BENCH.json"
+    assert main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--tier1", str(tmp_path / "p.txt"), str(tmp_path / "c.txt"),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["parent"]["git_sha"] == str(tmp_path / "parent")
+    w = report["workloads"]["w"]
+    assert w["seeds"] == [1, 2] and w["parent_ran_first"] == 1
+    assert w["attempted_per_run"] == {"parent": [4, 4], "change": [4, 4]}
+    assert w["failed"] == {"parent": [], "change": ["b"]}
+    wall = w["metrics"]["wall_s"]
+    # two runs: the inclusive quartiles lie a quarter of the way from each end
+    assert wall["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5, "runs": [1.0, 3.0]}
+    assert wall["change"] == {"median": 1.0, "q1": 0.75, "q3": 1.25, "runs": [0.5, 1.5]}
+    assert wall["ratio_of_medians"] == 0.5 and wall["change_lower_in"] == "2 of 2"
+    assert w["metrics"]["setup_s"]["change_lower_in"] == "1 of 2"
+    assert w["metrics"]["peak_rss_mb"]["ratio_of_medians"] == 1.0
+    # per run the median of the timed rounds, then the median of the runs
+    assert w["op_medians"] == {"a": {"parent": 3.0, "change": 2.0},
+                               "b": {"parent": 6.0, "change": 2.0}}
+    assert report["tier1"] == {"parent": {"seconds": 27.0, "passed": 705},
+                               "change": {"seconds": 30.5, "passed": 703, "failed": 2,
+                                          "skipped": 1}}
+
+
+def test_bench_ab_without_common_runs(tmp_path, capsys):
+    main = runpy.run_path(str(SCRIPTS / "bench_ab.py"))["main"]
+    fake_runs(tmp_path / "parent", [1], [(1.0, 0.2, 40.0)], [{"a": [1.0]}], [{}], [100])
+    fake_runs(tmp_path / "change", [2], [(1.0, 0.2, 40.0)], [{"a": [1.0]}], [{}], [200])
+    out = tmp_path / "BENCH.json"
+    assert main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--out", str(out)]) == 1
+    assert not out.exists() and "no (workload, seed) run on both sides" in capsys.readouterr().err
