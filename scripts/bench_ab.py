@@ -13,7 +13,10 @@ workload: the seeds, each end-to-end metric's runs, median and quartiles
 per side, the ratio of the medians, in how many pairs the change read
 lower, the failed operations, and each operation's median time per side.
 ``--tier1`` takes the output of one Tier-1 pytest run per side and
-records its wall time and pass, skip and fail counts.
+records its wall time and pass, skip and fail counts.  Traced runs
+(``--trace 1``, ``*-trace1.result.json``) of a workload and seed found on
+both sides are recorded under ``traced`` with each side's per-layer
+metrics.
 """
 from __future__ import annotations
 
@@ -27,9 +30,9 @@ from pathlib import Path
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
-def load(directory: Path) -> dict[tuple[str, int], dict]:
+def load(directory: Path, trace: int = 0) -> dict[tuple[str, int], dict]:
     runs = {}
-    for path in sorted(directory.glob("*-trace0.result.json")):
+    for path in sorted(directory.glob(f"*-trace{trace}.result.json")):
         r = json.loads(path.read_text())
         r["mtime"] = path.stat().st_mtime
         runs[r["workload"], r["seed"]] = r
@@ -102,6 +105,11 @@ def main(argv=None) -> int:
                 for name, runs in (("parent", A), ("change", B))
             }
         report["workloads"][workload] = entry
+    ta, tb = load(args.parent, 1), load(args.change, 1)
+    traced = sorted(set(ta) & set(tb))
+    if traced:
+        report["traced"] = {f"{w}-seed{s}": {"parent": ta[w, s]["metrics"],
+                                             "change": tb[w, s]["metrics"]} for w, s in traced}
     if args.tier1:
         report["tier1"] = {"parent": tier1(args.tier1[0]), "change": tier1(args.tier1[1])}
     args.out.write_text(json.dumps(report, indent=1) + "\n")

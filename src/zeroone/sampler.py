@@ -8,6 +8,7 @@ portable generator with identical streams across platforms.
 """
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -20,22 +21,34 @@ from .graver import MoveSet
 from .models import Configuration, build_ntfi
 from .movegen import degree8_moves_4x4, ntfi_333_moves, ntfi_basic_moves
 
+_LOG = logging.getLogger("zeroone.sampler")
 _CHUNK = 1 << 16
+# proposals turned into Python ints at a time: ints above 256 are not cached,
+# so a whole block of them would add about 2 MB resident
+_SLICE = 1 << 12
 _IPF_TOL = 1e-10
 _IPF_MAX_CYCLES = 10_000
 
 
-def _as_int(words) -> int:
-    return int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
+def _ints(words) -> list:
+    """Each row of a (m, W) uint64 word array as one Python int, from one buffer."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    buf, w = words.tobytes(), 8 * words.shape[1]
+    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
 
 
-def _masks(b: MoveSet):
-    """``(p, m)`` Python-int masks of the square-free moves, from ``b.masks``.
+def _signed_masks(b: MoveSet) -> list:
+    """``(s, m)`` Python-int masks of the square-free moves of ``b``, then of
+    their negations, from ``b.masks``: ``s`` holds the cells a move changes
+    and ``m`` its -1 cells, so it applies to a zero-one ``x`` iff
+    ``x & s == m`` and leads to ``x ^ s``.
 
     Moves that are not square-free never apply to a zero-one table.
     """
     P, M, _ = b.masks
-    return [(_as_int(p), _as_int(m)) for p, m in zip(P, M)]
+    P, M = _ints(P), _ints(M)
+    S = [p | m for p, m in zip(P, M)]
+    return list(zip(S, M)) + list(zip(S, P))
 
 
 def _decode(masks, n: int) -> dict:
@@ -71,7 +84,8 @@ def random_walk(
 class _Walk:
     """A seeded walk streamed as Python-int masks: ``[x0]``, then one list per block.
 
-    ``accepted`` and ``state`` (the current mask) follow the iteration.
+    ``accepted`` and ``state`` (the current mask) follow the iteration, and
+    one DEBUG record on the ``zeroone.sampler`` logger follows the last block.
     """
 
     def __init__(self, cfg, x0, b, steps, seed):
@@ -81,32 +95,39 @@ class _Walk:
             raise ZeroOneError("start table must be zero-one")
         if steps < 0:
             raise ZeroOneError(f"walk length must be non-negative, got {steps}")
-        self.moves = _masks(b)
-        if not self.moves:
+        if seed < 0:  # PCG64 would refuse it only at the first block
+            raise ZeroOneError(f"seed must be non-negative, got {seed}")
+        self.signed = _signed_masks(b)
+        if not self.signed:
             raise ZeroOneError("empty move set")
         self.steps, self.seed = steps, seed
-        self.state = _as_int(pack_bits([x0.values]))
+        self.state = _ints(pack_bits([x0.values]))[0]
         self.accepted = 0
 
     def __iter__(self):
-        moves, x, accepted = self.moves, self.state, 0
+        signed, x, accepted = self.signed, self.state, 0
+        K = len(signed) // 2
         yield [x]
         rng = np.random.Generator(np.random.PCG64(self.seed))
         for done in range(0, self.steps, _CHUNK):
             k = min(_CHUNK, self.steps - done)
-            idx = rng.integers(0, len(moves), size=k)
-            sgn = rng.integers(0, 2, size=k)
+            # the moves, then the signs: this order fixes the states of a seed;
+            # proposal j < K is move j, and K + j its negation
+            idx = rng.integers(0, K, size=k)
+            idx += K * rng.integers(0, 2, size=k)
             chunk = []
-            for i in range(k):
-                p, m = moves[idx[i]]
-                if sgn[i]:
-                    p, m = m, p
-                if (x & p) == 0 and (x & m) == m:
-                    x ^= p | m
-                    accepted += 1
-                chunk.append(x)
+            append = chunk.append
+            for lo in range(0, k, _SLICE):
+                for j in idx[lo:lo + _SLICE].tolist():
+                    s, m = signed[j]
+                    if x & s == m:
+                        x ^= s
+                        accepted += 1
+                    append(x)
             self.state, self.accepted = x, accepted
             yield chunk
+        _LOG.debug("walk: %d steps, %d accepted, %d blocks",
+                   self.steps, accepted, -(-self.steps // _CHUNK))
 
 
 def at_least_as_extreme(s, obs: float):

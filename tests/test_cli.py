@@ -523,6 +523,14 @@ class TestSample:
                              "--moves", "basic", "--start", str(x), "--seed", "1", *extra)
         assert code == 2 and "error" in err and "p_value" not in out
 
+    def test_negative_seed_exits_two(self, capsys, tmp_path):
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((1, 0, 0, 1)))
+        code, out, err = run(capsys, "sample", "--model", "two-way-indep", "--dims", "2,2",
+                             "--moves", "basic", "--start", str(x), "--steps", "10",
+                             "--seed", "-1")
+        assert code == 2 and "seed must be non-negative" in err and out == ""
+
 
 class TestLatin:
     def test_count_builds_move_set_once(self, capsys, monkeypatch):
@@ -568,6 +576,10 @@ class TestLatin:
     def test_negative_steps_exit_two(self, capsys):
         code, out, err = run(capsys, "latin", "3", "--steps", "-2", "--seed", "1")
         assert code == 2 and "error" in err and out == ""
+
+    def test_negative_seed_exits_two(self, capsys):
+        code, out, err = run(capsys, "latin", "3", "--steps", "10", "--seed", "-1")
+        assert code == 2 and "seed must be non-negative" in err and out == ""
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_non_positive_count_exits_two_before_the_build(self, capsys, monkeypatch, count):

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -81,6 +82,29 @@ class TestRandomWalk:
             random_walk(cfg, Table((1, 0, 0, 1)), b, -4, seed=0)
         with pytest.raises(ZeroOneError, match="non-negative"):
             sample_latin_square(3, steps=-2, seed=0)
+
+    def test_refuses_negative_seed(self):
+        b = basic_moves_two_way(2, 2)
+        cfg, x0 = b.source_config, Table((1, 0, 0, 1))
+        with pytest.raises(ZeroOneError, match="seed must be non-negative, got -1"):
+            random_walk(cfg, x0, b, 10, seed=-1)
+        with pytest.raises(ZeroOneError, match="seed must be non-negative"):
+            exact_test(cfg, x0, b, lambda v: 0.0, steps=10, seed=-1)
+        with pytest.raises(ZeroOneError, match="seed must be non-negative"):
+            sample_latin_square(3, steps=10, seed=-5)
+
+    def test_debug_record_per_walk(self, caplog):
+        b = basic_moves_two_way(3, 3)
+        x0 = Table((1, 0, 0, 0, 1, 0, 0, 0, 1))
+        with caplog.at_level(logging.DEBUG, logger="zeroone.sampler"):
+            _, rate = random_walk(b.source_config, x0, b, 70_000, seed=1)
+            random_walk(b.source_config, x0, b, 0, seed=1)
+            table, _ = sample_latin_square(3, steps=300, seed=4)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.sampler"]
+        assert lines[0] == f"walk: 70000 steps, {round(rate * 70_000)} accepted, 2 blocks"
+        assert lines[1] == "walk: 0 steps, 0 accepted, 0 blocks"
+        assert lines[2].startswith("walk: 300 steps, ") and lines[2].endswith(" accepted, 1 blocks")
+        assert len(lines) == 3
 
 
 class TestIpf:
@@ -265,6 +289,44 @@ class TestStreamedWalk:
         assert len(calls) <= distinct * blocks + 1  # +1: the observed table
         assert len({id(x) for x in states}) <= distinct * blocks
         assert run.trajectory_stats == tuple(stat(x.values) for x in states[run.burn_in + 1:])
+
+
+def reference_walk(b, x0, steps, seed):
+    """The walk one step at a time on a cell vector: the same block-wise draws,
+    then ``x ± move``, accepted iff the result is zero-one.  Returns the
+    states as value tuples and the number of accepted steps."""
+    V = b.matrix[(np.abs(b.matrix) <= 1).all(axis=1)]  # the moves the walk draws from
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = np.array(x0.values, dtype=np.int64)
+    states, accepted = [x0.values], 0
+    for done in range(0, steps, sampler._CHUNK):
+        k = min(sampler._CHUNK, steps - done)
+        idx = rng.integers(0, len(V), size=k)
+        sgn = rng.integers(0, 2, size=k)
+        for i, negate in zip(idx, sgn):
+            y = x - V[i] if negate else x + V[i]
+            if ((y == 0) | (y == 1)).all():
+                x, accepted = y, accepted + 1
+            states.append(tuple(x.tolist()))
+    return states, accepted
+
+
+@pytest.mark.parametrize("steps", [0, 1, 4097, 65_537])
+@pytest.mark.parametrize("case", ["basic-3x3", "latin-4", "two-words"])
+def test_walk_equals_reference(case, steps, request):
+    # 4097 and 65,537 steps cross the sub-slice and the block boundaries;
+    # Latin-4 draws among 2 * 1,512 signed moves
+    if case == "basic-3x3":
+        b, x0 = basic_moves_two_way(3, 3), Table((1, 0, 0, 0, 1, 0, 0, 0, 1))
+    elif case == "latin-4":
+        b, x0 = ntfi_basic_moves(4).union(request.getfixturevalue("deg8_444")), \
+            latin_start_table(4)
+    else:
+        b, x0 = basic_moves_two_way(2, 33), X2_33
+    states, rate = random_walk(b.source_config, x0, b, steps, seed=17)
+    want, accepted = reference_walk(b, x0, steps, seed=17)
+    assert [x.values for x in states] == want
+    assert rate == (accepted / steps if steps else 0.0)
 
 
 class TestLatin:

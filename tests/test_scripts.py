@@ -68,6 +68,23 @@ def test_bench_ab(tmp_path):
     assert report["tier1"] == {"parent": {"seconds": 27.0, "passed": 705},
                                "change": {"seconds": 30.5, "passed": 703, "failed": 2,
                                           "skipped": 1}}
+    assert "traced" not in report
+
+
+def test_bench_ab_records_traced_runs_of_both_sides(tmp_path):
+    main = runpy.run_path(str(SCRIPTS / "bench_ab.py"))["main"]
+    for side, seeds, mtime in (("parent", [1], 100), ("change", [1], 200)):
+        fake_runs(tmp_path / side, seeds, [(1.0, 0.2, 40.0)], [{"a": [1.0]}], [{}], [mtime])
+    for side, seed, rate in (("parent", 9, 2e6), ("change", 9, 4e6), ("change", 8, 1.0)):
+        (tmp_path / side / f"w-seed{seed}-trace1.result.json").write_text(json.dumps({
+            "workload": "w", "seed": seed, "metrics": {"sampler.steps_per_s": rate}}))
+    out = tmp_path / "BENCH.json"
+    assert main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["workloads"]["w"]["seeds"] == [1]  # traced runs are no A/B pair
+    assert report["traced"] == {"w-seed9": {"parent": {"sampler.steps_per_s": 2e6},
+                                            "change": {"sampler.steps_per_s": 4e6}}}
 
 
 def test_bench_ab_without_common_runs(tmp_path, capsys):
