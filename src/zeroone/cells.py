@@ -47,12 +47,14 @@ def _signed_rows(cells: np.ndarray, n: int) -> np.ndarray:
 
 
 def find_rows(X, Y) -> np.ndarray:
-    """Position of each row of ``Y`` among the distinct rows of ``X``, or -1."""
+    """Position of each row of ``Y`` among the distinct rows of ``X``, or -1.
+    Rows of one 8-byte word sort as uint64, many times faster than as bytes."""
     X = np.ascontiguousarray(X)
     Y = np.ascontiguousarray(Y, dtype=X.dtype)
     if len(X) == 0:
         return np.full(len(Y), -1, dtype=np.int64)
-    row = np.dtype((np.void, X.dtype.itemsize * X.shape[1]))
+    width = X.dtype.itemsize * X.shape[1]
+    row = np.uint64 if width == 8 else np.dtype((np.void, width))
     kx, ky = X.view(row)[:, 0], Y.view(row)[:, 0]
     order = np.argsort(kx)
     pos = order[np.minimum(np.searchsorted(kx[order], ky), len(X) - 1)]
@@ -95,7 +97,8 @@ def _components(m: int, src: np.ndarray, dst: np.ndarray):
     pairs within one root; the rounds end when no edge is left.  A node is
     only ever hooked under a smaller node, so ``labels[v]`` is the
     smallest node of v's component.  Labels and edges are int32 while
-    ``m < 2**31``.
+    ``m < 2**31``.  For graphs whose edges are listed: fiber graphs and the
+    orbits of the square-free screen's fibers.
     """
     itype = np.int32 if m < 2**31 else np.int64
     labels = np.arange(m, dtype=itype)

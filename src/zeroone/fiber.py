@@ -4,8 +4,9 @@ Fiber graphs and distance reduction share one bitmask kernel
 (:func:`_distances`): zero-one tables are rows of uint64 words
 (:func:`~zeroone.cells.pack_bits`) and square-free moves are the packed
 masks of their +1 and -1 cells (:attr:`~zeroone.graver.MoveSet.masks`).
-The connectivity sweep generates the kernel's pairs directly
-(:func:`_sweep_edges`); the crossing and distance sweeps group the 2^n
+The connectivity sweep needs no pairs: it labels the 2^n tables in place,
+each move's sources and targets two strided views of the label cube
+(:func:`_cube_view`); the crossing and distance sweeps group the 2^n
 tables by key code (:func:`~zeroone.cells._groups`, as the square-free
 screen groups its d-sets) and share one loop over batches of equal-size
 fibers (:func:`_first_failing`).  The crossing kernel takes the pairs of
@@ -469,45 +470,70 @@ def _first_failing(cfg: Configuration, groups, name: str, width: int, kernel):
     return False, cfg.sufficient_stat(Table(unpack_bits(order[[start[first]]], cfg.n_cells)[0]))
 
 
-def _sweep_edges(n: int, P: np.ndarray, M: np.ndarray):
-    """``(src, dst)``, int32 while ``n < 31``: each pair of sweep table
-    ``src`` and move k that applies to it, move by move.  The sources are
-    ``M[k]`` plus every subset of the cells outside ``S = P[k] | M[k]``,
-    built by doubling over those cells, and ``dst = src ^ S``.
-    """
-    itype = np.int32 if n < 31 else np.int64
-    S, M = (P | M)[:, 0].astype(itype), M[:, 0].astype(itype)
-    free = [[f for f in range(n) if not s >> f & 1] for s in S.tolist()]
-    counts = [1 << len(cells) for cells in free]
-    src = np.empty(sum(counts), dtype=itype)
-    for m, cells, end in zip(M.tolist(), free, np.cumsum(counts).tolist()):
-        out = src[end - (1 << len(cells)):end]
-        out[0] = m
-        for w, f in enumerate(cells):
-            out[1 << w:2 << w] = out[:1 << w] | (1 << f)
-    dst = np.repeat(S, counts)
-    dst ^= src
-    return src, dst
+def _cube_view(n: int, support: int, bits: int) -> tuple:
+    """Index of the sweep tables with cell k equal to bit k of ``bits`` for
+    each cell k of ``support``, in the label cube of n cells, whose axis j is
+    cell n - 1 - j.  The trailing ``...`` keeps a full support a 0-d view."""
+    cells = reversed(range(n))
+    return tuple(bits >> k & 1 if support >> k & 1 else slice(None) for k in cells) + (...,)
+
+
+def _propagate(cube: np.ndarray, views, check: bool) -> bool:
+    """One pass over the moves' ``(source, target)`` view pairs of ``cube``:
+    each pair that differs takes its elementwise minimum.  True if any did.
+    Without ``check`` every pair takes it unseen, as on the first pass,
+    where each differs: labels are the tables and no move is zero."""
+    changed = False
+    for src, dst in views:
+        a, b = cube[src], cube[dst]
+        if not check or not np.array_equal(a, b):
+            np.minimum(a, b, out=a)
+            b[...] = a
+            changed = True
+    return changed
 
 
 def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> SweepReport:
     """Partition all 2^n zero-one tables by key and count move components.
 
     Moves preserve the key, so every fiber is connected iff the global
-    component count equals the number of distinct keys.  Table i has cell
-    k equal to bit k of i, so a move's target is its own index.  A move
-    set bound to another model, or a non-positive ``max_cells``, is refused.
+    component count equals the number of distinct keys.  Components are
+    labelled in place, with no edge list: one label per table (int32
+    below 2^31 tables), reshaped to the cube ``(2,) * n``.  The tables a
+    move applies to, those with its -1 cells set and its +1 cells clear,
+    are one strided view of the cube (:func:`_cube_view`), and their
+    targets the view with those bits flipped.  Each pass lowers both views
+    of every move to their minimum (:func:`_propagate`), then jumps
+    pointers (``labels[labels]``) to a fixpoint; the passes end when no
+    move's views differ.  A label is always a table of the same component,
+    so each component ends with one label, the one table labelled by
+    itself.  A move set bound to another model, or a non-positive
+    ``max_cells``, is refused.
     """
     b._check_model(cfg)
-    N = 1 << cfg.n_cells
-    codes = np.sort(_cube_codes(cfg, max_cells))
+    codes = _cube_codes(cfg, max_cells)
+    codes.sort()
     n_fibers = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
     del codes
+    n = cfg.n_cells
+    N = 1 << n
     P, M, _ = b.masks
-    src, dst = _sweep_edges(cfg.n_cells, P, M)
-    n_comp, _, rounds = _components(N, src, dst)
+    moves = [(p | m, m) for p, m in zip(P[:, 0].tolist(), M[:, 0].tolist())]
+    views = [(_cube_view(n, s, m), _cube_view(n, s, s ^ m)) for s, m in moves]
+    labels = np.arange(N, dtype=np.int32 if N < 2**31 else np.int64)
+    passes = 0
+    while _propagate(labels.reshape((2,) * n), views, passes > 0):
+        passes += 1
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        del jumped
+    n_comp = int(np.count_nonzero(labels == np.arange(N, dtype=labels.dtype)))
     _LOG.debug(
-        "connectivity sweep: %d tables, %d fibers, %d edges, %d components, %d hook rounds",
-        N, n_fibers, len(src), n_comp, rounds,
+        "connectivity sweep: %d tables, %d fibers, %d edges, %d components, "
+        "%d propagation passes",
+        N, n_fibers, sum(1 << n - s.bit_count() for s, _ in moves), n_comp, passes,
     )
     return SweepReport(N, n_fibers, n_comp)

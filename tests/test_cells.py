@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroone.cells import CellSpace, Move, Table, _groups, _pairs, _ranges, pack_bits, unpack_bits
+from zeroone.cells import (
+    CellSpace,
+    Move,
+    Table,
+    _groups,
+    _pairs,
+    _ranges,
+    find_rows,
+    pack_bits,
+    unpack_bits,
+)
 from zeroone.errors import (
     CellIndexError,
     LengthMismatchError,
@@ -111,6 +121,31 @@ class TestBitPacking:
         words = pack_bits(X)
         assert words.shape == (m, max(1, -(-n // 64)))
         assert (unpack_bits(words, n) == X).all()
+
+
+class TestFindRows:
+    @pytest.mark.parametrize(
+        "dtype, width",
+        [(np.uint64, 1), (np.int64, 1), (np.int8, 8), (np.int32, 2), (np.int8, 3), (np.uint64, 2)],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_dict_reference(self, dtype, width, seed):
+        rng = np.random.default_rng(seed)
+        info = np.iinfo(dtype)
+        pool = rng.integers(info.min, info.max, size=(60, width), dtype=dtype, endpoint=True)
+        pool[:4, 0] = [info.min, -1 if info.min else 1, 0, info.max]
+        X = pool[rng.integers(0, 20, size=40)]  # repeated rows
+        Y = np.vstack([pool, X[::-1]])  # misses, and repeated queries
+        where = {}
+        for i, row in enumerate(X.tolist()):
+            where.setdefault(tuple(row), []).append(i)
+        got = find_rows(X, Y).tolist()
+        assert [g in where[tuple(y)] if g >= 0 else tuple(y) not in where
+                for g, y in zip(got, Y.tolist())] == [True] * len(Y)
+        assert sum(g < 0 for g in got) >= 40
+
+    def test_empty(self):
+        assert find_rows(np.zeros((0, 1), np.uint64), np.ones((2, 1), np.uint64)).tolist() == [-1, -1]
 
 
 class TestGroupsAndPairs:

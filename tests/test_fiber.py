@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from zeroone.fiber import (
     check_generalized_crossing,
     conformal_decompose,
     enumerate_zero_one_fiber,
-    _sweep_edges,
     iter_fibers,
     sweep_connectivity,
     sweep_crossing,
@@ -38,6 +38,7 @@ from zeroone.models import (
 )
 from zeroone.movegen import (
     basic_moves_two_way,
+    df1_loops,
     degree2_threeway_patterns,
     ntfi_333_moves,
     ntfi_basic_moves,
@@ -644,8 +645,10 @@ class TestSweep:
         lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.fiber"]
         assert lines == [
             # the swap joins the two tables with all margins 1 (0110 -> 1001)
-            "connectivity sweep: 16 tables, 15 fibers, 1 edges, 15 components, 1 hook rounds",
-            "connectivity sweep: 16 tables, 15 fibers, 0 edges, 16 components, 0 hook rounds",
+            "connectivity sweep: 16 tables, 15 fibers, 1 edges, 15 components, "
+            "1 propagation passes",
+            "connectivity sweep: 16 tables, 15 fibers, 0 edges, 16 components, "
+            "0 propagation passes",
         ]
 
 
@@ -958,22 +961,48 @@ def reference_edges(cfg, b):
     return sorted(zip(src.tolist(), (X[src, 0] ^ S[k, 0]).tolist()))
 
 
-class TestSweepEdges:
+class TestSweepKernel:
     @pytest.mark.parametrize(
-        "b",
+        "b, passes",
         [
-            square_free_graver(build_two_way_independence(3, 3), 3),
-            square_free_graver(build_quasi_independence(3, 3, off_diagonal(3)), 3),
-            square_free_graver(build_complete_independence((2, 2, 2)), 3),
-            MoveSet.build(
-                [Move((1, 1, 0))], "t", Configuration(CellSpace((3,)), ((1, -1, 0), (0, 0, 1)))
-            ),
+            pytest.param(square_free_graver(build_two_way_independence(3, 3), 3), 1,
+                         id="two-way-3x3"),
+            pytest.param(square_free_graver(build_quasi_independence(3, 3, off_diagonal(3)), 3), 1,
+                         id="quasi-3x3"),
+            pytest.param(square_free_graver(build_complete_independence((2, 2, 2)), 3), 1,
+                         id="complete-2x2x2"),
+            pytest.param(MoveSet.build([Move((1, 1, 0))], "t",
+                                       Configuration(CellSpace((3,)), ((1, -1, 0), (0, 0, 1)))),
+                         1, id="signed-3"),
+            # a move over every cell: its views of the label cube are 0-d
+            pytest.param(MoveSet.build([Move((1, -1))], "t", Configuration(CellSpace((2,)), ())),
+                         1, id="zero-row-2"),
+            pytest.param(MoveSet.build([], "t", build_two_way_independence(2, 3)), 0,
+                         id="no-moves"),
+            # labels still differ after the first pass
+            pytest.param(df1_loops(build_quasi_independence(4, 4, off_diagonal(4)).cell_space), 2,
+                         id="quasi-4x4-df1"),
         ],
-        ids=["two-way-3x3", "quasi-3x3", "complete-2x2x2", "signed-3"],
     )
-    def test_edges_match_the_applicability_test(self, b):
+    def test_components_match_the_reference(self, b, passes, caplog):
         cfg = b.source_config
-        src, dst = _sweep_edges(cfg.n_cells, *b.masks[:2])
-        got = sorted(zip(src.tolist(), dst.tolist()))
-        assert got == reference_edges(cfg, b)
-        assert len(got) == len(set(got))
+        edges = reference_edges(cfg, b)
+        with caplog.at_level(logging.DEBUG, logger="zeroone.fiber"):
+            rep = sweep_connectivity(cfg, b)
+        assert rep.n_components == len(set(bfs_labels(rep.n_tables, edges)))
+        record = caplog.records[-1].getMessage()
+        assert record.endswith(f"{len(edges)} edges, {rep.n_components} components, "
+                               f"{passes} propagation passes")
+
+    def test_peak_memory_per_table(self):
+        cfg = build_quasi_independence(5, 5, off_diagonal(5))
+        b = df1_loops(cfg.cell_space)
+        _ = b.masks, cfg.key_terms  # cached before tracing
+        tracemalloc.start()
+        try:
+            rep = sweep_connectivity(cfg, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.n_tables == 1 << 20 and rep.all_connected
+        assert peak <= 16 * rep.n_tables
