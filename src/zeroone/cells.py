@@ -36,6 +36,13 @@ def unpack_bits(words, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
+def _ints(words) -> list:
+    """Each row of a (m, W) uint64 word array as one Python int, from one buffer."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    buf, w = words.tobytes(), 8 * words.shape[1]
+    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
+
+
 def _signed_rows(cells: np.ndarray, n: int) -> np.ndarray:
     """An (m, n) int8 matrix: +1 at the first half of each row of ``cells``
     and -1 at the second, the cells of a row all distinct."""
@@ -86,6 +93,18 @@ def _pairs(partners: np.ndarray, step: int):
         yield a, p + a + 1 - (end[a] - partners[a])
 
 
+def _jump(labels: np.ndarray) -> None:
+    """Pointer jumping, ``labels[labels]``, in place to a fixpoint: each node
+    then points at the root of its chain, and at most two label arrays are
+    alive at once."""
+    while True:
+        jumped = labels[labels]
+        if np.array_equal(jumped, labels):
+            return
+        labels[...] = jumped
+        del jumped  # before the next gather
+
+
 def _components(m: int, src: np.ndarray, dst: np.ndarray):
     """``(count, labels, rounds)``: connected components of the undirected
     graph on nodes ``0 .. m-1`` with edges ``(src[e], dst[e])``.
@@ -113,11 +132,7 @@ def _components(m: int, src: np.ndarray, dst: np.ndarray):
         rounds += 1
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
         np.minimum.at(labels, hi, lo)
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
+        _jump(labels)
         lo = labels[lo]
         hi = labels[hi]
     return int(np.count_nonzero(labels == np.arange(m, dtype=itype))), labels, rounds

@@ -23,6 +23,7 @@ from .fiber import (
     check_sweep_cells,
     enumerate_zero_one_fiber,
     sweep_crossing,
+    sweep_connectivity,
     sweep_distance_reducing,
     uncrossed_pair,
 )
@@ -205,9 +206,35 @@ def cmd_graver(args) -> int:
     return EXIT_PASS
 
 
-def cmd_connect(args) -> int:
+def _sweep_model(args):
+    """The model, and with ``--sweep`` the most cells its 2^n tables may have
+    within ``--cap`` (else None).  A sweep covers every fiber: a key, or a
+    cap below two tables, is refused before the model is built, and too
+    many cells before the moves are resolved."""
+    if args.sweep and (args.t or args.from_table):
+        raise ZeroOneError(f"{args.cmd} --sweep covers every fiber: "
+                           "it takes no --t or --from-table")
+    if args.sweep and args.cap < 2:  # no model has fewer than 2^1 tables
+        raise ZeroOneError(f"cap must be at least 2 with --sweep, got {args.cap}")
     cfg = build_model(args)
+    if not args.sweep:
+        return cfg, None
+    max_cells = args.cap.bit_length() - 1
+    check_sweep_cells(cfg, max_cells)
+    return cfg, max_cells
+
+
+def cmd_connect(args) -> int:
+    if args.sweep and args.out:
+        raise ZeroOneError("connect --sweep writes no fiber: it takes no --out")
+    cfg, max_cells = _sweep_model(args)
     b = resolve_moves(args.moves, cfg, args)
+    if args.sweep:
+        rep = sweep_connectivity(cfg, b, max_cells)
+        print(f"tables: {rep.n_tables}")
+        print(f"fibers: {rep.n_fibers}")
+        print(f"components: {rep.n_components}")
+        return EXIT_PASS if rep.all_connected else EXIT_FAIL
     t = _get_key(args, cfg)
     fiber = enumerate_zero_one_fiber(cfg, t, cap=args.cap)
     graph = build_fiber_graph(fiber, b)
@@ -224,16 +251,7 @@ def cmd_connect(args) -> int:
 def cmd_check(args) -> int:
     if args.sweep and args.condition == "generalized":
         raise ZeroOneError("check --sweep does not apply to --condition generalized")
-    if args.sweep and (args.t or args.from_table):
-        raise ZeroOneError("check --sweep covers every fiber: it takes no --t or --from-table")
-    cfg = build_model(args)
-    if args.sweep:
-        # every table of the model: 2^n of them (n >= 1), within the --cap budget,
-        # refused before the moves are resolved
-        if args.cap < 2:
-            raise ZeroOneError(f"cap must be at least 2 with --sweep, got {args.cap}")
-        max_cells = args.cap.bit_length() - 1
-        check_sweep_cells(cfg, max_cells)
+    cfg, max_cells = _sweep_model(args)
     b = resolve_moves(args.moves, cfg, args)
 
     if args.condition == "generalized":
@@ -371,6 +389,14 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--zeros", help="structural-zero mask file")
         sp.add_argument("--constant-item-param", action="store_true")
 
+    def add_key(sp):
+        sp.add_argument("--t")
+        sp.add_argument("--from-table")
+        sp.add_argument("--sweep", action="store_true",
+                        help="every fiber: all 2^n tables of the model, grouped by key")
+        sp.add_argument("--cap", type=int, default=5_000_000,
+                        help="most tables to enumerate; with --sweep, the 2^n tables of the model")
+
     def add_moves(sp, note=""):
         sp.add_argument("--moves", required=True,
                         help=f"a move file, or families joined by '+' for their union: "
@@ -392,9 +418,7 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("connect", help="fiber connectivity under a move set")
     add_model(c)
     add_moves(c)
-    c.add_argument("--t")
-    c.add_argument("--from-table")
-    c.add_argument("--cap", type=int, default=5_000_000)
+    add_key(c)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_connect)
 
@@ -403,13 +427,9 @@ def make_parser() -> argparse.ArgumentParser:
     k.add_argument("--condition", required=True,
                    choices=["strong", "weak", "generalized", "distance-reducing"])
     add_moves(k, "; validated, but unused by strong/weak crossing")
-    k.add_argument("--t")
-    k.add_argument("--from-table")
-    k.add_argument("--sweep", action="store_true")
+    add_key(k)
     k.add_argument("--strong", action="store_true",
                    help="strong variant of distance reduction")
-    k.add_argument("--cap", type=int, default=5_000_000,
-                   help="most tables to enumerate; with --sweep, the 2^n tables of the model")
     k.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("sample", help="random-walk exact test")

@@ -2,8 +2,11 @@
 
 Fiber graphs and distance reduction share one bitmask kernel
 (:func:`_distances`): zero-one tables are rows of uint64 words
-(:func:`~zeroone.cells.pack_bits`) and square-free moves are the packed
-masks of their +1 and -1 cells (:attr:`~zeroone.graver.MoveSet.masks`).
+(:func:`~zeroone.cells.pack_bits`) and each square-free move is the packed
+masks ``(S, M)`` of the cells it changes and of its -1 cells
+(:attr:`~zeroone.graver.MoveSet.masks`): it applies to ``x`` iff
+``x & S == M``, its negation iff ``x & S == S ^ M``, and either leads to
+``x ^ S``.
 The connectivity sweep needs no pairs: it labels the 2^n tables in place,
 each move's sources and targets two strided views of the label cube
 (:func:`_cube_view`); the crossing and distance sweeps group the 2^n
@@ -20,7 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Move, Table, _components, _groups, _pairs, find_rows, pack_bits, unpack_bits
+from .cells import (
+    Move,
+    Table,
+    _components,
+    _groups,
+    _ints,
+    _jump,
+    _pairs,
+    find_rows,
+    pack_bits,
+    unpack_bits,
+)
 from .errors import (
     CapExceededError,
     LengthMismatchError,
@@ -137,13 +151,12 @@ def _members(fiber, X: np.ndarray, rows) -> tuple[Table, ...]:
     return tuple(Table(X[r]) if isinstance(fiber, np.ndarray) else fiber[r] for r in rows)
 
 
-def _distances(B: np.ndarray, P: np.ndarray, M: np.ndarray):
+def _distances(B: np.ndarray, S: np.ndarray, M: np.ndarray):
     """``(a, D)`` per chunk of ``_CHUNK`` words from row ``a`` of the packed
     tables ``B``: ``D[t, k] = popcount((B[a + t] ^ M[k]) & S[k])`` for the
-    moves with +1 cells ``P``, -1 cells ``M`` and ``S = P | M``.  Move k
-    applies to x iff ``D[x, k] == 0``, -k iff ``D[x, k] == |S[k]|``.
+    moves changing cells ``S`` with -1 cells ``M``.  Move k applies to x iff
+    ``D[x, k] == 0``, -k iff ``D[x, k] == |S[k]|``.
     """
-    S = P | M
     step = max(1, _CHUNK // max(1, S.size))
     for a in range(0, len(B), step):
         d = B[a:a + step, None, :] ^ M
@@ -153,7 +166,7 @@ def _distances(B: np.ndarray, P: np.ndarray, M: np.ndarray):
         yield a, ones[..., 0] if ones.shape[2] == 1 else ones.sum(axis=2, dtype=np.int32)
 
 
-def _far_pair(B: np.ndarray, P: np.ndarray, M: np.ndarray, F: int, strong: bool,
+def _far_pair(B: np.ndarray, S: np.ndarray, M: np.ndarray, F: int, strong: bool,
               closed: bool = True):
     """The first ``(f, x, y)``, x < y, of F fibers of m tables each, packed
     one after another in ``B``, such that no move takes x strictly closer to
@@ -161,18 +174,18 @@ def _far_pair(B: np.ndarray, P: np.ndarray, M: np.ndarray, F: int, strong: bool,
 
     Over the moves, then their negations: ``A[x, c]`` iff c applies to x,
     ``G[y, c]`` iff c takes the tables it applies to closer to y, as move k
-    turns S from M to P and the distance to y from ``D[y, k]`` to
+    turns S from M to ``S ^ M`` and the distance to y from ``D[y, k]`` to
     ``|S| - D[y, k]``.  ``closed=False`` drops the moves leading outside
     ``B``.  ``closer = A @ G^T`` goes in tiles of ``_CHUNK`` elements.
     """
-    D = np.concatenate([D for _, D in _distances(B, P, M)]).reshape(F, len(B) // F, -1)
+    D = np.concatenate([D for _, D in _distances(B, S, M)]).reshape(F, len(B) // F, -1)
     F, m, _ = D.shape
-    size = np.bitwise_count(P | M).sum(axis=1, dtype=np.int32)
+    size = np.bitwise_count(S).sum(axis=1, dtype=np.int32)
     A = np.concatenate([D == 0, D == size], axis=2, dtype=np.float32)
     G = np.concatenate([2 * D > size, 2 * D < size], axis=2, dtype=np.float32)
     if not closed:
         f, x, c = np.nonzero(A)
-        A[f, x, c] = find_rows(B, B[f * m + x] ^ np.vstack([P | M] * 2)[c]) >= 0
+        A[f, x, c] = find_rows(B, B[f * m + x] ^ np.vstack([S] * 2)[c]) >= 0
     step = max(1, _CHUNK // (F * m))
     for a in range(0, m, step):
         to = A[:, a:a + step] @ G.transpose(0, 2, 1) > 0  # closer[f, x, y]
@@ -217,12 +230,12 @@ def build_fiber_graph(fiber, b: MoveSet) -> FiberGraph:
     m = len(X)
     edges, components = (), ((0,),) if m else ()
     if m > 1:
-        P, M, index = b.masks
+        S, M, index = b.masks
         B = pack_bits(X)
-        K = max(1, len(P))
-        flat = [np.flatnonzero(D == 0) + a * K for a, D in _distances(B, P, M)]
+        K = max(1, len(S))
+        flat = [np.flatnonzero(D == 0) + a * K for a, D in _distances(B, S, M)]
         i, k = np.divmod(np.concatenate(flat), K)
-        j = find_rows(B, B[i] ^ (P | M)[k])  # the target, if in the fiber
+        j = find_rows(B, B[i] ^ S[k])  # the target, if in the fiber
         keep = (j >= 0) & (j != i)
         i, k, j = i[keep], k[keep], j[keep]
         lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -249,8 +262,8 @@ def check_distance_reducing(b: MoveSet, fiber, strong: bool = False):
     pair in node order.
     """
     X = _fiber_bits(fiber, b.source_config)
-    P, M, _ = b.masks
-    pair = _far_pair(pack_bits(X), P, M, 1, strong, closed=False) if len(X) > 1 else None
+    S, M, _ = b.masks
+    pair = _far_pair(pack_bits(X), S, M, 1, strong, closed=False) if len(X) > 1 else None
     return pair is None, pair and _members(fiber, X, pair[1:])
 
 
@@ -260,9 +273,9 @@ def sweep_distance_reducing(cfg: Configuration, b: MoveSet, strong: bool = False
     ``cfg`` (:func:`_first_failing`): ``(True, None)`` or ``(False, key)``.
     A set bound to another model, or ``max_cells <= 0``, is refused."""
     b._check_model(cfg)
-    P, M, _ = b.masks
-    return _first_failing(cfg, _cube_fibers(cfg, max_cells), "distance-reduction", 2 * len(P),
-                          lambda B, F: _far_pair(B, P, M, F, strong))
+    S, M, _ = b.masks
+    return _first_failing(cfg, _cube_fibers(cfg, max_cells), "distance-reduction", 2 * len(S),
+                          lambda B, F: _far_pair(B, S, M, F, strong))
 
 
 def _first_crossings(U: np.ndarray, V: np.ndarray, Q: np.ndarray, weak: bool) -> np.ndarray:
@@ -336,7 +349,8 @@ def check_generalized_crossing(b: MoveSet, b0: MoveSet):
     if (find_rows(b0.matrix, b.matrix) < 0).any():
         raise ZeroOneError("b must be a subset of b0")
     uncovered = np.flatnonzero(find_rows(b.matrix, b0.matrix) < 0)
-    P, M, _ = b.masks
+    S, M, _ = b.masks
+    P = S ^ M
     pos, neg = np.vstack([P, M]), np.vstack([M, P])
     V = b0.matrix[uncovered]
     ZP, ZM = pack_bits(V > 0)[:, None, :], pack_bits(V < 0)[:, None, :]
@@ -414,7 +428,8 @@ def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
     zero-one tables, table i having cell k equal to bit k of i.
 
     The sums of :attr:`Configuration.key_terms` are built by doubling, one
-    cell at a time.  The sweep is refused as :func:`check_sweep_cells` says.
+    cell at a time, each step written in place: no temporary of half the
+    array.  The sweep is refused as :func:`check_sweep_cells` says.
     """
     check_sweep_cells(cfg, max_cells)
     n = cfg.n_cells
@@ -422,7 +437,7 @@ def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
     out = np.empty((1 << n,) + origin.shape, dtype=origin.dtype)
     out[0] = origin
     for k in range(n):
-        out[1 << k:2 << k] = out[:1 << k] + steps[k]
+        np.add(out[:1 << k], steps[k], out=out[1 << k:2 << k])
     return cfg.key_codes_of_sums(out)
 
 
@@ -499,12 +514,12 @@ def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> S
     Moves preserve the key, so every fiber is connected iff the global
     component count equals the number of distinct keys.  Components are
     labelled in place, with no edge list: one label per table (int32
-    below 2^31 tables), reshaped to the cube ``(2,) * n``.  The tables a
-    move applies to, those with its -1 cells set and its +1 cells clear,
-    are one strided view of the cube (:func:`_cube_view`), and their
-    targets the view with those bits flipped.  Each pass lowers both views
-    of every move to their minimum (:func:`_propagate`), then jumps
-    pointers (``labels[labels]``) to a fixpoint; the passes end when no
+    below 2^31 tables), reshaped to the cube ``(2,) * n``.  The tables
+    ``x`` a move ``(S, M)`` applies to, ``x & S == M``, are one strided view
+    of the cube (:func:`_cube_view`), and their targets ``x ^ S``, those
+    with ``x & S == S ^ M``, another.  Each pass lowers both views of every
+    move to their minimum (:func:`_propagate`), then jumps pointers in
+    place (:func:`~zeroone.cells._jump`) to a fixpoint; the passes end when no
     move's views differ.  A label is always a table of the same component,
     so each component ends with one label, the one table labelled by
     itself.  A move set bound to another model, or a non-positive
@@ -517,19 +532,14 @@ def sweep_connectivity(cfg: Configuration, b: MoveSet, max_cells: int = 24) -> S
     del codes
     n = cfg.n_cells
     N = 1 << n
-    P, M, _ = b.masks
-    moves = [(p | m, m) for p, m in zip(P[:, 0].tolist(), M[:, 0].tolist())]
+    S, M, _ = b.masks
+    moves = list(zip(_ints(S), _ints(M)))
     views = [(_cube_view(n, s, m), _cube_view(n, s, s ^ m)) for s, m in moves]
     labels = np.arange(N, dtype=np.int32 if N < 2**31 else np.int64)
     passes = 0
     while _propagate(labels.reshape((2,) * n), views, passes > 0):
         passes += 1
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        del jumped
+        _jump(labels)
     n_comp = int(np.count_nonzero(labels == np.arange(N, dtype=labels.dtype)))
     _LOG.debug(
         "connectivity sweep: %d tables, %d fibers, %d edges, %d components, "

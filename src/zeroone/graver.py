@@ -106,16 +106,17 @@ class MoveSet:
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(P, M, index)``: the +1 and the -1 cells of the square-free moves
-        as :func:`~zeroone.cells.pack_bits` rows, and their rows in ``matrix``.
+        """``(S, M, index)``: the cells each square-free move changes and its
+        -1 cells, as :func:`~zeroone.cells.pack_bits` rows, and their rows in
+        ``matrix``.
 
-        A square-free move applies to a zero-one table ``x`` iff
-        ``x & P == 0`` and ``x & M == M``, and it leads to ``x ^ (P | M)``;
-        the other moves never apply to a zero-one table.
+        The move applies to a zero-one table ``x`` iff ``x & S == M``, its
+        negation iff ``x & S == S ^ M``, and either leads to ``x ^ S``; the
+        other moves never apply to a zero-one table.
         """
         V = self.matrix
         index = np.flatnonzero((np.abs(V) <= 1).all(axis=1))
-        return pack_bits(V[index] == 1), pack_bits(V[index] == -1), index
+        return pack_bits(V[index] != 0), pack_bits(V[index] == -1), index
 
     def union(self, other: "MoveSet") -> "MoveSet":
         """The moves of both sets of one model, each with its first tag."""

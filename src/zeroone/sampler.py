@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Table, pack_bits, unpack_bits
+from .cells import Table, _ints, pack_bits, unpack_bits
 from .errors import IpfError, ZeroOneError
 from .graver import MoveSet
 from .models import Configuration, build_ntfi
@@ -30,25 +30,18 @@ _IPF_TOL = 1e-10
 _IPF_MAX_CYCLES = 10_000
 
 
-def _ints(words) -> list:
-    """Each row of a (m, W) uint64 word array as one Python int, from one buffer."""
-    words = np.ascontiguousarray(words, dtype="<u8")
-    buf, w = words.tobytes(), 8 * words.shape[1]
-    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
-
-
 def _signed_masks(b: MoveSet) -> list:
     """``(s, m)`` Python-int masks of the square-free moves of ``b``, then of
     their negations, from ``b.masks``: ``s`` holds the cells a move changes
     and ``m`` its -1 cells, so it applies to a zero-one ``x`` iff
-    ``x & s == m`` and leads to ``x ^ s``.
+    ``x & s == m`` and leads to ``x ^ s``; the negation's -1 cells are
+    ``s ^ m``.
 
     Moves that are not square-free never apply to a zero-one table.
     """
-    P, M, _ = b.masks
-    P, M = _ints(P), _ints(M)
-    S = [p | m for p, m in zip(P, M)]
-    return list(zip(S, M)) + list(zip(S, P))
+    S, M, _ = b.masks
+    S, M = _ints(S), _ints(M)
+    return list(zip(S, M)) + [(s, s ^ m) for s, m in zip(S, M)]
 
 
 def _decode(masks, n: int) -> dict:

@@ -109,11 +109,14 @@ class TestDegreeTwoInsufficiency:
 
 
 class TestBasicMoveSweeps:
-    def test_all_4x4_fibers_connected_by_swaps(self):
-        # every fixed-margin family of 4x4 zero-one tables is one component
-        cfg = build_two_way_independence(4, 4)
-        rep = sweep_connectivity(cfg, basic_moves_two_way(4, 4), max_cells=16)
-        assert rep.n_tables == 65536
+    @pytest.mark.parametrize("I,J,tables,fibers", [(3, 3, 512, 328), (3, 4, 4096, 1856),
+                                                   (4, 4, 65536, 16145)],
+                             ids=["3x3", "3x4", "4x4"])
+    def test_every_fiber_connected_by_swaps(self, I, J, tables, fibers):
+        # every fixed-margin family of I x J zero-one tables is one component
+        cfg = build_two_way_independence(I, J)
+        rep = sweep_connectivity(cfg, basic_moves_two_way(I, J), max_cells=I * J)
+        assert (rep.n_tables, rep.n_fibers) == (tables, fibers)
         assert rep.all_connected and rep.n_components == rep.n_fibers
 
 
@@ -124,6 +127,7 @@ class TestStructuredSupportSweeps:
         b = df1_loops(cfg.cell_space)
         rep = sweep_connectivity(cfg, b, max_cells=n * n - n)
         assert rep.n_tables == 2 ** (n * n - n)
+        assert rep.n_fibers == {4: 2_656, 5: 225_025}[n]
         assert rep.all_connected
 
 

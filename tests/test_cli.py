@@ -206,6 +206,13 @@ class TestConnect:
         )
         assert code == 2 and "outside dims" in err and out == ""
 
+    @pytest.mark.parametrize("moves,code,components", [("basic", 0, 328), ("loop-3", 1, 468)])
+    def test_sweep_output(self, capsys, moves, code, components):
+        # the 3-cycles alone miss the 2x2 swaps: 468 components over 328 fibers
+        got = run(capsys, "connect", "--model", "two-way-indep", "--dims", "3,3",
+                  "--moves", moves, "--sweep")
+        assert got == (code, f"tables: 512\nfibers: 328\ncomponents: {components}\n", "")
+
     def test_cap_exit_three(self, capsys, tmp_path):
         t = tmp_path / "t.txt"
         fileio.write_vector(t, (1,) * 8)
@@ -218,13 +225,14 @@ class TestConnect:
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
-@pytest.mark.parametrize("cmd", ["connect", "check", "check-sweep", "sample"])
+@pytest.mark.parametrize("cmd", ["connect", "connect-sweep", "check", "check-sweep", "sample"])
 def test_non_positive_cap_exits_two(capsys, tmp_path, cmd, cap):
     x = tmp_path / "x.txt"
     fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
     model = ("--model", "two-way-indep", "--dims", "3,3", "--moves", "basic", "--cap", cap)
     argv = {
         "connect": ("connect", *model, "--from-table", str(x)),
+        "connect-sweep": ("connect", *model, "--sweep"),
         "check": ("check", *model, "--condition", "strong", "--from-table", str(x)),
         "check-sweep": ("check", *model, "--condition", "strong", "--sweep"),
         "sample": ("sample", *model, "--start", str(x), "--steps", "100", "--seed", "1",
@@ -240,6 +248,14 @@ def test_sweep_cap_of_one_table_exits_two(capsys):
     code, _, err = run(capsys, "check", "--model", "two-way-indep", "--dims", "3,3",
                        "--moves", "basic", "--cap", "1", "--condition", "strong", "--sweep")
     assert code == 2 and "at least 2" in err
+
+
+# the sweeps of --sweep, each as the subcommand and its options
+SWEEPS = {
+    "distance-reducing": ("check", "--condition", "distance-reducing"),
+    "strong": ("check", "--condition", "strong"),
+    "connect": ("connect",),
+}
 
 
 class TestCheck:
@@ -278,19 +294,19 @@ class TestCheck:
         )
         assert got == (code, stdout, "")
 
-    @pytest.mark.parametrize("condition", ["distance-reducing", "strong"])
-    def test_sweep_cap_exit_three(self, capsys, condition):
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_sweep_cap_exit_three(self, capsys, sweep):
         # 2^8 tables exceed a budget of 100; 2^36 exceed the default
         for dims, cap in (("2,4", ("--cap", "100")), ("6,6", ())):
             code, _, err = run(
                 capsys,
-                "check", "--model", "two-way-indep", "--dims", dims,
-                "--condition", condition, "--moves", "basic", "--sweep", *cap,
+                *SWEEPS[sweep], "--model", "two-way-indep", "--dims", dims,
+                "--moves", "basic", "--sweep", *cap,
             )
             assert code == 3 and "2^" in err
 
-    @pytest.mark.parametrize("condition", ["distance-reducing", "strong"])
-    def test_sweep_cap_before_moves(self, capsys, monkeypatch, condition):
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_sweep_cap_before_moves(self, capsys, monkeypatch, sweep):
         # a refused sweep resolves no moves: 2^300 and 2^36 tables
         def resolve(*args):
             raise AssertionError("moves resolved before the sweep cap")
@@ -299,22 +315,25 @@ class TestCheck:
         for dims, moves in (("2,150", "basic"), ("6,6", "loops")):
             code, _, err = run(
                 capsys,
-                "check", "--model", "two-way-indep", "--dims", dims,
-                "--condition", condition, "--moves", moves, "--sweep",
+                *SWEEPS[sweep], "--model", "two-way-indep", "--dims", dims,
+                "--moves", moves, "--sweep",
             )
             assert code == 3 and "2^" in err
 
     @pytest.mark.parametrize("argv,message", [
-        (("--condition", "generalized", "--max-degree", "2"),
+        (("check", "--condition", "generalized", "--max-degree", "2"),
          "--sweep does not apply to --condition generalized"),
-        (("--condition", "strong", "--t", "t.txt"), "takes no --t or --from-table"),
-        (("--condition", "distance-reducing", "--from-table", "x.txt"),
+        (("check", "--condition", "strong", "--t", "t.txt"), "takes no --t or --from-table"),
+        (("check", "--condition", "distance-reducing", "--from-table", "x.txt"),
          "takes no --t or --from-table"),
-    ], ids=["generalized", "t", "from-table"])
+        (("connect", "--t", "t.txt"), "connect --sweep covers every fiber"),
+        (("connect", "--from-table", "x.txt"), "takes no --t or --from-table"),
+        (("connect", "--out", "fiber.txt"), "takes no --out"),
+    ], ids=["generalized", "t", "from-table", "connect-t", "connect-from-table", "connect-out"])
     def test_sweep_refuses_what_it_would_ignore(self, capsys, argv, message):
-        # refused before the model is built or a file is read
-        code, out, err = run(capsys, "check", "--model", "two-way-indep", "--dims", "2,3",
-                             "--moves", "basic", "--sweep", *argv)
+        # refused before the model is built or a file is read or written
+        code, out, err = run(capsys, argv[0], "--model", "two-way-indep", "--dims", "2,3",
+                             "--moves", "basic", "--sweep", *argv[1:])
         assert code == 2 and message in err and out == ""
 
     def test_generalized(self, capsys):
@@ -836,6 +855,8 @@ def test_cli_does_not_import_numpy_ma():
         for condition in ("strong", "distance-reducing"):
             main(["check", "--model", "two-way-indep", "--dims", "3,3", "--condition", condition,
                   "--moves", "basic", "--sweep"])
+        main(["connect", "--model", "two-way-indep", "--dims", "3,3", "--moves", "basic",
+              "--sweep"])
         main(["graver", "--model", "complete-indep", "--dims", "2,2,3"])
         print("numpy.ma" in sys.modules)
     """)
