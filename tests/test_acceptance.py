@@ -109,15 +109,21 @@ class TestDegreeTwoInsufficiency:
 
 
 class TestBasicMoveSweeps:
-    @pytest.mark.parametrize("I,J,tables,fibers", [(3, 3, 512, 328), (3, 4, 4096, 1856),
-                                                   (4, 4, 65536, 16145)],
-                             ids=["3x3", "3x4", "4x4"])
-    def test_every_fiber_connected_by_swaps(self, I, J, tables, fibers):
+    @staticmethod
+    def _check(I, J, tables, fibers):
         # every fixed-margin family of I x J zero-one tables is one component
         cfg = build_two_way_independence(I, J)
         rep = sweep_connectivity(cfg, basic_moves_two_way(I, J), max_cells=I * J)
         assert (rep.n_tables, rep.n_fibers) == (tables, fibers)
         assert rep.all_connected and rep.n_components == rep.n_fibers
+
+    @pytest.mark.parametrize("I,J,tables,fibers", [(3, 3, 512, 328), (3, 4, 4096, 1856)],
+                             ids=["3x3", "3x4"])
+    def test_small_fibers_connected_by_swaps(self, I, J, tables, fibers):
+        self._check(I, J, tables, fibers)
+
+    def test_all_4x4_fibers_connected_by_swaps(self):
+        self._check(4, 4, 65536, 16145)
 
 
 class TestStructuredSupportSweeps:
