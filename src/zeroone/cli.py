@@ -249,8 +249,12 @@ def cmd_connect(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.sweep and args.condition == "generalized":
-        raise ZeroOneError("check --sweep does not apply to --condition generalized")
+    # the options a condition would ignore, refused before the model is built
+    ignored = {"distance-reducing": (), "generalized": ("sweep", "t", "from_table", "strong")}
+    for opt in ignored.get(args.condition, ("strong",)):
+        if getattr(args, opt):
+            flag = "--" + opt.replace("_", "-")
+            raise ZeroOneError(f"check {flag} does not apply to --condition {args.condition}")
     cfg, max_cells = _sweep_model(args)
     b = resolve_moves(args.moves, cfg, args)
 
@@ -429,7 +433,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_moves(k, "; validated, but unused by strong/weak crossing")
     add_key(k)
     k.add_argument("--strong", action="store_true",
-                   help="strong variant of distance reduction")
+                   help="strong variant of distance reduction; refused with other conditions")
     k.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("sample", help="random-walk exact test")

@@ -12,9 +12,9 @@ each move's sources and targets two strided views of the label cube
 (:func:`_cube_view`); the crossing and distance sweeps group the 2^n
 tables by key code (:func:`~zeroone.cells._groups`, as the square-free
 screen groups its d-sets) and share one loop over batches of equal-size
-fibers (:func:`_first_failing`).  The crossing kernel takes the pairs of
-each fiber from :func:`~zeroone.cells._pairs`, the pair enumerator of the
-square-free screen and of the one-cancellation prune.
+fibers (:func:`_first_failing`).  Both per-fiber conditions find a fiber's
+first failing pair with one kernel (:func:`_far_pair`) on features of its
+tables: moves (:func:`_closer`) or swaps (:func:`_crossings`).
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .cells import (
     _groups,
     _ints,
     _jump,
-    _pairs,
     find_rows,
     pack_bits,
     unpack_bits,
@@ -166,32 +165,35 @@ def _distances(B: np.ndarray, S: np.ndarray, M: np.ndarray):
         yield a, ones[..., 0] if ones.shape[2] == 1 else ones.sum(axis=2, dtype=np.int32)
 
 
-def _far_pair(B: np.ndarray, S: np.ndarray, M: np.ndarray, F: int, strong: bool,
-              closed: bool = True):
-    """The first ``(f, x, y)``, x < y, of F fibers of m tables each, packed
-    one after another in ``B``, such that no move takes x strictly closer to
-    y or (strong: and) none takes y closer to x; None if there is none.
-
-    Over the moves, then their negations: ``A[x, c]`` iff c applies to x,
-    ``G[y, c]`` iff c takes the tables it applies to closer to y, as move k
-    turns S from M to ``S ^ M`` and the distance to y from ``D[y, k]`` to
-    ``|S| - D[y, k]``.  ``closed=False`` drops the moves leading outside
-    ``B``.  ``closer = A @ G^T`` goes in tiles of ``_CHUNK`` elements.
-    """
-    D = np.concatenate([D for _, D in _distances(B, S, M)]).reshape(F, len(B) // F, -1)
-    F, m, _ = D.shape
+def _closer(B: np.ndarray, S: np.ndarray, M: np.ndarray, closed: bool = True):
+    """``(A, G)``, float32, of the packed tables ``B`` over the moves, then
+    their negations: ``A[x, c]`` iff c applies to x, ``G[y, c]`` iff c takes
+    the tables it applies to closer to y, as move k turns S from M to
+    ``S ^ M`` and the distance to y from ``D[y, k]`` to ``|S| - D[y, k]``;
+    so some move takes x strictly closer to y iff ``A[x] · G[y] > 0``.
+    ``closed=False`` drops the moves leading outside ``B``."""
+    D = np.concatenate([D for _, D in _distances(B, S, M)])
     size = np.bitwise_count(S).sum(axis=1, dtype=np.int32)
-    A = np.concatenate([D == 0, D == size], axis=2, dtype=np.float32)
-    G = np.concatenate([2 * D > size, 2 * D < size], axis=2, dtype=np.float32)
+    A = np.concatenate([D == 0, D == size], axis=1, dtype=np.float32)
+    G = np.concatenate([2 * D > size, 2 * D < size], axis=1, dtype=np.float32)
     if not closed:
-        f, x, c = np.nonzero(A)
-        A[f, x, c] = find_rows(B, B[f * m + x] ^ np.vstack([S] * 2)[c]) >= 0
+        x, c = np.nonzero(A)
+        A[x, c] = find_rows(B, B[x] ^ np.vstack([S] * 2)[c]) >= 0
+    return A, G
+
+
+def _far_pair(L: np.ndarray, R: np.ndarray, F: int, both: bool):
+    """The first ``(f, x, y)``, x < y, of F fibers of m rows each, stacked in
+    ``L`` and ``R``, such that not (``both``: not both) ``L[x] · R[y] > 0``
+    and ``L[y] · R[x] > 0``; None if there is none; ``L @ R^T`` in tiles of ``_CHUNK``."""
+    m = len(L) // F
+    L, R = L.reshape(F, m, L.shape[1]), R.reshape(F, m, R.shape[1])
     step = max(1, _CHUNK // (F * m))
     for a in range(0, m, step):
-        to = A[:, a:a + step] @ G.transpose(0, 2, 1) > 0  # closer[f, x, y]
-        # closer[f, y, x]: the transpose when the tile holds every row
-        back = to.transpose(0, 2, 1) if step >= m else G[:, a:a + step] @ A.transpose(0, 2, 1) > 0
-        bad = ~(to & back) if strong else ~(to | back)
+        to = L[:, a:a + step] @ R.transpose(0, 2, 1) > 0  # [f, x, y]
+        # [f, y, x]: the transpose when the tile holds every row
+        back = to.transpose(0, 2, 1) if step >= m else R[:, a:a + step] @ L.transpose(0, 2, 1) > 0
+        bad = ~(to & back) if both else ~(to | back)
         bad &= np.arange(m) > np.arange(a, a + bad.shape[1])[:, None]
         hit = np.flatnonzero(bad.any(axis=(1, 2)))
         if len(hit):
@@ -263,7 +265,7 @@ def check_distance_reducing(b: MoveSet, fiber, strong: bool = False):
     """
     X = _fiber_bits(fiber, b.source_config)
     S, M, _ = b.masks
-    pair = _far_pair(pack_bits(X), S, M, 1, strong, closed=False) if len(X) > 1 else None
+    pair = _far_pair(*_closer(pack_bits(X), S, M, False), 1, strong) if len(X) > 1 else None
     return pair is None, pair and _members(fiber, X, pair[1:])
 
 
@@ -275,52 +277,46 @@ def sweep_distance_reducing(cfg: Configuration, b: MoveSet, strong: bool = False
     b._check_model(cfg)
     S, M, _ = b.masks
     return _first_failing(cfg, _cube_fibers(cfg, max_cells), "distance-reduction", 2 * len(S),
-                          lambda B, F: _far_pair(B, S, M, F, strong))
-
-
-def _first_crossings(U: np.ndarray, V: np.ndarray, Q: np.ndarray, weak: bool) -> np.ndarray:
-    """Per row pair (u, v) of ``U`` and ``V``: the first c such that the swap
-    ``Q[c]`` crosses from u to v, else ``len(Q) + c`` for the first from v to
-    u, else ``2 * len(Q)``.  (i1, i2, i3, i4) crosses from u to v iff u > v at
-    i1 and i2, u < v at i3 and (strong) u <= v at i4, so any integer tables do."""
-    gt, lt = np.ascontiguousarray((U > V).T), np.ascontiguousarray((U < V).T)  # cells x pairs
-    hit = [g[Q[:, 0]] & g[Q[:, 1]] & l[Q[:, 2]] & (weak | ~g[Q[:, 3]])
-           for g, l in ((gt, lt), (lt, gt))]
-    return np.vstack(hit + [np.ones((1, len(U)), dtype=bool)]).argmax(axis=0)
+                          lambda B, F: _far_pair(*_closer(B, S, M), F, strong))
 
 
 def check_crossing(x: Table, y: Table, cfg: Configuration, weak: bool = False):
     """The first crossing of x and y, ``((i1, i2, i3, i4), direction)``, or None:
     the first row of :attr:`Configuration.swaps` with cells i1 < i2 where
     x > y, i3 where x < y and i4 where x <= y (``weak``: any i4), x to y
-    (direction 1) before y to x (-1).  Two equal tables are refused."""
+    (direction 1) before y to x (-1); any integer tables.  Equal tables, and
+    tables of another length (:class:`LengthMismatchError`), are refused."""
+    x.check_length(cfg.cell_space)
+    y.check_length(cfg.cell_space)
     if x.values == y.values:
         raise ZeroOneError("crossing patterns are defined for distinct tables")
-    Q = cfg.swaps
-    c = int(_first_crossings(np.array([x.values]), np.array([y.values]), Q, weak)[0])
-    return (tuple(Q[c % len(Q)].tolist()), 1 if c < len(Q) else -1) if c < 2 * len(Q) else None
-
-
-def _uncrossed(X: np.ndarray, F: int, Q: np.ndarray, weak: bool):
-    """The first ``(f, a, b)``, a < b, of F fibers of m rows each, stacked in
-    ``X``, such that no swap of ``Q`` crosses between the distinct rows a and
-    b of fiber f, or None; pairs in node order (:func:`~zeroone.cells._pairs`),
-    tiles of ``_CHUNK // (2 Q)``."""
-    m = len(X) // F
-    partners = m - 1 - np.arange(len(X)) % m  # the later rows of its fiber
-    for u, v in _pairs(partners, max(1, _CHUNK // max(1, 2 * len(Q)))):
-        for r in np.flatnonzero(_first_crossings(X[u], X[v], Q, weak) == 2 * len(Q))[:1]:
-            if (X[u[r]] == X[v[r]]).all():
-                raise ZeroOneError("crossing patterns are defined for distinct tables")
-            return *divmod(int(u[r]), m), int(v[r]) % m
+    Q, u, v = cfg.swaps, np.array(x.values), np.array(y.values)
+    for direction, gt, lt in ((1, u > v, u < v), (-1, u < v, u > v)):
+        hit = gt[Q[:, 0]] & gt[Q[:, 1]] & lt[Q[:, 2]] & (weak | ~gt[Q[:, 3]])
+        if hit.any():
+            return tuple(Q[hit.argmax()].tolist()), direction
     return None
+
+
+def _crossings(X: np.ndarray, Q: np.ndarray, weak: bool):
+    """``(L, R)``, float32, of the 0/1 rows ``X``: some swap of ``Q`` crosses
+    from u to v (:func:`check_crossing`) iff ``L[u] · R[v] > 0``.  Weak:
+    ``Lw = u1 u2 (1 - u3)``, ``Rw = (1 - v1) (1 - v2) v3``; strong adds
+    u4 <= v4, so each swap gives ``[Lw (1 - u4), Lw u4]`` and ``[Rw, Rw v4]``."""
+    x1, x2, x3, x4 = X.astype(bool)[:, Q].transpose(2, 0, 1)
+    L, R = x1 & x2 & ~x3, ~x1 & ~x2 & x3
+    if not weak:
+        L, R = np.hstack([L & ~x4, L & x4]), np.hstack([R, R & x4])
+    return L.astype(np.float32), R.astype(np.float32)
 
 
 def uncrossed_pair(fiber, cfg: Configuration, weak: bool = False):
     """The first pair ``(x, y)``, in node order, of ``fiber`` (zero-one Tables or
     an (m, n) 0/1 array of one key) with no strong (``weak``: weak) crossing, or None."""
     X = _fiber_bits(fiber, cfg)
-    pair = _uncrossed(X, 1, cfg.swaps, weak)
+    pair = _far_pair(*_crossings(X, cfg.swaps, weak), 1, False) if len(X) > 1 else None
+    if pair and (X[pair[1]] == X[pair[2]]).all():
+        raise ZeroOneError("crossing patterns are defined for distinct tables")
     return pair and _members(fiber, X, pair[1:])
 
 
@@ -328,9 +324,9 @@ def sweep_crossing(cfg: Configuration, weak: bool = False, max_cells: int = 24):
     """:func:`uncrossed_pair` on every fiber of the 2^n tables of ``cfg``
     (:func:`_first_failing`): ``(True, None)`` or ``(False, key)``."""
     groups = _cube_fibers(cfg, max_cells)  # first: a refused sweep builds no swaps
-    Q = cfg.swaps
+    n, Q = cfg.n_cells, cfg.swaps
     return _first_failing(cfg, groups, f"{'weak' if weak else 'strong'} crossing", 2 * len(Q),
-                          lambda B, F: _uncrossed(unpack_bits(B, cfg.n_cells), F, Q, weak))
+                          lambda B, F: _far_pair(*_crossings(unpack_bits(B, n), Q, weak), F, False))
 
 
 def check_generalized_crossing(b: MoveSet, b0: MoveSet):

@@ -336,6 +336,26 @@ class TestCheck:
                              "--moves", "basic", "--sweep", *argv[1:])
         assert code == 2 and message in err and out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (("generalized", "--t", "/nonexistent.txt"), "check --t does not apply"),
+        (("generalized", "--from-table", "/nonexistent.txt"), "check --from-table does not apply"),
+        (("generalized", "--strong"), "check --strong does not apply"),
+        (("strong", "--sweep", "--strong"), "--condition strong"),
+        (("weak", "--sweep", "--strong"), "--condition weak"),
+        (("weak", "--t", "/nonexistent.txt", "--strong"), "--strong does not apply"),
+    ], ids=["generalized-t", "generalized-from-table", "generalized-strong", "strong-strong",
+            "weak-strong", "weak-strong-t"])
+    def test_refuses_options_its_condition_ignores(self, capsys, monkeypatch, argv, message):
+        # refused before the model is built or a file is read
+        def build(args):
+            raise AssertionError("model built before the refusal")
+
+        monkeypatch.setattr(zeroone.cli, "build_model", build)
+        code, out, err = run(capsys, "check", "--model", "complete-indep", "--dims", "2,2,2",
+                             "--moves", "deg2-patterns", "--max-degree", "2",
+                             "--condition", *argv)
+        assert code == 2 and message in err and out == ""
+
     def test_generalized(self, capsys):
         code, out, _ = run(
             capsys,

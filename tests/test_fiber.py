@@ -254,6 +254,13 @@ class TestCrossing:
         with pytest.raises(ZeroOneError):
             check_crossing(Table((1, 0, 0, 1)), Table((1, 0, 0, 1)), cfg)
 
+    def test_lengths_checked(self):
+        cfg = build_two_way_independence(2, 2)
+        for x, y in [((1, 0, 0, 1, 1), (0, 1, 1, 0, 0)), ((1, 0, 0, 1), (0, 1, 1, 0, 0)),
+                     ((1, 0, 0), (0, 1, 1, 0))]:
+            with pytest.raises(LengthMismatchError, match="space has 4 cells"):
+                check_crossing(Table(x), Table(y), cfg)
+
     def test_uncrossed_pair_returns_members(self):
         cfg = build_quasi_independence(3, 3, off_diagonal(3))
         fiber = enumerate_zero_one_fiber(cfg, (1,) * 6)
@@ -353,6 +360,30 @@ class TestCrossingAgainstBruteForce:
         assert found == outcomes
 
 
+class TestCrossingFeatures:
+    """On zero-one tables some swap crosses from u to v iff ``L[u] · R[v] > 0``
+    for the features ``(L, R)`` of ``fiber._crossings``: tables of any key,
+    so that the strong split shows where strong and weak differ."""
+
+    @pytest.mark.parametrize(
+        "cfg", [build_two_way_independence(3, 4), build_complete_independence((2, 2, 3))],
+        ids=["two-way-3x4", "complete-2x2x3"])
+    def test_product_matches_the_comparison_form(self, cfg):
+        rng = np.random.Generator(np.random.PCG64(5))
+        X = np.unique(rng.integers(0, 2, size=(60, cfg.n_cells), dtype=np.uint8), axis=0)
+        tables = [Table(x) for x in X.tolist()]
+        crosses = {}
+        for weak in (False, True):
+            L, R = fiber_module._crossings(X, cfg.swaps, weak)
+            crosses[weak] = L @ R.T > 0
+            for u, v in itertools.permutations(range(len(X)), 2):
+                found = check_crossing(tables[u], tables[v], cfg, weak)
+                assert crosses[weak][u, v] == (found is not None and found[1] == 1)
+        # strong implies weak, and some pairs cross only weakly
+        assert (crosses[True] >= crosses[False]).all()
+        assert (crosses[True] > crosses[False]).sum() > 100
+
+
 def off_diagonal(n):
     return {(i, j) for i in range(n) for j in range(n) if i != j}
 
@@ -373,7 +404,7 @@ class TestSweepAgainstPerFiberLoop:
     """The first uncrossed pair of every fiber of ``iter_fibers``, and with
     it the first failing key, against the per-fiber loop, and the batched
     :func:`sweep_crossing` against both; ``_CHUNK`` is then small, so a
-    fiber spans many tiles and a size class many batches."""
+    fiber spans several row tiles of the pair kernel."""
 
     @pytest.mark.parametrize(
         "cfg,first_failing",
@@ -393,33 +424,30 @@ class TestSweepAgainstPerFiberLoop:
     def test_first_uncrossed_pair(self, cfg, first_failing, weak, monkeypatch):
         verdict = (first_failing is None, first_failing)
         assert sweep_crossing(cfg, weak) == verdict
-        monkeypatch.setattr(fiber_module, "_CHUNK", 7 * max(1, len(cfg.swaps)))
-        step = 3 if len(cfg.swaps) else 7  # pairs per tile: 3 of 6 = 2 * 3 grid cells of m^2
-        tiles, fibers = [], 0
-        kernel = fiber_module._first_crossings
-        monkeypatch.setattr(fiber_module, "_first_crossings",
-                            lambda U, *rest: tiles.append(len(U)) or kernel(U, *rest))
-        first = None
-        for key, X in iter_fibers(cfg):
-            want = brute_uncrossed([Table(x) for x in X.tolist()], cfg, weak)
-            assert uncrossed_pair(X, cfg, weak) == want
-            fibers += len(X) > 1
-            if want is not None and first is None:
-                first = key
-        assert first == first_failing
-        # no tile holds more than its budget of pairs, and some fiber spans
-        # several (without swaps, each fiber stops at its first pair)
-        assert max(tiles) <= step and (len(tiles) > fibers or len(cfg.swaps) == 0)
-        # one fiber per batch, so a size class of several fibers spans as
-        # many; a passing sweep takes each fiber of two or more tables once
-        batches, uncrossed = [], fiber_module._uncrossed
-        monkeypatch.setattr(fiber_module, "_uncrossed", lambda X, F, *rest: (
-            batches.append((len(X) // F, F)) or uncrossed(X, F, *rest)))
-        assert sweep_crossing(cfg, weak) == verdict
-        assert {F for _, F in batches} == {1}
-        if first_failing is None:
-            sizes = sorted(len(X) for _, X in iter_fibers(cfg) if len(X) > 1)
-            assert [m for m, _ in batches] == sizes and len(sizes) > len(set(sizes))
+        fibers = [(key, X) for key, X in iter_fibers(cfg)]
+        wants = [brute_uncrossed([Table(x) for x in X.tolist()], cfg, weak) for _, X in fibers]
+        assert next((key for (key, _), want in zip(fibers, wants) if want), None) == first_failing
+        calls, kernel = [], fiber_module._far_pair  # (m, F) per call of the pair kernel
+        monkeypatch.setattr(fiber_module, "_far_pair", lambda L, R, F, both: (
+            calls.append((len(L) // F, F)) or kernel(L, R, F, both)))
+        sizes = sorted(len(X) for _, X in fibers if len(X) > 1)
+        for chunk in (1, 7, 100):
+            monkeypatch.setattr(fiber_module, "_CHUNK", chunk)
+            calls.clear()
+            assert [uncrossed_pair(X, cfg, weak) for _, X in fibers] == wants
+            # one call per fiber of two or more tables, in row tiles of
+            # chunk // m rows: at chunk 1 a fiber spans one tile per row
+            assert calls == [(len(X), 1) for _, X in fibers if len(X) > 1]
+            tiles = max(-(-m // max(1, chunk // m)) for m, _ in calls)
+            assert tiles > 1 or chunk > 1
+            # one fiber per batch, sizes ascending; a passing sweep takes
+            # each fiber of two or more tables once
+            calls.clear()
+            assert sweep_crossing(cfg, weak) == verdict
+            assert {F for _, F in calls} == {1}
+            assert [m for m, _ in calls] == sorted(m for m, _ in calls)
+            if first_failing is None:
+                assert [m for m, _ in calls] == sizes and len(sizes) > len(set(sizes))
 
     def test_debug_record_per_call(self, caplog):
         passing = build_two_way_independence(2, 2)
@@ -821,6 +849,8 @@ class TestKernelAgainstBruteForce:
         swaps = basic_moves_two_way(2, 33)
         for b in (swaps, MoveSet.build(swaps.moves[::3], swaps.provenance[::3], cfg)):
             assert_kernel_matches_brute_force(fiber, b)
+        for weak in (False, True):
+            assert uncrossed_pair(fiber, cfg, weak) == brute_uncrossed(fiber, cfg, weak)
 
 
 def square_free_masks(b):
