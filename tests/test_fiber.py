@@ -424,7 +424,7 @@ class TestSweepAgainstPerFiberLoop:
     def test_first_uncrossed_pair(self, cfg, first_failing, weak, monkeypatch):
         verdict = (first_failing is None, first_failing)
         assert sweep_crossing(cfg, weak) == verdict
-        fibers = [(key, X) for key, X in iter_fibers(cfg)]
+        fibers = list(iter_fibers(cfg))
         wants = [brute_uncrossed([Table(x) for x in X.tolist()], cfg, weak) for _, X in fibers]
         assert next((key for (key, _), want in zip(fibers, wants) if want), None) == first_failing
         calls, kernel = [], fiber_module._far_pair  # (m, F) per call of the pair kernel
