@@ -249,12 +249,11 @@ def cmd_connect(args) -> int:
 
 
 def cmd_check(args) -> int:
-    # the options a condition would ignore, refused before the model is built
-    ignored = {"distance-reducing": (), "generalized": ("sweep", "t", "from_table", "strong")}
-    for opt in ignored.get(args.condition, ("strong",)):
-        if getattr(args, opt):
-            flag = "--" + opt.replace("_", "-")
-            raise ZeroOneError(f"check {flag} does not apply to --condition {args.condition}")
+    ignored = {"distance-reducing": (), "strong": ("strong",), "weak": ("strong",),
+               "generalized": ("sweep", "t", "from-table", "strong")}
+    for opt in ignored[args.condition]:
+        if getattr(args, opt.replace("-", "_")):
+            raise ZeroOneError(f"check --{opt} does not apply to --condition {args.condition}")
     cfg, max_cells = _sweep_model(args)
     b = resolve_moves(args.moves, cfg, args)
 

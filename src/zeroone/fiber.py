@@ -307,7 +307,8 @@ def _crossings(X: np.ndarray, Q: np.ndarray, weak: bool):
     L, R = x1 & x2 & ~x3, ~x1 & ~x2 & x3
     if not weak:
         L, R = np.hstack([L & ~x4, L & x4]), np.hstack([R, R & x4])
-    return L.astype(np.float32), R.astype(np.float32)
+    del x1, x2, x3, x4  # the gather goes before the casts, and L's bools before R's cast
+    return (L := L.astype(np.float32)), R.astype(np.float32)
 
 
 def uncrossed_pair(fiber, cfg: Configuration, weak: bool = False):

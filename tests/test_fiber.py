@@ -427,27 +427,48 @@ class TestSweepAgainstPerFiberLoop:
         fibers = list(iter_fibers(cfg))
         wants = [brute_uncrossed([Table(x) for x in X.tolist()], cfg, weak) for _, X in fibers]
         assert next((key for (key, _), want in zip(fibers, wants) if want), None) == first_failing
-        calls, kernel = [], fiber_module._far_pair  # (m, F) per call of the pair kernel
-        monkeypatch.setattr(fiber_module, "_far_pair", lambda L, R, F, both: (
-            calls.append((len(L) // F, F)) or kernel(L, R, F, both)))
+        calls, kernel = [], fiber_module._far_pair  # [m, F, rows per fiber of each product, pair]
+
+        class Tiles(np.ndarray):  # features whose products record their left operand
+            def __matmul__(self, other):
+                calls[-1][2].append(self.shape[1])
+                return np.asarray(self) @ np.asarray(other)
+
+        def spy(L, R, F, both):
+            calls.append([len(L) // F, F, [], None])
+            calls[-1][3] = kernel(L.view(Tiles), R.view(Tiles), F, both)
+            return calls[-1][3]
+
+        def tiled(chunk):
+            # tiles of at most chunk // (F m) rows per fiber, up to the one
+            # holding the first failing row; a tile of every row takes the
+            # transpose, any other tile two products
+            for m, F, rows, pair in calls:
+                step = max(1, chunk // (F * m))
+                assert max(rows) <= step
+                tiles = pair[1] // step + 1 if pair else -(-m // step)
+                assert len(rows) == (1 if step >= m else 2 * tiles)
+            return [(m, F) for m, F, *_ in calls]
+
+        monkeypatch.setattr(fiber_module, "_far_pair", spy)
         sizes = sorted(len(X) for _, X in fibers if len(X) > 1)
         for chunk in (1, 7, 100):
             monkeypatch.setattr(fiber_module, "_CHUNK", chunk)
             calls.clear()
             assert [uncrossed_pair(X, cfg, weak) for _, X in fibers] == wants
-            # one call per fiber of two or more tables, in row tiles of
-            # chunk // m rows: at chunk 1 a fiber spans one tile per row
-            assert calls == [(len(X), 1) for _, X in fibers if len(X) > 1]
-            tiles = max(-(-m // max(1, chunk // m)) for m, _ in calls)
-            assert tiles > 1 or chunk > 1
+            # one call per fiber of two or more tables; at chunk 1 a fiber
+            # with no uncrossed pair spans one row tile per member
+            assert tiled(chunk) == [(len(X), 1) for _, X in fibers if len(X) > 1]
+            assert chunk > 1 or first_failing or max(len(rows) for _, _, rows, _ in calls) > 2
             # one fiber per batch, sizes ascending; a passing sweep takes
             # each fiber of two or more tables once
             calls.clear()
             assert sweep_crossing(cfg, weak) == verdict
-            assert {F for _, F in calls} == {1}
-            assert [m for m, _ in calls] == sorted(m for m, _ in calls)
+            batches = tiled(chunk)
+            assert {F for _, F in batches} == {1}
+            assert [m for m, _ in batches] == sorted(m for m, _ in batches)
             if first_failing is None:
-                assert [m for m, _ in calls] == sizes and len(sizes) > len(set(sizes))
+                assert [m for m, _ in batches] == sizes and len(sizes) > len(set(sizes))
 
     def test_debug_record_per_call(self, caplog):
         passing = build_two_way_independence(2, 2)
