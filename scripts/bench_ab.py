@@ -12,6 +12,10 @@ pairs the runs of both sides by workload and seed and writes, per
 workload: the seeds, each end-to-end metric's runs, median and quartiles
 per side, the ratio of the medians, in how many pairs the change read
 lower, the failed operations, and each operation's median time per side.
+``setup_split`` holds the two parts of ``setup_s`` per side, each the
+median over runs of a run's median: ``import_s`` (the import probes) and
+``build_s`` (the workload's set-up), so that a ``setup_s`` ratio driven by
+import noise can be told from one driven by the build.
 ``--tier1`` takes the output of one Tier-1 pytest run per side and
 records its wall time and pass, skip and fail counts.  Traced runs
 (``--trace 1``, ``*-trace1.result.json``) of a workload and seed found on
@@ -88,6 +92,9 @@ def main(argv=None) -> int:
             "failed": {"parent": sorted({op for x in A for op in x["failed"]}),
                        "change": sorted({op for y in B for op in y["failed"]})},
             "metrics": {},
+            "setup_split": {part: {name: statistics.median(statistics.median(r[part]) for r in runs)
+                                   for name, runs in (("parent", A), ("change", B))}
+                            for part in ("import_s", "build_s")},
             "op_medians": {},
         }
         for m in METRICS:

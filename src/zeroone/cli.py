@@ -17,6 +17,7 @@ from . import fileio
 from .cells import CellSpace, Table  # Table: perfbench counts the calls of cli.Table
 from .errors import BudgetExhaustedError, CapExceededError, ZeroOneError
 from .fiber import (
+    DEFAULT_CAP,
     build_fiber_graph,
     check_distance_reducing,
     check_generalized_crossing,
@@ -78,8 +79,11 @@ def _parse_dims(s):
 
 
 def build_model(args):
-    dims = _parse_dims(args.dims) if args.dims else None
     name = args.model
+    for opt, model in (("zeros", "quasi-indep"), ("constant_item_param", "many-facet-rasch")):
+        if getattr(args, opt) and name != model:
+            raise ZeroOneError(f"--{opt.replace('_', '-')} applies to {model} only, not {name}")
+    dims = _parse_dims(args.dims) if args.dims else None
     if name == "two-way-indep":
         if dims is None or len(dims) != 2:
             raise ZeroOneError("two-way-indep needs --dims I,J")
@@ -102,7 +106,7 @@ def build_model(args):
     if name == "many-facet-rasch":
         if dims is None:
             raise ZeroOneError("many-facet-rasch needs --dims")
-        return build_many_facet_rasch(dims, getattr(args, "constant_item_param", False))
+        return build_many_facet_rasch(dims, args.constant_item_param)
     raise ZeroOneError(f"unknown model {name!r}")
 
 
@@ -185,13 +189,16 @@ def _get_key(args, cfg):
 def cmd_graver(args) -> int:
     if args.max_degree is not None and not args.square_free:
         raise ZeroOneError("graver --max-degree needs --square-free")
+    if args.max_degree is not None and args.budget is not None:
+        raise ZeroOneError("graver --budget does not apply to --max-degree (fiber pairing)")
     cfg = build_model(args)
     if args.lawrence:
         cfg = lawrence_lift(cfg)
     if args.max_degree is not None:
         b = square_free_graver(cfg, args.max_degree)
     else:
-        b = graver_basis(cfg, max_candidates=args.budget)
+        budget = {} if args.budget is None else {"max_candidates": args.budget}
+        b = graver_basis(cfg, **budget)
         if args.square_free:
             b = square_free_subset(b)
     if args.prune:
@@ -206,6 +213,11 @@ def cmd_graver(args) -> int:
     return EXIT_PASS
 
 
+def _cap(args) -> int:
+    """``--cap``, else :data:`~zeroone.fiber.DEFAULT_CAP`."""
+    return DEFAULT_CAP if args.cap is None else args.cap
+
+
 def _sweep_model(args):
     """The model, and with ``--sweep`` the most cells its 2^n tables may have
     within ``--cap`` (else None).  A sweep covers every fiber: a key, or a
@@ -214,12 +226,12 @@ def _sweep_model(args):
     if args.sweep and (args.t or args.from_table):
         raise ZeroOneError(f"{args.cmd} --sweep covers every fiber: "
                            "it takes no --t or --from-table")
-    if args.sweep and args.cap < 2:  # no model has fewer than 2^1 tables
+    if args.sweep and _cap(args) < 2:  # no model has fewer than 2^1 tables
         raise ZeroOneError(f"cap must be at least 2 with --sweep, got {args.cap}")
     cfg = build_model(args)
     if not args.sweep:
         return cfg, None
-    max_cells = args.cap.bit_length() - 1
+    max_cells = _cap(args).bit_length() - 1
     check_sweep_cells(cfg, max_cells)
     return cfg, max_cells
 
@@ -236,7 +248,7 @@ def cmd_connect(args) -> int:
         print(f"components: {rep.n_components}")
         return EXIT_PASS if rep.all_connected else EXIT_FAIL
     t = _get_key(args, cfg)
-    fiber = enumerate_zero_one_fiber(cfg, t, cap=args.cap)
+    fiber = enumerate_zero_one_fiber(cfg, t, cap=_cap(args))
     graph = build_fiber_graph(fiber, b)
     print(f"fiber size: {len(fiber)}")
     print(f"components: {graph.n_components}")
@@ -250,9 +262,10 @@ def cmd_connect(args) -> int:
 
 def cmd_check(args) -> int:
     ignored = {"distance-reducing": (), "strong": ("strong",), "weak": ("strong",),
-               "generalized": ("sweep", "t", "from-table", "strong")}
+               "generalized": ("sweep", "t", "from-table", "strong", "cap")}
     for opt in ignored[args.condition]:
-        if getattr(args, opt.replace("-", "_")):
+        given = getattr(args, opt.replace("-", "_"))
+        if given is not None and given is not False:
             raise ZeroOneError(f"check --{opt} does not apply to --condition {args.condition}")
     cfg, max_cells = _sweep_model(args)
     b = resolve_moves(args.moves, cfg, args)
@@ -277,7 +290,7 @@ def cmd_check(args) -> int:
             print(passed if ok else f"no {args.condition} crossing for a pair in key {key}")
         return EXIT_PASS if ok else EXIT_FAIL
 
-    fiber = enumerate_zero_one_fiber(cfg, _get_key(args, cfg), cap=args.cap)
+    fiber = enumerate_zero_one_fiber(cfg, _get_key(args, cfg), cap=_cap(args))
     if args.condition == "distance-reducing":
         pair = check_distance_reducing(b, fiber, args.strong)[1]
         head, passed = "counterexample pair:", "distance reducing on this fiber"
@@ -318,7 +331,7 @@ def _trace_text(stats) -> str:
 
 
 def cmd_sample(args) -> int:
-    if args.cap <= 0:  # refused before the walk, not after its lines are printed
+    if _cap(args) <= 0:  # refused before the walk, not after its lines are printed
         raise ZeroOneError(f"cap must be positive, got {args.cap}")
     cfg = build_model(args)
     b = resolve_moves(args.moves, cfg, args)
@@ -345,7 +358,7 @@ def cmd_sample(args) -> int:
         print(f"wrote {args.trace}")
     if args.verify_exact:
         t = cfg.sufficient_stat(x0)
-        fiber = enumerate_zero_one_fiber(cfg, t, cap=args.cap)
+        fiber = enumerate_zero_one_fiber(cfg, t, cap=_cap(args))
         sf = resolve_statistic(cfg, stat, t)
         obs = sf(x0.values)
         exact_p = sum(1 for x in fiber if at_least_as_extreme(sf(x.values), obs)) / len(fiber)
@@ -389,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
                         choices=["two-way-indep", "complete-indep", "quasi-indep",
                                  "ntfi", "many-facet-rasch"])
         sp.add_argument("--dims")
-        sp.add_argument("--zeros", help="structural-zero mask file")
+        sp.add_argument("--zeros", help="structural-zero mask file; quasi-indep only")
         sp.add_argument("--constant-item-param", action="store_true")
 
     def add_key(sp):
@@ -397,7 +410,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--from-table")
         sp.add_argument("--sweep", action="store_true",
                         help="every fiber: all 2^n tables of the model, grouped by key")
-        sp.add_argument("--cap", type=int, default=5_000_000,
+        sp.add_argument("--cap", type=int,
                         help="most tables to enumerate; with --sweep, the 2^n tables of the model")
 
     def add_moves(sp, note=""):
@@ -414,7 +427,7 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-degree", type=int,
                    help="with --square-free: the largest degree, by fiber pairing, not completion")
     g.add_argument("--lawrence", action="store_true")
-    g.add_argument("--budget", type=int, default=2_000_000)
+    g.add_argument("--budget", type=int, help="most candidates the completion pops")
     g.add_argument("--out")
     g.set_defaults(fn=cmd_graver)
 
@@ -446,7 +459,7 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--thinning", type=int, default=1)
     s.add_argument("--trace")
     s.add_argument("--verify-exact", action="store_true")
-    s.add_argument("--cap", type=int, default=5_000_000)
+    s.add_argument("--cap", type=int)
     s.set_defaults(fn=cmd_sample)
 
     l = sub.add_parser("latin", help="sample random Latin squares")

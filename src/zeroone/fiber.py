@@ -77,20 +77,17 @@ def enumerate_zero_one_fiber(
     if all(lo <= v <= hi for v, (lo, hi) in zip(t, ranges)):
         nodes = 1
         resid, x = list(t), [0] * n
-        # branch[p]: the next branch to try at cell p, 2 once both are tried
-        branch = [0] * n
-        p = 0
+        p, down = 0, True  # down: cell p is reached from p - 1, not from p + 1
         while p >= 0:
             if p == n:
                 if len(out) >= cap:
                     capped = True
                     break
                 out.append(Table(tuple(x)))
-                p -= 1
+                p, down = p - 1, False
                 continue
             rows = touched[p]
-            if branch[p] == 0:
-                branch[p] = 1
+            if down:  # branch 0
                 for r, _, lo, hi in rows:
                     if not lo <= resid[r] <= hi:
                         pruned += 1
@@ -99,8 +96,11 @@ def enumerate_zero_one_fiber(
                     nodes += 1
                     p += 1
                     continue
-            if branch[p] == 1:
-                branch[p] = 2
+            if x[p]:  # both branches tried: undo 1
+                for r, a, _, _ in rows:
+                    resid[r] += a
+                x[p] = 0
+            else:  # branch 1
                 for r, a, lo, hi in rows:
                     if not lo <= resid[r] - a <= hi:
                         pruned += 1
@@ -110,14 +110,9 @@ def enumerate_zero_one_fiber(
                         resid[r] -= a
                     x[p] = 1
                     nodes += 1
-                    p += 1
+                    p, down = p + 1, True
                     continue
-            elif x[p]:
-                for r, a, _, _ in rows:
-                    resid[r] += a
-                x[p] = 0
-            branch[p] = 0
-            p -= 1
+            p, down = p - 1, False
     else:
         pruned = 1
     _LOG.debug(

@@ -3,10 +3,13 @@ structural zeros, the n x n x n no-three-factor-interaction swaps, the
 3x3x3 families and the 4x4x4 degree-8 transposition moves.
 
 Each family builds its model, writes its moves as the rows of one int8
-array (from arrays of cell indices, or as the symmetry orbit of one cycle
-move) and binds them to the model with one
-:meth:`~zeroone.graver.MoveSet.build`.  Families are combined only by
-:meth:`~zeroone.graver.MoveSet.union`, which binds nothing again.
+array and binds them to the model with one
+:meth:`~zeroone.graver.MoveSet.build`.  Loops are listed box by box from
+arrays of cell indices; every symmetric family (the NTFI swaps and cycle
+moves, the degree-2 moves of complete independence) is the
+:func:`~zeroone.graver.symmetry_orbit` of its representatives.
+Families are combined only by :meth:`~zeroone.graver.MoveSet.union`,
+which binds nothing again.
 """
 from __future__ import annotations
 
@@ -94,17 +97,13 @@ def _cycle_orbit(n: int, r: int, k: int, tag: str) -> MoveSet:
 
 def ntfi_333_moves(level: str = "basic+deg6+deg9") -> MoveSet:
     """The 3x3x3 no-three-factor-interaction families named in ``level``,
-    joined by ``+``: ``basic`` (degree 4), ``deg6`` and ``deg9``, the last
-    two symmetry orbits of cycle moves; their union."""
-    families = {
-        "basic": lambda: ntfi_basic_moves(3),
-        "deg6": lambda: _cycle_orbit(3, 3, 2, "deg6"),
-        "deg9": lambda: _cycle_orbit(3, 3, 3, "deg9"),
-    }
+    joined by ``+``: ``basic`` (degree 4), ``deg6`` and ``deg9``, each the
+    orbit of a cycle move on r levels and k slices; their union."""
+    cycles = {"basic": (2, 2), "deg6": (3, 2), "deg9": (3, 3)}  # (r, k)
     wanted = level.split("+")
-    if any(w not in families for w in wanted):
+    if any(w not in cycles for w in wanted):
         raise DimensionError(f"unknown move level {level!r}")
-    return functools.reduce(MoveSet.union, (families[w]() for w in wanted))
+    return functools.reduce(MoveSet.union, (_cycle_orbit(3, *cycles[w], w) for w in wanted))
 
 
 def degree8_moves_4x4() -> MoveSet:
@@ -123,29 +122,19 @@ _DEG2_PATTERN = np.array([(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)])
 
 
 def degree2_threeway_patterns(dims) -> MoveSet:
-    """All degree-2 moves of three-way complete independence: one sign
-    pattern swept over every order of the axes."""
+    """All degree-2 moves of three-way complete independence: the symmetry
+    orbit of one sign pattern in every order of the axes."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 2 for d in dims):
         raise DimensionError(f"need three dims >= 2, got {dims}")
     cfg = build_complete_independence(dims)
-    blocks = []
-    for axes in itertools.permutations(range(3)):
-        a, b, c = (range(dims[k]) for k in axes)
-        pairs = itertools.product(itertools.permutations(a, 2), itertools.product(b, repeat=2),
-                                  itertools.permutations(c, 2))
-        P = np.array(list(pairs))  # (level pair on a, on b, on c) per row
-        levels = P[:, np.arange(3), _DEG2_PATTERN][..., np.argsort(axes)]  # (row, cell, axis)
-        blocks.append(np.ravel_multi_index(tuple(np.moveaxis(levels, -1, 0)), dims))
-    return MoveSet.build(_signed_rows(np.concatenate(blocks), cfg.n_cells), "deg2-pattern", cfg)
+    # (a, b, c) is ``axes``; b = 1 gives y != y', b = 0 gives y = y'
+    reps = [np.ravel_multi_index(tuple((_DEG2_PATTERN * (1, b, 1))[:, np.argsort(axes)].T), dims)
+            for axes in itertools.permutations(range(3)) for b in (1, 0)]
+    V = symmetry_orbit(_signed_rows(np.array(reps), cfg.n_cells), cfg)
+    return MoveSet.build(V, "deg2-pattern", cfg)
 
 
 def ntfi_basic_moves(n: int) -> MoveSet:
-    """Degree-4 swap moves of the n x n x n NTFI model (2x2x2 sign patterns)."""
-    cfg = build_ntfi(n)
-    E = np.eye(n, dtype=np.int8)
-    D = np.array([E[a] - E[b] for a, b in itertools.combinations(range(n), 2)])
-    # the swap on levels (i1, i2) x (j1, j2) x (k1, k2) is the outer product
-    # of e_i1 - e_i2, e_j1 - e_j2 and e_k1 - e_k2
-    V = np.einsum("ai,bj,ck->abcijk", D, D, D).reshape(-1, n**3)
-    return MoveSet.build(V, "basic", cfg)
+    """Degree-4 swap moves of the n x n x n NTFI model: the 2x2x2 cycle orbit."""
+    return _cycle_orbit(n, 2, 2, "basic")

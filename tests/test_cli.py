@@ -340,11 +340,13 @@ class TestCheck:
         (("generalized", "--t", "/nonexistent.txt"), "check --t does not apply"),
         (("generalized", "--from-table", "/nonexistent.txt"), "check --from-table does not apply"),
         (("generalized", "--strong"), "check --strong does not apply"),
+        (("generalized", "--cap", "1"), "check --cap does not apply"),
+        (("generalized", "--cap", "0"), "check --cap does not apply"),
         (("strong", "--sweep", "--strong"), "--condition strong"),
         (("weak", "--sweep", "--strong"), "--condition weak"),
         (("weak", "--t", "/nonexistent.txt", "--strong"), "--strong does not apply"),
-    ], ids=["generalized-t", "generalized-from-table", "generalized-strong", "strong-strong",
-            "weak-strong", "weak-strong-t"])
+    ], ids=["generalized-t", "generalized-from-table", "generalized-strong", "generalized-cap",
+            "generalized-cap-zero", "strong-strong", "weak-strong", "weak-strong-t"])
     def test_refuses_options_its_condition_ignores(self, capsys, monkeypatch, argv, message):
         # refused before the model is built or a file is read
         def build(args):
@@ -676,6 +678,22 @@ class TestUsage:
         code, out, err = run(capsys, "graver", "--model", *argv)
         assert code == 2 and message in err and out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (("connect", "--model", "two-way-indep", "--dims", "3,3", "--zeros", "/nonexistent.txt",
+          "--moves", "basic", "--sweep"), "--zeros applies to quasi-indep only"),
+        (("graver", "--model", "complete-indep", "--dims", "2,2,3", "--constant-item-param"),
+         "--constant-item-param applies to many-facet-rasch only"),
+        (("graver", "--model", "complete-indep", "--dims", "2,2,3", "--square-free",
+          "--max-degree", "3", "--budget", "1"), "graver --budget does not apply to --max-degree"),
+    ], ids=["zeros", "constant-item-param", "budget-with-max-degree"])
+    def test_refuses_options_the_run_would_ignore(self, capsys, monkeypatch, argv, message):
+        # refused before the model is built or a file is read
+        for name in ("build_two_way_independence", "build_complete_independence"):
+            monkeypatch.setattr(zeroone.cli, name,
+                                lambda *a: pytest.fail("model built before the refusal"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and message in err and out == ""
+
     def test_unknown_statistic_exits_two(self, capsys, tmp_path):
         x = tmp_path / "x.txt"
         fileio.write_table(x, Table((1, 0, 0, 1)))
@@ -803,10 +821,12 @@ class TestResolveMoves:
 
     @staticmethod
     def parse(tmp_path, model, spec):
-        zeros = tmp_path / "zeros.txt"
-        fileio.write_mask(zeros, [(i, i) for i in range(4)])
+        zeros = ()
+        if model[0] == "quasi-indep":  # any other model refuses --zeros
+            zeros = ("--zeros", str(tmp_path / "zeros.txt"))
+            fileio.write_mask(zeros[1], [(i, i) for i in range(4)])
         return make_parser().parse_args([
-            "connect", "--model", model[0], "--dims", model[1], "--zeros", str(zeros),
+            "connect", "--model", model[0], "--dims", model[1], *zeros,
             "--moves", spec, "--max-degree", "3", "--t", "t.txt",
         ])
 

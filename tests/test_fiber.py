@@ -116,6 +116,24 @@ class TestEnumeration:
             "1 tables found, cap reached",
         ]
 
+    @pytest.mark.parametrize(
+        "cfg,key,line",
+        [
+            (Configuration(CellSpace((6,)), ((1, 1, 1, 1, 1, 1), (2, -1, 0, 1, -2, 1))), (3, 0),
+             "fiber enumeration: 6 cells, 2 rows, 39 nodes visited, 32 branches pruned, "
+             "4 tables found"),
+            # cell 1 is in no row: both of its branches are taken under every node
+            (Configuration(CellSpace((4,)), ((1, 0, 1, 1), (0, 0, 1, -1))), (1, 0),
+             "fiber enumeration: 4 cells, 2 rows, 15 nodes visited, 12 branches pruned, "
+             "2 tables found"),
+        ],
+        ids=["signed-6", "zero-column"],
+    )
+    def test_debug_counters(self, cfg, key, line, caplog):
+        with caplog.at_level(logging.DEBUG, logger="zeroone.fiber"):
+            enumerate_zero_one_fiber(cfg, key)
+        assert [r.getMessage() for r in caplog.records if r.name == "zeroone.fiber"] == [line]
+
 
 class TestEnumerationAgainstBruteForce:
     @pytest.mark.parametrize(
@@ -482,6 +500,35 @@ class TestSweepAgainstPerFiberLoop:
             "strong crossing sweep: 16 tables, 15 fibers, first failing fiber None",
             f"weak crossing sweep: 64 tables, 63 fibers, first failing fiber {index}",
         ]
+
+
+class TestStrongAgainstWeak:
+    """Signed matrices on which the strong and the weak crossing patterns
+    differ, inside one fiber and at the level of a sweep's verdict: a check
+    that builds strong features as weak fails both."""
+
+    def test_fiber_with_only_weak_crossings(self):
+        A = ((1,) * 10, (-1, 1, -1, 2, 2, 1, 0, 2, 1, 0), (0, 0, 2, -1, -1, 1, 0, 2, -1, 2))
+        cfg = Configuration(CellSpace((10,)), A)
+        fiber = enumerate_zero_one_fiber(cfg, (3, 1, 2))
+        strong = uncrossed_pair(fiber, cfg)
+        assert [x.values for x in strong] == [(0, 0, 1, 0, 0, 1, 0, 0, 1, 0),
+                                              (0, 1, 0, 0, 0, 0, 1, 0, 0, 1)]
+        assert uncrossed_pair(fiber, cfg, weak=True) is None
+        for weak, got in ((False, strong), (True, None)):
+            assert brute_uncrossed(fiber, cfg, weak) == got
+
+    def test_sweep_verdicts_differ(self):
+        # the first of three such models in 170 drawn at random (seed 31): 6 to
+        # 12 cells, a first row of ones and the other entries in -1..2
+        A = ((1,) * 6, (-1, 0, -1, 2, 1, -1), (0, -1, -1, -1, 0, 1))
+        cfg = Configuration(CellSpace((6,)), A)
+        assert sweep_crossing(cfg) == (False, (3, 0, -1))
+        assert sweep_crossing(cfg, weak=True) == (True, None)
+        x, y = enumerate_zero_one_fiber(cfg, (3, 0, -1))
+        assert (x.values, y.values) == ((0, 0, 1, 1, 0, 1), (1, 1, 0, 0, 1, 0))
+        assert check_crossing(x, y, cfg) is None
+        assert check_crossing(x, y, cfg, weak=True) == ((1, 4, 3, 0), -1)
 
 
 class TestCrossingBeyondZeroOne:

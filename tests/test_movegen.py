@@ -239,10 +239,16 @@ class TestCycleOrbits:
     def test_basic_is_the_orbit_of_its_table(self):
         assert same_moves(ntfi_333_moves("basic"), brute_orbit(NTFI_BASIC, "basic", build_ntfi(3)))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_basic_is_the_two_by_two_cycle_orbit(self, n):
-        got, want = _cycle_orbit(n, 2, 2, "basic"), ntfi_basic_moves(n)
-        assert got.matrix.tobytes() == want.matrix.tobytes() and same_moves(got, want)
+        # reference: the swap on levels (i1, i2) x (j1, j2) x (k1, k2) is the
+        # outer product of e_i1 - e_i2, e_j1 - e_j2 and e_k1 - e_k2
+        E = np.eye(n, dtype=np.int8)
+        D = np.array([E[a] - E[b] for a, b in itertools.combinations(range(n), 2)])
+        V = np.einsum("ai,bj,ck->abcijk", D, D, D).reshape(-1, n**3)
+        got, want = ntfi_basic_moves(n), MoveSet.build(V, "basic", build_ntfi(n))
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.provenance == want.provenance == ("basic",) * math.comb(n, 2) ** 3
 
 
 class TestDegree8Moves:

@@ -10,15 +10,18 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def fake_runs(directory, seeds, metrics, op_times, failed, mtimes):
+def fake_runs(directory, seeds, metrics, op_times, failed, mtimes, setups=None):
     """One ``*-trace0.result.json`` per seed of workload ``w``, as
-    ``perfbench/run.py --trace 0`` leaves them, with the given mtimes."""
+    ``perfbench/run.py --trace 0`` leaves them, with the given mtimes;
+    ``setups`` gives each run's ``(import_s, build_s)`` lists."""
     directory.mkdir()
-    for seed, m, ops, fail, mtime in zip(seeds, metrics, op_times, failed, mtimes):
+    setups = setups or [([0.1], [0.1])] * len(seeds)
+    for seed, m, ops, fail, mtime, (imports, builds) in zip(seeds, metrics, op_times, failed,
+                                                            mtimes, setups):
         path = directory / f"w-seed{seed}-trace0.result.json"
         path.write_text(json.dumps({
             "workload": "w", "seed": seed, "env": {"python": "3", "git_sha": str(directory)},
-            "rounds": 2, "op_times": ops, "failed": fail,
+            "rounds": 2, "op_times": ops, "failed": fail, "import_s": imports, "build_s": builds,
             "metrics": dict(zip(("wall_s", "setup_s", "peak_rss_mb"), m)),
         }))
         os.utime(path, (mtime, mtime))
@@ -29,10 +32,11 @@ def test_bench_ab(tmp_path):
     ops = [{"a": [1.0, None, 3.0], "b": [5.0]}, {"a": [4.0], "b": [7.0]}]
     # the parent ran first for seed 1 and second for seed 2
     fake_runs(tmp_path / "parent", [1, 2], [(1.0, 0.2, 40.0), (3.0, 0.4, 42.0)], ops,
-              [{}, {}], [100, 300])
+              [{}, {}], [100, 300],
+              [([0.25, 0.75, 0.5], [0.25]), ([0.125, 0.25, 1.0], [0.5, 1.0])])
     fake_runs(tmp_path / "change", [1, 2], [(0.5, 0.3, 41.0), (1.5, 0.3, 41.0)],
               [{"a": [1.0], "b": [1.0]}, {"a": [3.0], "b": [2.0, 4.0]}], [{}, {"b": "error"}],
-              [200, 250])
+              [200, 250], [([0.5, 0.5, 0.25], [0.125, 0.375]), ([1.0, 0.75, 0.25], [0.25])])
     (tmp_path / "p.txt").write_text("....\n705 passed in 27.00s\n")
     (tmp_path / "c.txt").write_text("..F.\n=== 703 passed, 2 failed, 1 skipped in 30.50s ===\n")
     out = tmp_path / "BENCH.json"
@@ -52,6 +56,9 @@ def test_bench_ab(tmp_path):
     assert wall["ratio_of_medians"] == 0.5 and wall["change_lower_in"] == "2 of 2"
     assert w["metrics"]["setup_s"]["change_lower_in"] == "1 of 2"
     assert w["metrics"]["peak_rss_mb"]["ratio_of_medians"] == 1.0
+    # per run the median of its import probes and of its builds, then the median of the runs
+    assert w["setup_split"] == {"import_s": {"parent": 0.375, "change": 0.625},
+                                "build_s": {"parent": 0.5, "change": 0.25}}
     # per run the median of the timed rounds, then the median of the runs
     assert w["op_medians"] == {"a": {"parent": 3.0, "change": 2.0},
                                "b": {"parent": 6.0, "change": 2.0}}
