@@ -128,9 +128,9 @@ def degree2_threeway_patterns(dims) -> MoveSet:
     if len(dims) != 3 or any(d < 2 for d in dims):
         raise DimensionError(f"need three dims >= 2, got {dims}")
     cfg = build_complete_independence(dims)
-    # (a, b, c) is ``axes``; b = 1 gives y != y', b = 0 gives y = y'
-    reps = [np.ravel_multi_index(tuple((_DEG2_PATTERN * (1, b, 1))[:, np.argsort(axes)].T), dims)
-            for axes in itertools.permutations(range(3)) for b in (1, 0)]
+    # axes[0..2] play a, b, c; y' = 1 gives y != y', y' = 0 one level of b
+    reps = [np.ravel_multi_index(tuple((_DEG2_PATTERN * (1, y1, 1))[:, np.argsort(axes)].T), dims)
+            for axes in itertools.permutations(range(3)) for y1 in (1, 0)]
     V = symmetry_orbit(_signed_rows(np.array(reps), cfg.n_cells), cfg)
     return MoveSet.build(V, "deg2-pattern", cfg)
 
