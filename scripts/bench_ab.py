@@ -12,6 +12,11 @@ pairs the runs of both sides by workload and seed and writes, per
 workload: the seeds, each end-to-end metric's runs, median and quartiles
 per side, the ratio of the medians, in how many pairs the change read
 lower, the failed operations, and each operation's median time per side.
+Each metric's ``parent_spread`` is (Q3 - Q1) / median of the parent's runs;
+it is ``resolved`` when that spread is within the metric's bound in
+``BENCHMARK.json``, or when every change run is better than every parent
+run.  An unresolved metric's ratio cannot tell a regression within its
+bound from noise.
 ``setup_split`` holds the two parts of ``setup_s`` per side, each the
 median over runs of a run's median: ``import_s`` (the import probes) and
 ``build_s`` (the workload's set-up), so that a ``setup_s`` ratio driven by
@@ -31,7 +36,7 @@ import statistics
 import sys
 from pathlib import Path
 
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def load(directory: Path, trace: int = 0) -> dict[tuple[str, int], dict]:
@@ -74,6 +79,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     a, b = load(args.parent), load(args.change)
     pairs = sorted(set(a) & set(b))
     if not pairs:
@@ -97,13 +103,18 @@ def main(argv=None) -> int:
                             for part in ("import_s", "build_s")},
             "op_medians": {},
         }
-        for m in METRICS:
-            pa, ch = [x["metrics"][m] for x in A], [y["metrics"][m] for y in B]
-            entry["metrics"][m] = {
-                "parent": summary(pa),
+        for m in metrics:
+            pa, ch = [x["metrics"][m["name"]] for x in A], [y["metrics"][m["name"]] for y in B]
+            parent = summary(pa)
+            spread = (parent["q3"] - parent["q1"]) / parent["median"]
+            dominates = max(ch) < min(pa) if m["better"] == "lower" else min(ch) > max(pa)
+            entry["metrics"][m["name"]] = {
+                "parent": parent,
                 "change": summary(ch),
                 "ratio_of_medians": statistics.median(ch) / statistics.median(pa),
                 "change_lower_in": f"{sum(y < x for x, y in zip(pa, ch))} of {len(keys)}",
+                "parent_spread": spread,
+                "resolved": spread <= m["bound"] or dominates,
             }
         for op in A[0]["op_times"]:
             entry["op_medians"][op] = {

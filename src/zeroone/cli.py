@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``graver``, ``connect``, ``check``, ``sample``, ``latin``.
-Exit codes: 0 pass/connected, 1 fail/disconnected, 2 usage error,
-3 budget or cap exhausted.
+Exit codes: 0 pass/connected, 1 fail/disconnected, 2 usage or file error,
+3 budget or cap exhausted; a 2 or a 3 comes before any result line.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fileio
 from .cells import CellSpace, Table  # Table: perfbench counts the calls of cli.Table
-from .errors import BudgetExhaustedError, CapExceededError, ZeroOneError
+from .errors import BudgetExhaustedError, ZeroOneError
 from .fiber import (
     DEFAULT_CAP,
     build_fiber_graph,
@@ -203,12 +203,12 @@ def cmd_graver(args) -> int:
             b = square_free_subset(b)
     if args.prune:
         b = prune_by_one_cancellation(b)
-    hist = degree_histogram(b)
-    print(f"moves: {len(b)}")
-    for d, c in hist.items():
-        print(f"degree {d}: {c}")
     if args.out:
         fileio.write_matrix(args.out, b.matrix)
+    print(f"moves: {len(b)}")
+    for d, c in degree_histogram(b).items():
+        print(f"degree {d}: {c}")
+    if args.out:
         print(f"wrote {args.out}")
     return EXIT_PASS
 
@@ -218,11 +218,19 @@ def _cap(args) -> int:
     return DEFAULT_CAP if args.cap is None else args.cap
 
 
+def _check_max_degree(args):
+    """Refuse ``--max-degree`` where no square-free Graver set reads it."""
+    if args.max_degree is not None and "square-free-graver" not in args.moves.split("+"):
+        if getattr(args, "condition", None) != "generalized":
+            raise ZeroOneError(f"{args.cmd} --max-degree applies only to square-free-graver moves")
+
+
 def _sweep_model(args):
     """The model, and with ``--sweep`` the most cells its 2^n tables may have
-    within ``--cap`` (else None).  A sweep covers every fiber: a key, or a
-    cap below two tables, is refused before the model is built, and too
-    many cells before the moves are resolved."""
+    within ``--cap`` (else None).  An unread ``--max-degree``, and with a sweep
+    (every fiber) a key or a cap below two tables, are refused before the
+    model is built, and too many cells before the moves are resolved."""
+    _check_max_degree(args)
     if args.sweep and (args.t or args.from_table):
         raise ZeroOneError(f"{args.cmd} --sweep covers every fiber: "
                            "it takes no --t or --from-table")
@@ -250,13 +258,13 @@ def cmd_connect(args) -> int:
     t = _get_key(args, cfg)
     fiber = enumerate_zero_one_fiber(cfg, t, cap=_cap(args))
     graph = build_fiber_graph(fiber, b)
+    if args.out:
+        fileio.write_matrix(args.out, [list(x.values) for x in fiber])
     print(f"fiber size: {len(fiber)}")
     print(f"components: {graph.n_components}")
     for k, comp in enumerate(graph.components):
         rep = fiber[comp[0]]
         print(f"component {k} (size {len(comp)}): {' '.join(str(v) for v in rep.values)}")
-    if args.out:
-        fileio.write_matrix(args.out, [list(x.values) for x in fiber])
     return EXIT_PASS if graph.connected else EXIT_FAIL
 
 
@@ -331,12 +339,18 @@ def _trace_text(stats) -> str:
 
 
 def cmd_sample(args) -> int:
-    if _cap(args) <= 0:  # refused before the walk, not after its lines are printed
-        raise ZeroOneError(f"cap must be positive, got {args.cap}")
+    if args.cap is not None and not args.verify_exact:
+        raise ZeroOneError("sample --cap applies only with --verify-exact")
+    _check_max_degree(args)
     cfg = build_model(args)
     b = resolve_moves(args.moves, cfg, args)
     x0 = fileio.read_table(args.start)
-    stat = _parse_stat(args.stat)
+    t = cfg.sufficient_stat(x0)
+    stat = resolve_statistic(cfg, _parse_stat(args.stat), t)
+    if args.verify_exact:  # the exact count finishes, or is refused, before the walk
+        obs = stat(x0.values)
+        scores = [stat(x.values) for x in enumerate_zero_one_fiber(cfg, t, cap=_cap(args))]
+        exact_p = np.mean(at_least_as_extreme(np.array(scores), obs))
     run = exact_test(
         cfg,
         x0,
@@ -347,6 +361,8 @@ def cmd_sample(args) -> int:
         thinning=args.thinning,
         seed=args.seed,
     )
+    if args.trace:
+        Path(args.trace).write_text(_trace_text(run.trajectory_stats))
     print(f"seed: {run.seed}")
     print(f"steps: {run.steps}  burn_in: {run.burn_in}  thinning: {run.thinning}")
     print(f"samples: {len(run.trajectory_stats)}")
@@ -354,20 +370,13 @@ def cmd_sample(args) -> int:
     print(f"observed_stat: {run.observed_stat:.10g}")
     print(f"p_value: {run.p_value_estimate:.6f}")
     if args.trace:
-        Path(args.trace).write_text(_trace_text(run.trajectory_stats))
         print(f"wrote {args.trace}")
     if args.verify_exact:
-        t = cfg.sufficient_stat(x0)
-        fiber = enumerate_zero_one_fiber(cfg, t, cap=_cap(args))
-        sf = resolve_statistic(cfg, stat, t)
-        obs = sf(x0.values)
-        exact_p = sum(1 for x in fiber if at_least_as_extreme(sf(x.values), obs)) / len(fiber)
-        n = len(run.trajectory_stats)
         # the walk's samples are correlated: the binomial error is several times too small
         se = batch_means_se(at_least_as_extreme(np.array(run.trajectory_stats), obs))
         diff = abs(run.p_value_estimate - exact_p)
         print(f"exact_p: {exact_p:.6f}  se: {se:.6f}  diff: {diff:.6f}")
-        if diff > 3 * se + 2 / n:
+        if diff > 3 * se + 2 / len(run.trajectory_stats):
             print("verify-exact: FAIL")
             return EXIT_FAIL
         print("verify-exact: ok")
@@ -474,14 +483,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BudgetExhaustedError, CapExceededError) as e:
+    except BudgetExhaustedError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except ZeroOneError as e:
+    except (ZeroOneError, OSError, UnicodeDecodeError) as e:  # a file error is a usage error
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

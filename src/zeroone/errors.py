@@ -29,18 +29,10 @@ class MixedFiberError(ZeroOneError):
     """Tables passed as one fiber do not share a sufficient statistic."""
 
 
-class CapExceededError(ZeroOneError):
-    """A fiber enumeration exceeded its node cap."""
-
-    def __init__(self, cap, message=None):
-        super().__init__(message or f"fiber enumeration exceeded cap of {cap} tables")
-        self.cap = cap
-
-
 class BudgetExhaustedError(ZeroOneError):
-    """A basis computation ran out of budget; carries the partial result."""
+    """An exhaustive routine ran out of its budget or cap; carries what it finished, or None."""
 
-    def __init__(self, partial, message="computation budget exhausted"):
+    def __init__(self, partial, message):
         super().__init__(message)
         self.partial = partial
 

@@ -35,7 +35,7 @@ from .cells import (
     unpack_bits,
 )
 from .errors import (
-    CapExceededError,
+    BudgetExhaustedError,
     LengthMismatchError,
     MixedFiberError,
     NoDecompositionError,
@@ -60,7 +60,8 @@ def enumerate_zero_one_fiber(
     touches leaves the range the later cells can still reach, so signed
     matrices are handled.  A row's range after its last nonzero cell is
     [0, 0], so every leaf is a solution.  Infeasible keys yield an empty
-    list; exceeding ``cap`` raises and a non-positive ``cap`` is refused.
+    list; exceeding ``cap`` raises :class:`BudgetExhaustedError` with the
+    first ``cap`` members, and a non-positive ``cap`` is refused.
     One DEBUG record per call on the ``zeroone.fiber`` logger gives the
     search's counters.
     """
@@ -121,7 +122,7 @@ def enumerate_zero_one_fiber(
         n, cfg.n_rows, nodes, pruned, len(out), ", cap reached" if capped else "",
     )
     if capped:
-        raise CapExceededError(cap)
+        raise BudgetExhaustedError(out, f"fiber enumeration exceeded cap of {cap} tables")
     return out
 
 
@@ -408,11 +409,11 @@ class SweepReport:
 
 def check_sweep_cells(cfg: Configuration, max_cells: int) -> None:
     """Refuse a sweep of the 2^n tables of ``cfg`` with more than ``max_cells``
-    cells (:class:`CapExceededError`), and a non-positive ``max_cells``."""
+    cells (:class:`BudgetExhaustedError`), and a non-positive ``max_cells``."""
     if max_cells <= 0:
         raise ZeroOneError(f"max_cells must be positive, got {max_cells}")
     if cfg.n_cells > max_cells:
-        raise CapExceededError(1 << max_cells, f"sweep over 2^{cfg.n_cells} tables refused")
+        raise BudgetExhaustedError(None, f"sweep over 2^{cfg.n_cells} tables refused")
 
 
 def _cube_codes(cfg: Configuration, max_cells: int) -> np.ndarray:
@@ -446,7 +447,7 @@ def iter_fibers(cfg: Configuration, max_cells: int = 24):
     key order: the key in Python ints, the members an (m, n) 0/1 uint8 array
     of the sweep tables, table i having cell k equal to bit k of i, in
     increasing i.  More than ``max_cells`` cells raise
-    :class:`CapExceededError`, and a non-positive ``max_cells`` is refused."""
+    :class:`BudgetExhaustedError`, and a non-positive ``max_cells`` is refused."""
     order, start, _ = _cube_fibers(cfg, max_cells)
     for group in np.split(order, start[1:]):
         X = unpack_bits(group, cfg.n_cells)

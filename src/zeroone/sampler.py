@@ -256,11 +256,10 @@ def exact_test(
     if steps < 1 or burn_in < 0 or thinning < 1:
         raise ZeroOneError(f"need steps >= 1, burn_in >= 0 and thinning >= 1, "
                            f"got {steps}, {burn_in}, {thinning}")
-    t = cfg.sufficient_stat(x_obs)
     if callable(statistic):
         stat = statistic
     else:
-        stat = resolve_statistic(cfg, statistic, t)
+        stat = resolve_statistic(cfg, statistic, cfg.sufficient_stat(x_obs))
     walk = _Walk(cfg, x_obs, b, burn_in + steps, seed)
     n, start, samples = cfg.n_cells, 0, []
     for chunk in walk:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -520,6 +521,31 @@ class TestSample:
         assert code == 0
         assert "p_value: 1.000000" in out and "exact_p: 1.000000" in out
 
+    def test_verify_exact_over_its_cap_prints_nothing(self, capsys, tmp_path):
+        # the exact count runs before the walk: its refusal comes before any line
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
+        code, out, err = run(capsys, "sample", "--model", "two-way-indep", "--dims", "3,3",
+                             "--moves", "basic", "--start", str(x), "--steps", "100",
+                             "--seed", "1", "--verify-exact", "--cap", "1")
+        assert code == 3 and out == "" and "exceeded cap of 1 tables" in err
+
+    def test_verify_exact_fits_the_statistic_once(self, capsys, tmp_path, monkeypatch):
+        # the walk and the exact count score with one fitted chi-square statistic
+        fits, real = [], zeroone.sampler.ipf_fit
+
+        def counting(*args):
+            fits.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(zeroone.sampler, "ipf_fit", counting)
+        x = tmp_path / "x.txt"
+        fileio.write_table(x, Table((0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0)))
+        code, out, _ = run(capsys, "sample", "--model", "two-way-indep", "--dims", "4,4",
+                           "--moves", "basic", "--start", str(x), "--stat", "chi2-ipf",
+                           "--steps", "2000", "--seed", "202", "--verify-exact")
+        assert code == 0 and "exact_p: 1.000000" in out and len(fits) == 1
+
     def test_trace_is_one_line_per_sample(self, capsys, tmp_path, monkeypatch):
         runs, real = [], zeroone.cli.exact_test
 
@@ -685,7 +711,16 @@ class TestUsage:
          "--constant-item-param applies to many-facet-rasch only"),
         (("graver", "--model", "complete-indep", "--dims", "2,2,3", "--square-free",
           "--max-degree", "3", "--budget", "1"), "graver --budget does not apply to --max-degree"),
-    ], ids=["zeros", "constant-item-param", "budget-with-max-degree"])
+        *[((cmd, "--model", "two-way-indep", "--dims", "3,3", "--moves", "basic",
+            "--max-degree", "1", *key), f"{cmd} --max-degree applies only to square-free-graver")
+          for cmd, key in (("connect", ("--from-table", "x.txt")),
+                           ("check", ("--condition", "strong", "--from-table", "x.txt")),
+                           ("sample", ("--start", "x.txt", "--steps", "10", "--seed", "1")))],
+        (("sample", "--model", "two-way-indep", "--dims", "3,3", "--moves", "basic",
+          "--start", "x.txt", "--steps", "10", "--seed", "1", "--cap", "1"),
+         "sample --cap applies only with --verify-exact"),
+    ], ids=["zeros", "constant-item-param", "budget-with-max-degree", "connect-max-degree",
+            "check-max-degree", "sample-max-degree", "sample-cap"])
     def test_refuses_options_the_run_would_ignore(self, capsys, monkeypatch, argv, message):
         # refused before the model is built or a file is read
         for name in ("build_two_way_independence", "build_complete_independence"):
@@ -885,6 +920,46 @@ class TestMalformedSpecs:
                            "--moves", "basic", "--start", str(x), "--steps", "10",
                            "--seed", "1", "--stat", "linear:a,b")
         assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("case", [
+    "connect-from-table", "connect-t", "check-from-table", "sample-start", "graver-zeros",
+    "directory-table", "bytes-table", "bytes-moves", "graver-out", "connect-out", "sample-trace",
+])
+def test_file_error_exits_two_before_any_line(capsys, tmp_path, case):
+    # a missing, unreadable or unwritable file is a usage error, not "disconnected"
+    x, missing, noise = tmp_path / "x.txt", tmp_path / "missing.txt", tmp_path / "noise.bin"
+    fileio.write_table(x, Table((1, 0, 0, 0, 1, 0, 0, 0, 1)))
+    noise.write_bytes(random.Random(32).randbytes(300))
+    unwritable = tmp_path / "no-dir" / "out.txt"
+    model = ("--model", "two-way-indep", "--dims", "3,3")
+    connect = ("connect", *model, "--moves", "basic")
+    sample = ("sample", *model, "--moves", "basic", "--steps", "100", "--seed", "1")
+    argv = {
+        "connect-from-table": (*connect, "--from-table", missing),
+        "connect-t": (*connect, "--t", missing),
+        "check-from-table": ("check", *model, "--moves", "basic", "--condition", "strong",
+                             "--from-table", missing),
+        "sample-start": (*sample, "--start", missing),
+        "graver-zeros": ("graver", "--model", "quasi-indep", "--dims", "3,3", "--zeros", missing),
+        "directory-table": (*connect, "--from-table", tmp_path),
+        "bytes-table": (*connect, "--from-table", noise),
+        "bytes-moves": ("connect", *model, "--moves", noise, "--from-table", x),
+        "graver-out": ("graver", *model, "--out", unwritable),
+        "connect-out": (*connect, "--from-table", x, "--out", unwritable),
+        "sample-trace": (*sample, "--start", x, "--trace", unwritable),
+    }[case]
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
+def test_entry_point_exits_two_on_a_missing_file(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "zeroone.cli", "connect", "--model",
+                          "two-way-indep", "--dims", "3,3", "--moves", "basic",
+                          "--from-table", str(tmp_path / "missing.txt")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2 and out.stdout == "" and out.stderr.startswith("error: ")
 
 
 def test_cli_does_not_import_numpy_ma():

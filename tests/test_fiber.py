@@ -8,7 +8,7 @@ import pytest
 from zeroone import fiber as fiber_module
 from zeroone.cells import CellSpace, Move, Table, _components, find_rows, pack_bits
 from zeroone.errors import (
-    CapExceededError,
+    BudgetExhaustedError,
     LengthMismatchError,
     MixedFiberError,
     NoDecompositionError,
@@ -62,16 +62,20 @@ class TestEnumeration:
         assert len(fiber) == 24  # 4x4 permutation matrices
 
     def test_cap_raises(self):
+        # the error carries the first cap members of the uncapped enumeration, in order
         cfg = build_two_way_independence(4, 4)
-        with pytest.raises(CapExceededError):
-            enumerate_zero_one_fiber(cfg, (1,) * 8, cap=3)
+        fiber = enumerate_zero_one_fiber(cfg, (1,) * 8)
+        for cap in (1, 3, 23):
+            with pytest.raises(BudgetExhaustedError) as e:
+                enumerate_zero_one_fiber(cfg, (1,) * 8, cap=cap)
+            assert e.value.partial == fiber[:cap]
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_non_positive_cap_refused(self, cap):
         cfg = build_two_way_independence(4, 4)
         with pytest.raises(ZeroOneError, match="cap must be positive") as e:
             enumerate_zero_one_fiber(cfg, (1,) * 8, cap=cap)
-        assert not isinstance(e.value, CapExceededError)
+        assert not isinstance(e.value, BudgetExhaustedError)
 
     def test_key_length_checked(self):
         cfg = build_two_way_independence(2, 2)
@@ -102,7 +106,7 @@ class TestEnumeration:
         with caplog.at_level(logging.DEBUG, logger="zeroone.fiber"):
             enumerate_zero_one_fiber(cfg, (1, 1, 1, 1))
             enumerate_zero_one_fiber(cfg, (3, 1, 1, 1))
-            with pytest.raises(CapExceededError):
+            with pytest.raises(BudgetExhaustedError):
                 enumerate_zero_one_fiber(cfg, (1, 1, 1, 1), cap=1)
         lines = [r.getMessage() for r in caplog.records if r.name == "zeroone.fiber"]
         assert lines == [
@@ -696,11 +700,11 @@ class TestSweep:
     def test_cell_limit_enforced(self):
         b = basic_moves_two_way(5, 5)
         cfg = b.source_config
-        with pytest.raises(CapExceededError):
+        with pytest.raises(BudgetExhaustedError):
             sweep_connectivity(cfg, b, max_cells=9)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(BudgetExhaustedError):
             next(iter_fibers(cfg, max_cells=9))
-        with pytest.raises(CapExceededError):
+        with pytest.raises(BudgetExhaustedError):
             sweep_crossing(cfg, max_cells=9)
         assert "swaps" not in vars(cfg)  # refused before the swaps are built
 
@@ -713,7 +717,7 @@ class TestSweep:
                      lambda: next(iter_fibers(cfg, max_cells=max_cells))):
             with pytest.raises(ZeroOneError, match="max_cells must be positive") as e:
                 call()
-            assert not isinstance(e.value, CapExceededError)
+            assert not isinstance(e.value, BudgetExhaustedError)
 
     def test_signed_matrix(self):
         cfg = Configuration(CellSpace((3,)), ((1, -1, 0), (0, 0, 1)))
@@ -1036,7 +1040,7 @@ class TestDistanceSweepAgainstReference:
         rows = Configuration(cfg.cell_space, cfg.matrix[:3])
         with pytest.raises(ZeroOneError, match="another model"):
             sweep_distance_reducing(cfg, MoveSet.build(b.moves, b.provenance, rows))
-        with pytest.raises(CapExceededError):
+        with pytest.raises(BudgetExhaustedError):
             sweep_distance_reducing(cfg, b, max_cells=8)
         with pytest.raises(ZeroOneError, match="max_cells must be positive"):
             sweep_distance_reducing(cfg, b, max_cells=0)

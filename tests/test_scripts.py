@@ -56,6 +56,10 @@ def test_bench_ab(tmp_path):
     assert wall["ratio_of_medians"] == 0.5 and wall["change_lower_in"] == "2 of 2"
     assert w["metrics"]["setup_s"]["change_lower_in"] == "1 of 2"
     assert w["metrics"]["peak_rss_mb"]["ratio_of_medians"] == 1.0
+    # the parent's (Q3 - Q1) / median against each metric's bound in BENCHMARK.json
+    assert wall["parent_spread"] == 0.5 and not wall["resolved"]
+    assert w["metrics"]["peak_rss_mb"]["parent_spread"] == 1 / 41
+    assert w["metrics"]["peak_rss_mb"]["resolved"]
     # per run the median of its import probes and of its builds, then the median of the runs
     assert w["setup_split"] == {"import_s": {"parent": 0.375, "change": 0.625},
                                 "build_s": {"parent": 0.5, "change": 0.25}}
@@ -66,6 +70,23 @@ def test_bench_ab(tmp_path):
                                "change": {"seconds": 30.5, "passed": 703, "failed": 2,
                                           "skipped": 1}}
     assert "traced" not in report
+
+
+def test_bench_ab_resolves_a_wide_spread_only_when_every_change_run_is_better(tmp_path):
+    main = runpy.run_path(str(SCRIPTS / "bench_ab.py"))["main"]
+    ops = [{"a": [1.0]}] * 3
+    fake_runs(tmp_path / "parent", [1, 2, 3], [(1.0, 0.125, 40.0), (2.0, 0.25, 40.0),
+                                               (3.0, 0.375, 40.0)], ops, [{}] * 3, [100, 300, 500])
+    # wall_s: every change run is lower; setup_s: one change run is not
+    fake_runs(tmp_path / "change", [1, 2, 3], [(0.5, 0.0625, 40.0), (0.75, 0.125, 40.0),
+                                               (0.9, 0.375, 40.0)], ops, [{}] * 3, [200, 400, 600])
+    out = tmp_path / "BENCH.json"
+    assert main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+    assert metrics["wall_s"]["parent_spread"] == 0.5 and metrics["wall_s"]["resolved"]
+    assert metrics["setup_s"]["parent_spread"] == 0.5 and not metrics["setup_s"]["resolved"]
+    assert metrics["peak_rss_mb"]["parent_spread"] == 0 and metrics["peak_rss_mb"]["resolved"]
 
 
 def test_bench_ab_records_traced_runs_of_both_sides(tmp_path):
