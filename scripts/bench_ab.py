@@ -104,11 +104,12 @@ def main(argv=None) -> int:
             "op_medians": {},
         }
         for m in metrics:
-            pa, ch = [x["metrics"][m["name"]] for x in A], [y["metrics"][m["name"]] for y in B]
+            name = m["name"]
+            pa, ch = [x["metrics"][name] for x in A], [y["metrics"][name] for y in B]
             parent = summary(pa)
             spread = (parent["q3"] - parent["q1"]) / parent["median"]
             dominates = max(ch) < min(pa) if m["better"] == "lower" else min(ch) > max(pa)
-            entry["metrics"][m["name"]] = {
+            entry["metrics"][name] = {
                 "parent": parent,
                 "change": summary(ch),
                 "ratio_of_medians": statistics.median(ch) / statistics.median(pa),
